@@ -7,9 +7,8 @@
 // title line, and non-finite measurements (a failed run's NaN residual),
 // which JSON has no literal for and are emitted as null.
 // The --json plumbing (flag stripping, appending records to the artifact
-// file) lives here too, so binaries that do NOT link google-benchmark (the
-// pipeline bench) share the exact same writer as the bench_common.h suite
-// -- one escaping/NaN policy for every artifact CI parses.
+// file) lives here too -- one escaping/NaN policy for every artifact CI
+// parses.
 #pragma once
 
 #include <cmath>

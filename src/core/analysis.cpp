@@ -42,12 +42,11 @@ CscMatrix Analysis::permute_input(const CscMatrix& a) const {
                    std::move(val));
 }
 
-AnalysisPrefix analyze_prefix(const Pattern& a, const Options& opt) {
+Analysis analyze_pattern(const Pattern& a, const Options& opt) {
   if (a.rows != a.cols) {
     throw std::invalid_argument("analyze: matrix must be square");
   }
-  AnalysisPrefix pre;
-  Analysis& an = pre.an;
+  Analysis an;
   an.options = opt;
   an.n = a.cols;
   an.nnz_input = a.nnz();
@@ -64,14 +63,12 @@ AnalysisPrefix analyze_prefix(const Pattern& a, const Options& opt) {
                   : static_cast<int>(std::thread::hardware_concurrency());
     if (threads < 1) threads = 1;
   }
-  pre.team = std::make_unique<rt::Team>(threads, opt.analysis.min_step_work);
-  rt::Team& team = *pre.team;
+  rt::Team team(threads, opt.analysis.min_step_work);
   an.timings.threads = team.lanes();
   an.timings.parallel = parallel && team.lanes() > 1;
 
-  pre.t_start = std::chrono::steady_clock::now();
-  auto& last = pre.last;
-  last = pre.t_start;
+  const auto t_start = std::chrono::steady_clock::now();
+  auto last = t_start;
 
   // (1) Fill-reducing column ordering (minimum degree on A^T A by default);
   // applied to rows as well under symmetric_ordering so an existing
@@ -79,7 +76,7 @@ AnalysisPrefix analyze_prefix(const Pattern& a, const Options& opt) {
   // (AMD); a single-lane team inlines every fan-out, so the permutation is
   // identical either way (amd.h documents the determinism contract).
   ordering::Controls octl;
-  octl.team = pre.team.get();
+  octl.team = &team;
   octl.dry_run = opt.ordering_dry_run;
   Permutation q1 = ordering::compute_column_ordering(a, opt.ordering, octl,
                                                      &an.ordering_decision);
@@ -122,24 +119,11 @@ AnalysisPrefix analyze_prefix(const Pattern& a, const Options& opt) {
   an.symbolic = std::move(sym);
   an.eforest = std::move(ef);
 
-  if (opt.postorder) {
-    std::vector<int> sz = an.eforest.subtree_sizes();
-    for (int r : an.eforest.roots()) an.diag_block_sizes.push_back(sz[r]);
-  } else {
-    // Without postordering the block-triangular reading does not apply;
-    // report tree sizes all the same (root order).
-    std::vector<int> sz = an.eforest.subtree_sizes();
-    for (int r : an.eforest.roots()) an.diag_block_sizes.push_back(sz[r]);
-  }
+  // Tree sizes in root order.  Only with postordering are they the diagonal
+  // blocks of a block-upper-triangular form; they are reported either way.
+  std::vector<int> sz = an.eforest.subtree_sizes();
+  for (int r : an.eforest.roots()) an.diag_block_sizes.push_back(sz[r]);
   an.timings.eforest_postorder = lap(last);
-  return pre;
-}
-
-Analysis analyze_suffix(AnalysisPrefix pre) {
-  Analysis an = std::move(pre.an);
-  rt::Team& team = *pre.team;
-  const Options& opt = an.options;
-  auto& last = pre.last;
 
   // (4) L/U supernode partitioning and amalgamation (forest-parallel: one
   // greedy scan per root-terminated segment).
@@ -154,7 +138,7 @@ Analysis analyze_suffix(AnalysisPrefix pre) {
   // (5) Block structure with block-level closure, block eforest; then the
   // structure-aware blocking plan over the finished blocks (one density
   // sweep of Abar, folded into this phase's timing -- it is block
-  // bookkeeping, not a new pipeline stage).
+  // bookkeeping, not a new analysis stage).
   an.blocks = symbolic::build_block_structure(an.symbolic.abar, an.partition,
                                               /*apply_closure=*/true, team);
   an.block_plan = symbolic::build_block_plan(an.symbolic.abar, an.blocks, team);
@@ -170,14 +154,10 @@ Analysis analyze_suffix(AnalysisPrefix pre) {
         an.blocks, opt.task_graph, taskgraph::Granularity::kBlock, team);
   }
   an.timings.taskgraph = lap(last);
-  an.timings.total = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - pre.t_start)
-                         .count();
+  an.timings.total =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start)
+          .count();
   return an;
-}
-
-Analysis analyze_pattern(const Pattern& a, const Options& opt) {
-  return analyze_suffix(analyze_prefix(a, opt));
 }
 
 Analysis analyze(const CscMatrix& a, const Options& opt) {

@@ -4,8 +4,6 @@
 // amalgamation -> block structure -> task dependence graph + costs.
 #pragma once
 
-#include <chrono>
-#include <memory>
 #include <vector>
 
 #include "core/layout.h"
@@ -122,9 +120,7 @@ struct Analysis {
   symbolic::BlockStructure blocks;
   /// Structure-aware blocking plan over `blocks` (symbolic/repartition.h):
   /// per-block densities, tile classes and cached L lists.  Predictions and
-  /// cached structure only -- consuming it never changes factor bits.  Not
-  /// built by the analyze->factor pipeline (core/pipeline.cpp), whose
-  /// numeric tasks start before the full structure exists.
+  /// cached structure only -- consuming it never changes factor bits.
   symbolic::BlockPlan block_plan;
 
   taskgraph::TaskGraph graph;
@@ -155,24 +151,5 @@ Analysis analyze(const CscMatrix& a, const Options& opt = {});
 
 /// Pattern-only variant (values of `a` ignored).
 Analysis analyze_pattern(const Pattern& a, const Options& opt = {});
-
-/// The analysis pipeline split at its natural seam -- after step (3) the
-/// postordered Abar and eforest are final, and every later artifact
-/// (supernodes, blocks, task graph) decomposes per eforest subtree.  The
-/// analyze->factor pipeline (core/pipeline.cpp) runs the prefix inline and
-/// replaces the suffix with per-subtree tasks; analyze_pattern() is exactly
-/// analyze_suffix(analyze_prefix(...)), so the split is pure code motion.
-struct AnalysisPrefix {
-  /// Steps 1-3 filled: options, n, nnz_input, perms, symbolic, eforest,
-  /// diag_block_sizes, timings through eforest_postorder.
-  Analysis an;
-  /// The analysis team, alive for the suffix (single lane when sequential).
-  std::unique_ptr<rt::Team> team;
-  std::chrono::steady_clock::time_point t_start;
-  std::chrono::steady_clock::time_point last;  // phase-timer cursor
-};
-
-AnalysisPrefix analyze_prefix(const Pattern& a, const Options& opt);
-Analysis analyze_suffix(AnalysisPrefix pre);
 
 }  // namespace plu

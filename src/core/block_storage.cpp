@@ -14,9 +14,6 @@ namespace {
 
 constexpr std::size_t kAlignBytes = 64;
 constexpr std::size_t kAlignDoubles = kAlignBytes / sizeof(double);
-// Deferred-mode segment granularity: 1 MiB of doubles per slab keeps the
-// allocation count low without over-reserving for small pipelines.
-constexpr std::size_t kSegmentDoubles = std::size_t(1) << 17;
 
 std::size_t align_up(std::size_t doubles) {
   return (doubles + kAlignDoubles - 1) & ~(kAlignDoubles - 1);
@@ -37,10 +34,9 @@ BlockMatrix::Slab BlockMatrix::allocate_slab(std::size_t doubles) {
       doubles * sizeof(double), std::align_val_t(kAlignBytes))));
 }
 
-std::size_t BlockMatrix::describe_column(int j,
-                                         const std::vector<int>& row_blocks) {
+std::size_t BlockMatrix::describe_column(int j) {
   const symbolic::BlockStructure& bs = *bs_;
-  blocks_[j] = row_blocks;
+  blocks_[j].assign(bs.bpattern.col_begin(j), bs.bpattern.col_end(j));
   offsets_[j].resize(blocks_[j].size() + 1);
   int off = 0;
   for (std::size_t t = 0; t < blocks_[j].size(); ++t) {
@@ -68,8 +64,7 @@ BlockMatrix::BlockMatrix(const symbolic::BlockStructure& bs, StorageMode mode,
   if (mode_ == StorageMode::kVectors) {
     data_.resize(nb);
     for (int j = 0; j < nb; ++j) {
-      const std::size_t len = describe_column(
-          j, {bs.bpattern.col_begin(j), bs.bpattern.col_end(j)});
+      const std::size_t len = describe_column(j);
       data_[j].assign(len, 0.0);
       col_ptr_[j] = data_[j].data();
       col_doubles_[j] = len;
@@ -82,8 +77,7 @@ BlockMatrix::BlockMatrix(const symbolic::BlockStructure& bs, StorageMode mode,
   std::vector<std::size_t> base(nb);
   std::size_t total = 0;
   for (int j = 0; j < nb; ++j) {
-    const std::size_t len = describe_column(
-        j, {bs.bpattern.col_begin(j), bs.bpattern.col_end(j)});
+    const std::size_t len = describe_column(j);
     base[j] = total;
     col_doubles_[j] = len;
     total += align_up(len);
@@ -122,61 +116,6 @@ BlockMatrix::BlockMatrix(const symbolic::BlockStructure& bs, StorageMode mode,
   for (std::thread& t : threads) t.join();
 }
 
-BlockMatrix::BlockMatrix(const symbolic::BlockStructure& bs, DeferredColumns,
-                         StorageMode mode)
-    : bs_(&bs), mode_(mode), deferred_(true) {
-  const int nb = bs.part.count();
-  blocks_.resize(nb);
-  offsets_.resize(nb);
-  diag_pos_.assign(nb, -1);
-  col_ptr_.assign(nb, nullptr);
-  col_doubles_.assign(nb, 0);
-  if (mode_ == StorageMode::kVectors) data_.resize(nb);
-}
-
-void BlockMatrix::place_deferred_column(int j, std::size_t doubles) {
-  if (mode_ == StorageMode::kVectors) {
-    data_[j].assign(doubles, 0.0);
-    col_ptr_[j] = data_[j].data();
-    return;
-  }
-  const std::size_t need = align_up(doubles);
-  if (segments_.empty() || segment_used_ + need > segment_doubles_.back()) {
-    const std::size_t cap = std::max(need, kSegmentDoubles);
-    segments_.push_back(allocate_slab(cap));
-    segment_doubles_.push_back(cap);
-    segment_used_ = 0;
-  }
-  double* p = segments_.back().get() + segment_used_;
-  segment_used_ += need;
-  std::fill(p, p + doubles, 0.0);
-  col_ptr_[j] = p;
-}
-
-void BlockMatrix::init_column(int j, const std::vector<int>& row_blocks) {
-  const std::size_t len = describe_column(j, row_blocks);
-  col_doubles_[j] = len;
-  place_deferred_column(j, len);
-}
-
-void BlockMatrix::load_column(int j, const CscMatrix& a) {
-  assert(a.rows() == bs_->part.num_cols() && a.cols() == bs_->part.num_cols());
-  const int height = column_height(j);
-  for (int col = bs_->part.first(j); col < bs_->part.end(j); ++col) {
-    const int jc = col - bs_->part.first(j);
-    double* buf = col_ptr_[j] + static_cast<std::size_t>(jc) * height;
-    for (int k = a.col_begin(col); k < a.col_end(col); ++k) {
-      const int row = a.row_index(k);
-      const int bi = bs_->part.supernode_of(row);
-      const int off = block_offset(bi, j);
-      if (off < 0) {
-        throw std::invalid_argument("BlockMatrix::load: entry outside pattern");
-      }
-      buf[off + (row - bs_->part.first(bi))] = a.value(k);
-    }
-  }
-}
-
 void BlockMatrix::load(const CscMatrix& a) {
   assert(a.rows() == bs_->part.num_cols() && a.cols() == bs_->part.num_cols());
   set_zero();
@@ -198,26 +137,15 @@ void BlockMatrix::load(const CscMatrix& a) {
 }
 
 void BlockMatrix::set_zero() {
-  if (mode_ == StorageMode::kArena && !deferred_) {
+  if (mode_ == StorageMode::kArena) {
     std::fill(arena_.get(), arena_.get() + arena_doubles_, 0.0);
     return;
   }
-  for (std::size_t j = 0; j < col_ptr_.size(); ++j) {
-    if (col_ptr_[j] != nullptr) {
-      std::fill(col_ptr_[j], col_ptr_[j] + col_doubles_[j], 0.0);
-    }
-  }
+  for (std::vector<double>& d : data_) std::fill(d.begin(), d.end(), 0.0);
 }
 
 std::size_t BlockMatrix::storage_bytes() const {
-  if (mode_ == StorageMode::kVectors || (deferred_ && segments_.empty())) {
-    return stored_doubles() * sizeof(double);
-  }
-  if (deferred_) {
-    std::size_t total = 0;
-    for (std::size_t cap : segment_doubles_) total += cap;
-    return total * sizeof(double);
-  }
+  if (mode_ == StorageMode::kVectors) return stored_doubles() * sizeof(double);
   return arena_doubles_ * sizeof(double);
 }
 

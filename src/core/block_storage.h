@@ -15,9 +15,7 @@
 //   block column, set_zero() as a single contiguous fill (the
 //   refactorization fast path), and pages first-touched by the worker
 //   threads that will own each column range (`init_threads`), so on NUMA
-//   machines the column data lands near its consumers.  The deferred
-//   (pipeline) constructor cannot know the total size up front and uses a
-//   segmented bump allocator over the same aligned slabs instead.
+//   machines the column data lands near its consumers.
 //
 //   kVectors: the original per-column std::vector<std::vector<double>>
 //   layout, kept as the storage-ablation baseline
@@ -49,9 +47,6 @@ const char* to_string(StorageMode m);
 
 class BlockMatrix {
  public:
-  /// Tag for the deferred constructor below.
-  struct DeferredColumns {};
-
   /// Allocates zeroed storage for the block structure.  `bs` must outlive
   /// the BlockMatrix.  With `init_threads` > 1 under kArena, the initial
   /// zeroing fans out over that many threads, each touching a contiguous
@@ -60,35 +55,17 @@ class BlockMatrix {
                        StorageMode mode = StorageMode::kArena,
                        int init_threads = 1);
 
-  /// Deferred construction for the analyze->factor pipeline: `bs.part` must
-  /// be final but `bs.bpattern` may still be empty -- every accessor reads
-  /// only `bs.part`, so columns can be materialized one at a time with
-  /// init_column()/load_column() as their block lists are discovered.
-  /// Under kArena, columns are carved out of growing aligned segments.
-  BlockMatrix(const symbolic::BlockStructure& bs, DeferredColumns,
-              StorageMode mode = StorageMode::kArena);
-
   BlockMatrix(BlockMatrix&&) noexcept = default;
   BlockMatrix& operator=(BlockMatrix&&) noexcept = default;
   BlockMatrix(const BlockMatrix&) = delete;
   BlockMatrix& operator=(const BlockMatrix&) = delete;
-
-  /// Materializes block column j from its sorted structurally-nonzero row
-  /// block list (must include the diagonal).  One-shot per column; NOT
-  /// thread-safe (the pipeline's Mat chain serializes these calls).
-  void init_column(int j, const std::vector<int>& row_blocks);
-
-  /// Scatters the CSC columns of block column j (matrix already permuted to
-  /// the analysis ordering) into the freshly init'ed -- thus zeroed --
-  /// column buffer.  Per-column twin of load().
-  void load_column(int j, const CscMatrix& a);
 
   const symbolic::BlockStructure& structure() const { return *bs_; }
   int num_block_columns() const { return bs_->num_blocks(); }
 
   StorageMode storage_mode() const { return mode_; }
 
-  /// Bytes of block storage held (arena/segment capacity incl. alignment
+  /// Bytes of block storage held (arena capacity incl. alignment
   /// padding, or the summed vector sizes) -- the peak numeric footprint
   /// surfaced in FactorizationReport.
   std::size_t storage_bytes() const;
@@ -151,25 +128,15 @@ class BlockMatrix {
 
   int block_pos(int i, int j) const;  // index of block i in blocks_[j]; -1 absent
 
-  /// Computes blocks_/offsets_/diag_pos_ for column j and returns its
-  /// buffer length in doubles.
-  std::size_t describe_column(int j, const std::vector<int>& row_blocks);
-
-  /// Assigns column j's base pointer: a zeroed buffer of `doubles` doubles
-  /// from the current segment (kArena deferred) or data_[j] (kVectors).
-  void place_deferred_column(int j, std::size_t doubles);
+  /// Computes blocks_/offsets_/diag_pos_ for column j from the block
+  /// pattern and returns its buffer length in doubles.
+  std::size_t describe_column(int j);
 
   const symbolic::BlockStructure* bs_;
   StorageMode mode_ = StorageMode::kArena;
-  bool deferred_ = false;
 
-  // kArena, full construction: one slab.
-  Slab arena_;
+  Slab arena_;  // kArena backing
   std::size_t arena_doubles_ = 0;
-  // kArena, deferred construction: bump-allocated segments.
-  std::vector<Slab> segments_;
-  std::vector<std::size_t> segment_doubles_;  // capacity per segment
-  std::size_t segment_used_ = 0;              // doubles used in segments_.back()
 
   std::vector<double*> col_ptr_;            // base pointer per block column
   std::vector<std::size_t> col_doubles_;    // buffer length per block column

@@ -594,16 +594,6 @@ class Driver2D final : public NumericDriver {
 
 }  // namespace
 
-bool pipeline_supported(const Options& aopt, const NumericOptions& nopt) {
-  if (!nopt.pipeline) return false;
-  if (!aopt.postorder) return false;
-  if (aopt.amalgamate && !aopt.amalgamation.require_parent_child) return false;
-  if (nopt.mode != ExecutionMode::kThreaded) return false;
-  if (nopt.check_races || nopt.fuzz_schedule) return false;
-  if (nopt.stop_after_block >= 0) return false;
-  return true;
-}
-
 const NumericDriver& NumericDriver::driver_for(Layout layout) {
   static const Driver1D d1;
   static const Driver2D d2;

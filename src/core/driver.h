@@ -70,21 +70,6 @@ struct NumericRun {
   symbolic::BlockingStats blocking{};
 };
 
-/// The phase-spanning analyze->factor->solve driver (core/pipeline.h); a
-/// friend of Factorization so it can assemble results the phased
-/// constructor normally owns.
-class PipelineDriver;
-
-/// True when the pipelined path (NumericOptions::pipeline) can reproduce
-/// the phased path bit-identically for this option combination.  The
-/// facade falls back to phased execution -- silently, results identical --
-/// when this is false: no postorder (no independent subtrees to pipeline),
-/// amalgamation without require_parent_child (merges could cross tree
-/// roots, so per-subtree supernode scans would diverge), non-threaded
-/// modes, schedule fuzzing, race checking, and partial (Schur)
-/// factorizations all stay phased.
-bool pipeline_supported(const Options& aopt, const NumericOptions& nopt);
-
 class NumericDriver {
  public:
   virtual ~NumericDriver() = default;

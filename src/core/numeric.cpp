@@ -104,23 +104,6 @@ Factorization::Factorization(const Analysis& analysis, const CscMatrix& a,
   }
 }
 
-Factorization::Factorization(const Analysis& analysis, PipelineState&& st)
-    : analysis_(&analysis),
-      blocks_(std::move(st.blocks)),
-      layout_(analysis.options.layout),
-      ipiv_(std::move(st.ipiv)),
-      min_pivot_ratio_(st.min_pivot_ratio),
-      zero_pivots_(st.zero_pivots),
-      lazy_skipped_(st.lazy_skipped),
-      factored_blocks_(analysis.blocks.num_blocks()),
-      status_(st.status),
-      failed_column_(st.failed_column),
-      perturbed_columns_(std::move(st.perturbed_columns)),
-      perturb_magnitude_(st.perturb_magnitude),
-      growth_factor_(st.growth_factor),
-      pipeline_stats_(st.stats),
-      coarsen_stats_(st.coarsen) {}
-
 void Factorization::require_usable(const char* what) const {
   if (factor_usable(status_)) return;
   throw std::runtime_error(

@@ -127,28 +127,13 @@ struct NumericOptions {
   std::uint64_t fuzz_seed = 1;
   /// Maximum injected pre-task delay (microseconds) when fuzzing.
   int fuzz_max_delay_us = 50;
-  /// Phase-spanning pipeline (core/pipeline.h): run symbolic analysis,
-  /// numeric factorization and the forward solve as ONE dynamic task graph
-  /// instead of three barriered phases -- per-eforest-subtree analysis
-  /// tasks publish finalized column/block structure and release that
-  /// subtree's numeric tasks into the running graph.  Bit-identical to the
-  /// phased path by construction.  Honored by SparseLU and SolverService
-  /// (this class's own constructor requires a finished analysis by design);
-  /// silently falls back to the phased path when the option combination is
-  /// unsupported (pipeline_supported in core/driver.h).
-  bool pipeline = false;
-  /// Minimum columns per pipeline analysis unit: consecutive eforest trees
-  /// are coalesced until a unit reaches this many columns, bounding
-  /// per-task overhead on forests with many tiny trees.
-  int pipeline_min_unit_cols = 64;
   /// DAG task coarsening (taskgraph/coarsen.h): before threaded execution,
   /// collapse whole low-weight eforest subtrees into single fused tasks
   /// running the sequential kernel loop for that subtree, so scheduling
   /// overhead is paid per subtree instead of per kernel call.  Honored by
-  /// kThreaded (including the fuzzed and shared-runtime paths) and by the
-  /// pipeline (which fuses whole analysis units); silently falls back to
-  /// the uncoarsened graph when not applicable (non-eforest graph kind,
-  /// unordered labels, no flop annotations) -- check
+  /// kThreaded (including the fuzzed and shared-runtime paths); silently
+  /// falls back to the uncoarsened graph when not applicable (non-eforest
+  /// graph kind, unordered labels, no flop annotations) -- check
   /// Factorization::coarsen_stats().ran.  When coarsening ran, the
   /// threaded result is additionally BITWISE identical to
   /// ExecutionMode::kSequential at any thread count (the coarse graph
@@ -173,23 +158,6 @@ struct NumericOptions {
   /// bumped columns; pair with refined_solve (core/refine.h) to recover the
   /// accuracy the perturbation gave up.
   bool perturb_pivots = false;
-};
-
-/// Wall-clock phase accounting of a PIPELINED run.  The phases genuinely
-/// overlap, so the per-phase walls can sum to MORE than total_seconds;
-/// overlap_seconds is exactly that excess (0 when nothing overlapped).
-/// All zero when the phased path ran.
-struct PipelineStats {
-  bool ran = false;                // the pipelined path actually executed
-  /// False when an external cancel stopped the run before the symbolic
-  /// analysis finished -- the Analysis is then partial and must not be
-  /// cached or reused for a refactorization.
-  bool analysis_complete = true;
-  double analyze_seconds = 0.0;    // wall span of analysis-task activity
-  double factor_seconds = 0.0;     // wall span of numeric-task activity
-  double solve_seconds = 0.0;      // wall span of forward-solve tasks
-  double total_seconds = 0.0;      // end-to-end wall time of the run
-  double overlap_seconds = 0.0;    // max(0, sum of phase walls - total)
 };
 
 class Factorization {
@@ -285,10 +253,6 @@ class Factorization {
   /// In-place variant over multiple right-hand sides is deliberately not
   /// offered; loop solve() instead (problem sizes here make it moot).
 
-  /// Phase accounting of the pipelined run that built this factorization
-  /// (PipelineStats::ran is false when the phased path ran).
-  const PipelineStats& pipeline_stats() const { return pipeline_stats_; }
-
   /// Task-graph coarsening summary of the run (CoarsenStats::ran is false
   /// when NumericOptions::coarsen was off or not applicable).
   const taskgraph::CoarsenStats& coarsen_stats() const {
@@ -296,35 +260,13 @@ class Factorization {
   }
 
   /// Tile-routing counters of the run (BlockingStats::ran is false when
-  /// NumericOptions::blocking was kOff, the analysis built no plan, or the
-  /// pipelined path ran -- its numeric tasks start before the full block
-  /// structure, and so the plan, can exist).
+  /// NumericOptions::blocking was kOff or the analysis built no plan).
   const symbolic::BlockingStats& blocking_stats() const {
     return blocking_stats_;
   }
 
  private:
   friend class NumericDriver;
-  friend class PipelineDriver;
-
-  /// Results a pipelined run assembled outside this class: the pipeline
-  /// (core/pipeline.cpp) factorizes into its own working state while the
-  /// analysis is still being built, then moves the state in here.
-  struct PipelineState {
-    BlockMatrix blocks;
-    std::vector<std::vector<int>> ipiv;
-    double min_pivot_ratio = 0.0;
-    int zero_pivots = 0;
-    long lazy_skipped = 0;
-    FactorStatus status = FactorStatus::kOk;
-    int failed_column = -1;
-    std::vector<int> perturbed_columns{};
-    double perturb_magnitude = 0.0;
-    double growth_factor = 0.0;
-    PipelineStats stats{};
-    taskgraph::CoarsenStats coarsen{};
-  };
-  Factorization(const Analysis& analysis, PipelineState&& st);
 
   /// Throws std::runtime_error unless factor_usable(status_).
   void require_usable(const char* what) const;
@@ -344,7 +286,6 @@ class Factorization {
   std::vector<int> perturbed_columns_;
   double perturb_magnitude_ = 0.0;
   double growth_factor_ = 0.0;
-  PipelineStats pipeline_stats_;
   taskgraph::CoarsenStats coarsen_stats_;
   symbolic::BlockingStats blocking_stats_;
 };

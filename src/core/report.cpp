@@ -80,8 +80,6 @@ FactorizationReport report(const Factorization& f) {
   r.blocking = f.blocking_stats();
   r.analysis_timings = f.analysis().timings;
   r.ordering = f.analysis().ordering_decision;
-  r.pipeline = f.pipeline_stats();
-  r.pipeline_overlap_seconds = r.pipeline.overlap_seconds;
   return r;
 }
 
@@ -153,17 +151,6 @@ std::string to_string(const FactorizationReport& r) {
       os << " ... (+" << r.perturbed_columns.size() - shown << " more)";
     }
     os << "; pair with refined_solve to recover accuracy";
-  }
-  if (r.pipeline.ran) {
-    // Pipelined phases overlap: print per-phase WALL SPANS plus the overlap
-    // instead of a sequential-looking breakdown that sums past the total.
-    os << "\npipeline:    " << r.pipeline.total_seconds * 1e3
-       << " ms end-to-end; phase walls analyze "
-       << r.pipeline.analyze_seconds * 1e3 << " ms, factor "
-       << r.pipeline.factor_seconds * 1e3 << " ms, solve "
-       << r.pipeline.solve_seconds * 1e3 << " ms; overlap "
-       << r.pipeline_overlap_seconds * 1e3 << " ms"
-       << (r.pipeline.analysis_complete ? "" : " (analysis incomplete)");
   }
   return os.str();
 }

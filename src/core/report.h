@@ -69,7 +69,7 @@ struct FactorizationReport {
   taskgraph::CoarsenStats coarsen;
   /// Structure-aware blocking: the analysis plan summary plus the run's
   /// tile-routing counters (BlockingStats::ran == false when the plan was
-  /// off, absent, or the pipelined path ran).
+  /// off or absent).
   symbolic::BlockPlanSummary blocking_plan;
   symbolic::BlockingStats blocking;
   /// Analyze-phase breakdown of the analysis this factorization ran on, so
@@ -79,15 +79,6 @@ struct FactorizationReport {
   /// features it decided on) -- the "which ordering did I actually get"
   /// answer without re-running the analysis report.
   ordering::Decision ordering;
-  /// Pipelined-run phase accounting (PipelineStats::ran set when the
-  /// phase-spanning pipeline produced this factorization).  The per-phase
-  /// numbers are WALL SPANS of each phase's task activity -- phases overlap,
-  /// so they can sum to more than total_seconds; pipeline_overlap_seconds
-  /// is exactly that excess, reported instead of pretending the phases were
-  /// sequential.
-  PipelineStats pipeline;
-  /// Alias of pipeline.overlap_seconds, the headline honesty number.
-  double pipeline_overlap_seconds = 0.0;
 };
 
 FactorizationReport report(const Factorization& f);

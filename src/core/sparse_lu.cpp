@@ -2,9 +2,7 @@
 
 #include <stdexcept>
 
-#include "core/driver.h"
 #include "core/parallel_solve.h"
-#include "core/pipeline.h"
 
 namespace plu {
 
@@ -46,35 +44,8 @@ bool SparseLU::pattern_matches(const CscMatrix& a) const {
   return same_pattern;
 }
 
-std::vector<double> SparseLU::run_pipeline(const CscMatrix& a,
-                                           const std::vector<double>* b) {
-  PipelineDriver::Result res =
-      PipelineDriver::run(a, options_, numeric_options_, b);
-  analysis_ = std::move(res.analysis);
-  analyzed_pattern_ = a.pattern();
-  analyzed_fingerprint_ = structure_fingerprint(a.rows(), a.cols(),
-                                                a.col_ptr(), a.row_ind());
-  ++analyze_count_;
-  parallel_solver_.reset();
-  factorization_ = std::move(res.factorization);
-  last_matrix_ = a;
-  if (b != nullptr && !res.solve_done) {
-    return factorization_->solve(*b);  // throws when the factors are unusable
-  }
-  return std::move(res.x);
-}
-
 void SparseLU::factorize(const CscMatrix& a) {
-  if (!pattern_matches(a)) {
-    // A cold pattern is the pipeline's case: analysis and numeric tasks run
-    // as one graph.  With a cached analysis there is nothing to overlap and
-    // the phased constructor below is already optimal.
-    if (pipeline_supported(options_, numeric_options_)) {
-      run_pipeline(a, nullptr);
-      return;
-    }
-    analyze(a);
-  }
+  if (!pattern_matches(a)) analyze(a);
   parallel_solver_.reset();  // bound to the factorization it was built from
   factorization_ = std::make_unique<Factorization>(*analysis_, a, numeric_options_);
   last_matrix_ = a;
@@ -82,9 +53,6 @@ void SparseLU::factorize(const CscMatrix& a) {
 
 std::vector<double> SparseLU::factorize_and_solve(const CscMatrix& a,
                                                   const std::vector<double>& b) {
-  if (!pattern_matches(a) && pipeline_supported(options_, numeric_options_)) {
-    return run_pipeline(a, &b);
-  }
   factorize(a);
   return solve(b);
 }

@@ -51,12 +51,7 @@ class SparseLU {
   /// One call doing both.
   void compute(const CscMatrix& a) { factorize(a); }
 
-  /// One-shot factor + solve of a x = b.  When NumericOptions::pipeline is
-  /// on, supported (core/driver.h pipeline_supported) and no analysis is
-  /// cached for a's pattern, the whole of analysis, factorization and the
-  /// forward solve runs as ONE phase-spanning task graph with forward-solve
-  /// tasks released as panels finalize; otherwise exactly factorize(a)
-  /// followed by solve(b).  Results are bit-identical either way.
+  /// One-shot factor + solve of a x = b: factorize(a) followed by solve(b).
   std::vector<double> factorize_and_solve(const CscMatrix& a,
                                           const std::vector<double>& b);
 
@@ -102,11 +97,6 @@ class SparseLU {
  private:
   /// Full pattern-reuse guard (dims + fingerprint + confirming compare).
   bool pattern_matches(const CscMatrix& a) const;
-  /// Runs the phase-spanning pipeline (core/pipeline.h) and installs its
-  /// results; returns x when b was given (solving phased if the overlapped
-  /// solve drained).
-  std::vector<double> run_pipeline(const CscMatrix& a,
-                                   const std::vector<double>* b);
 
   Options options_;
   NumericOptions numeric_options_;

@@ -1,7 +1,6 @@
 #include "runtime/shared_runtime.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace plu::rt {
 
@@ -111,12 +110,7 @@ std::shared_ptr<SharedRuntime::Run> SharedRuntime::submit(GraphSpec spec) {
       return run->prio_[a] > run->prio_[b];
     });
   }
-  publish_run(run, std::move(roots));
-  return run;
-}
 
-void SharedRuntime::publish_run(const std::shared_ptr<Run>& run,
-                                std::vector<int> roots) {
   // Claim a slot (blocking = admission backpressure) and publish the run.
   int slot;
   {
@@ -136,150 +130,7 @@ void SharedRuntime::publish_run(const std::shared_ptr<Run>& run,
                         std::memory_order_release);
   }
   wake_workers();
-}
-
-/// Builds a dynamic batch from a spec (everything except base/cross_succ
-/// linkage, which need the run's append lock).
-std::unique_ptr<SharedRuntime::Run::Batch> SharedRuntime::make_batch(
-    BatchSpec&& spec) {
-  auto b = std::make_unique<Run::Batch>();
-  const int n = spec.n;
-  if (static_cast<int>(spec.indegree.size()) != n ||
-      static_cast<int>(spec.succ.size()) != n ||
-      (!spec.priorities.empty() &&
-       static_cast<int>(spec.priorities.size()) != n) ||
-      (!spec.cross_preds.empty() &&
-       static_cast<int>(spec.cross_preds.size()) != n) ||
-      (!spec.exported.empty() && static_cast<int>(spec.exported.size()) != n)) {
-    throw std::invalid_argument("SharedRuntime: batch spec size mismatch");
-  }
-  b->n = n;
-  b->body = std::move(spec.run);
-  b->prio = std::move(spec.priorities);
-  b->succ = std::move(spec.succ);
-  b->exported = std::move(spec.exported);
-  b->indeg = std::vector<std::atomic<int>>(n);
-  for (int v = 0; v < n; ++v) {
-    b->indeg[v].store(spec.indegree[v], std::memory_order_relaxed);
-  }
-  b->cross_succ.resize(n);
-  if (!b->exported.empty()) b->done.assign(n, 0);
-  return b;
-}
-
-std::shared_ptr<SharedRuntime::Run> SharedRuntime::submit_dynamic(
-    BatchSpec first, int max_batches, CancelToken* cancel) {
-  if (!first.cross_preds.empty()) {
-    throw std::invalid_argument(
-        "SharedRuntime::submit_dynamic: first batch cannot have cross-batch "
-        "predecessors");
-  }
-  std::vector<int> first_indeg = first.indegree;  // make_batch moves the rest
-  auto run = std::shared_ptr<Run>(new Run());
-  run->dynamic_ = true;
-  run->cancel_ = cancel ? cancel : &run->own_cancel_;
-  run->max_batches_ = std::max(1, max_batches);
-  run->batches_ =
-      std::make_unique<std::unique_ptr<Run::Batch>[]>(run->max_batches_);
-  run->batch_end_ = std::make_unique<long[]>(run->max_batches_);
-  auto batch = make_batch(std::move(first));
-  std::vector<int> roots;
-  for (int v = 0; v < batch->n; ++v) {
-    if (first_indeg[v] == 0) roots.push_back(v);
-  }
-  if (batch->n == 0 || roots.empty()) {
-    throw std::invalid_argument(
-        "SharedRuntime::submit_dynamic: first batch needs at least one root");
-  }
-  batch->base = 0;
-  run->total_tasks_ = batch->n;
-  run->batch_end_[0] = batch->n;
-  run->batches_[0] = std::move(batch);
-  run->batch_count_.store(1, std::memory_order_release);
-  run->outstanding_.store(static_cast<long>(roots.size()),
-                          std::memory_order_relaxed);
-  const Run::Batch& b0 = *run->batches_[0];
-  if (!b0.prio.empty()) {
-    std::stable_sort(roots.begin(), roots.end(), [&](int a, int b) {
-      return b0.prio[a] > b0.prio[b];
-    });
-  }
-  publish_run(run, std::move(roots));
   return run;
-}
-
-long SharedRuntime::append_batch(const std::shared_ptr<Run>& run,
-                                 BatchSpec spec) {
-  Run* r = run.get();
-  if (!r || !r->dynamic_) {
-    throw std::logic_error("SharedRuntime::append_batch: not a dynamic run");
-  }
-  std::vector<int> base_indeg = spec.indegree;
-  std::vector<std::vector<long>> cross_preds = std::move(spec.cross_preds);
-  auto batch = make_batch(std::move(spec));
-  std::vector<int> roots;  // global ids
-  long base;
-  {
-    std::lock_guard<std::mutex> lock(r->append_mu_);
-    const int bi = r->batch_count_.load(std::memory_order_relaxed);
-    if (bi >= r->max_batches_) {
-      throw std::logic_error("SharedRuntime::append_batch: max_batches hit");
-    }
-    base = r->total_tasks_;
-    batch->base = base;
-    // Link cross-batch completion edges.  For each predecessor: either it
-    // already retired (drop the edge from the new task's indegree) or it
-    // will release the successor when it does (record the edge on it).
-    for (int t = 0; t < batch->n && !cross_preds.empty(); ++t) {
-      for (long p : cross_preds[t]) {
-        if (p < 0 || p >= base) {
-          throw std::invalid_argument(
-              "SharedRuntime::append_batch: cross predecessor out of range");
-        }
-        int pb = 0;
-        while (r->batch_end_[pb] <= p) ++pb;
-        Run::Batch& P = *r->batches_[pb];
-        const int pl = static_cast<int>(p - P.base);
-        if (P.exported.empty() || !P.exported[pl]) {
-          throw std::invalid_argument(
-              "SharedRuntime::append_batch: cross predecessor not exported");
-        }
-        if (P.done[pl]) {
-          base_indeg[t] -= 1;
-          batch->indeg[t].fetch_sub(1, std::memory_order_relaxed);
-        } else {
-          P.cross_succ[pl].push_back(base + t);
-        }
-      }
-    }
-    for (int t = 0; t < batch->n; ++t) {
-      if (batch->indeg[t].load(std::memory_order_relaxed) == 0) {
-        roots.push_back(static_cast<int>(base + t));
-      }
-    }
-    r->total_tasks_ = base + batch->n;
-    r->batch_end_[bi] = r->total_tasks_;
-    const Run::Batch& B = *batch;
-    r->batches_[bi] = std::move(batch);
-    r->batch_count_.store(bi + 1, std::memory_order_release);
-    if (!B.prio.empty()) {
-      std::stable_sort(roots.begin(), roots.end(), [&](int a, int b) {
-        return B.prio[a - base] > B.prio[b - base];
-      });
-    }
-  }
-  if (!roots.empty()) {
-    // The calling task's own outstanding count keeps the run alive across
-    // this window, so the adds can never race retirement.
-    r->outstanding_.fetch_add(static_cast<long>(roots.size()),
-                              std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(inject_mu_);
-    for (int v : roots) inject_.push_back(pack(r->slot_, v));
-    inject_count_.store(static_cast<long>(inject_.size()),
-                        std::memory_order_release);
-  }
-  wake_workers();
-  return base;
 }
 
 void SharedRuntime::wake_workers() {
@@ -311,10 +162,6 @@ void SharedRuntime::run_item(Worker& me, std::int64_t item) {
   // The item holds its graph live (outstanding_ > 0 until we decrement
   // below), so this dereference can never see a retired slot.
   Run* r = slots_[slot].load(std::memory_order_acquire);
-  if (r->dynamic_) {
-    run_item_dynamic(me, r, slot, id);
-    return;
-  }
   if (!r->cancel_->cancelled()) {
     try {
       r->body_(id);
@@ -359,76 +206,6 @@ void SharedRuntime::run_item(Worker& me, std::int64_t item) {
   }
 }
 
-void SharedRuntime::run_item_dynamic(Worker& me, Run* r, int slot, int gid) {
-  // Locate the batch: batch_end_ is monotone, and every entry up to gid's
-  // own batch was published before gid could be queued (append_mu_ +
-  // injection/deque ordering), so this scan never reads an unwritten slot.
-  int bi = 0;
-  while (r->batch_end_[bi] <= gid) ++bi;
-  Run::Batch& B = *r->batches_[bi];
-  const int lid = gid - static_cast<int>(B.base);
-  if (!r->cancel_->cancelled()) {
-    try {
-      B.body(lid);
-      r->done_count_.fetch_add(1, std::memory_order_relaxed);
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(r->err_mu_);
-        if (!r->error_ || gid < r->err_task_) {
-          r->err_task_ = gid;
-          r->error_ = std::current_exception();
-        }
-      }
-      r->cancel_->cancel();
-    }
-  }
-  me.ready.clear();
-  me.cross.clear();
-  // Exported tasks retire under the append mutex -- even on the cancelled
-  // drain path -- so an appender either sees done (and drops the edge) or
-  // has already recorded the late successor for us to release here.
-  if (!B.exported.empty() && B.exported[lid]) {
-    std::lock_guard<std::mutex> lock(r->append_mu_);
-    B.done[lid] = 1;
-    me.cross.swap(B.cross_succ[lid]);
-  }
-  if (!r->cancel_->cancelled()) {
-    for (int s : B.succ[lid]) {
-      if (B.indeg[s].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        me.ready.push_back(static_cast<int>(B.base) + s);
-      }
-    }
-    for (long g : me.cross) {
-      int cb = bi + 1;
-      while (r->batch_end_[cb] <= g) ++cb;
-      Run::Batch& C = *r->batches_[cb];
-      const int cl = static_cast<int>(g - C.base);
-      if (C.indeg[cl].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        me.ready.push_back(static_cast<int>(g));
-      }
-    }
-  }
-  if (!me.ready.empty()) {
-    // Ascending priority, popped LIFO: dive along the critical path.
-    // Priorities are FINAL values, comparable across batches.
-    auto prio_of = [&](int g) -> double {
-      int b = 0;
-      while (r->batch_end_[b] <= g) ++b;
-      const Run::Batch& Q = *r->batches_[b];
-      return Q.prio.empty() ? 0.0 : Q.prio[g - static_cast<int>(Q.base)];
-    };
-    std::stable_sort(me.ready.begin(), me.ready.end(),
-                     [&](int a, int b) { return prio_of(a) < prio_of(b); });
-    r->outstanding_.fetch_add(static_cast<long>(me.ready.size()),
-                              std::memory_order_relaxed);
-    for (int s : me.ready) me.deque.push(pack(slot, s));
-    wake_workers();
-  }
-  if (r->outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    finish_run(r);
-  }
-}
-
 void SharedRuntime::finish_run(Run* r) {
   // outstanding_ hit zero: no item for this graph exists in any deque or in
   // the injection queue, so the slot can be recycled.  Keep a strong ref
@@ -437,16 +214,7 @@ void SharedRuntime::finish_run(Run* r) {
   ExecutionReport rep;
   rep.tasks_run = r->done_count_.load(std::memory_order_relaxed);
   rep.cancelled = r->cancel_->cancelled();
-  if (r->dynamic_) {
-    long total;
-    {
-      std::lock_guard<std::mutex> lock(r->append_mu_);
-      total = r->total_tasks_;
-    }
-    rep.completed = rep.tasks_run == total;
-  } else {
-    rep.completed = rep.tasks_run == r->n_;
-  }
+  rep.completed = rep.tasks_run == r->n_;
   std::shared_ptr<Run> self;
   {
     std::lock_guard<std::mutex> lock(reg_mu_);

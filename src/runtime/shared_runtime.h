@@ -40,32 +40,6 @@
 // graph only (other graphs are untouched) and the exception is rethrown on
 // the thread that calls Run::wait().  Task bodies must never block on the
 // runtime that is executing them (no nested submit-and-wait from a task).
-//
-// DYNAMIC graphs (the analyze->factor pipeline, core/pipeline.h).  A run
-// submitted with submit_dynamic() starts from one batch of tasks and may
-// GROW while it executes: a running task calls append_batch() to splice a
-// new batch of tasks into its own graph.  The protocol that keeps the
-// outstanding-counter retirement exact:
-//
-//   * append_batch() may only be called from inside a running task of the
-//     same run.  That task holds outstanding_ > 0 for the whole append, so
-//     the run cannot retire concurrently with the splice.
-//   * Task ids are GLOBAL and contiguous across batches (batch base +
-//     local id); an edge may only point from an earlier batch into a later
-//     one via `cross_preds` on the later batch.
-//   * A cross-batch predecessor must be flagged `exported` in its own
-//     batch.  Exported tasks retire their done flag and hand out their
-//     late-added successor list under the run's append mutex; the appender
-//     checks the same flag under the same mutex, so a completion edge is
-//     counted exactly once no matter how the append races the predecessor
-//     (either the new task's indegree never includes the edge, or the
-//     predecessor's release decrements it).  Non-exported tasks never touch
-//     the mutex -- the common (numeric-update) fast path stays lock-free.
-//   * Priorities in dynamic batches are FINAL values (no normalization):
-//     the submitter owns the cross-batch priority scale.
-//
-// A dynamic run finishes when outstanding_ hits zero, exactly like a static
-// one; `completed` then means every task of every appended batch ran.
 #pragma once
 
 #include <condition_variable>
@@ -101,29 +75,6 @@ class SharedRuntime {
     CancelToken* cancel = nullptr;
   };
 
-  /// One batch of a DYNAMIC graph (submit_dynamic / append_batch).  All
-  /// vectors are indexed by LOCAL task id; the batch owns its storage, so
-  /// callers need not keep anything alive.
-  struct BatchSpec {
-    int n = 0;
-    /// Task body, called with the LOCAL id within this batch.
-    std::function<void(int)> run;
-    /// FINAL per-task priorities (cross-batch comparable; higher = more
-    /// critical).  Empty = unordered within the batch.
-    std::vector<double> priorities;
-    /// Per-task predecessor count: within-batch edges plus cross_preds.
-    std::vector<int> indegree;
-    /// Within-batch successors (local ids).
-    std::vector<std::vector<int>> succ;
-    /// Per-task predecessors living in EARLIER batches (global ids); every
-    /// one must be flagged `exported` in its own batch.  Leave empty on the
-    /// first batch.
-    std::vector<std::vector<long>> cross_preds;
-    /// Per-task flag: may be named in a later batch's cross_preds.  Empty =
-    /// no task of this batch is exported.
-    std::vector<char> exported;
-  };
-
   /// Handle to one submitted graph.
   class Run {
    public:
@@ -156,28 +107,6 @@ class SharedRuntime {
     std::condition_variable cv_;
     bool finished_ = false;
     ExecutionReport report_;
-
-    // --- dynamic-graph state (submit_dynamic only) ---
-    struct Batch {
-      long base = 0;
-      int n = 0;
-      std::function<void(int)> body;
-      std::vector<double> prio;  // final values; empty = unordered
-      std::vector<std::atomic<int>> indeg;
-      std::vector<std::vector<int>> succ;  // local ids
-      /// Successors added by LATER batches (global ids); guarded by the
-      /// run's append_mu_, handed to the finisher when the task retires.
-      std::vector<std::vector<long>> cross_succ;
-      std::vector<char> exported;
-      std::vector<char> done;  // guarded by append_mu_
-    };
-    bool dynamic_ = false;
-    int max_batches_ = 0;
-    std::unique_ptr<std::unique_ptr<Batch>[]> batches_;
-    std::unique_ptr<long[]> batch_end_;  // exclusive end gid per batch
-    std::atomic<int> batch_count_{0};
-    long total_tasks_ = 0;  // guarded by append_mu_
-    std::mutex append_mu_;
   };
 
   /// `threads` workers (min 1); at most `max_graphs` DAGs in flight --
@@ -202,19 +131,6 @@ class SharedRuntime {
   /// routes through when ExecOptions::shared is set.
   ExecutionReport run_graph(GraphSpec spec) { return submit(std::move(spec))->wait(); }
 
-  /// Submits a DYNAMIC graph (header: "DYNAMIC graphs").  `first` is batch
-  /// 0 (its cross_preds must be empty and it must have at least one root);
-  /// at most `max_batches` batches total may ever exist.  `cancel` follows
-  /// GraphSpec::cancel semantics.
-  std::shared_ptr<Run> submit_dynamic(BatchSpec first, int max_batches,
-                                      CancelToken* cancel = nullptr);
-
-  /// Splices a new batch into a running dynamic graph and releases its
-  /// ready tasks.  MUST be called from inside a running task of `run` (the
-  /// caller's own outstanding count is what keeps the run from retiring
-  /// mid-append).  Returns the batch's base global id.
-  long append_batch(const std::shared_ptr<Run>& run, BatchSpec batch);
-
  private:
   struct alignas(64) Worker {
     Worker(int id_, std::uint64_t seed) : id(id_), rng_state(seed) {}
@@ -222,7 +138,6 @@ class SharedRuntime {
     WorkStealDeque64 deque;
     std::uint64_t rng_state;
     std::vector<int> ready;  // scratch for newly released successors
-    std::vector<long> cross;  // scratch: exported task's late successors
     std::thread thread;
   };
 
@@ -241,14 +156,8 @@ class SharedRuntime {
     return x * 0x2545F4914F6CDD1Dull;
   }
 
-  static std::unique_ptr<Run::Batch> make_batch(BatchSpec&& spec);
   void worker_loop(int tid);
   void run_item(Worker& me, std::int64_t item);
-  void run_item_dynamic(Worker& me, Run* r, int slot, int gid);
-  /// Publishes a run (slot claim + root injection); shared by submit and
-  /// submit_dynamic.  `roots` are task/global ids, sorted most critical
-  /// first by the caller.
-  void publish_run(const std::shared_ptr<Run>& run, std::vector<int> roots);
   void finish_run(Run* r);
   std::int64_t steal(Worker& me);
   std::int64_t take_injected();

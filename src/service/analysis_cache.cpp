@@ -1,6 +1,5 @@
 #include "service/analysis_cache.h"
 
-#include <stdexcept>
 #include <utility>
 
 namespace plu::service {
@@ -103,96 +102,6 @@ std::shared_ptr<const Analysis> AnalysisCache::get_or_analyze(
     }
   }
   return fut.get();  // rethrows the analyzing thread's exception for waiters
-}
-
-std::shared_ptr<const Analysis> AnalysisCache::lookup_or_reserve(
-    const CscMatrix& a, const Options& opt, Reservation& res, bool* hit) {
-  if (hit != nullptr) *hit = false;
-
-  if (opt.scale_and_permute) {
-    // Value-dependent preprocessing cannot be served by the pattern key;
-    // the caller runs uncached (counted like get_or_analyze's bypass).
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    ++stats_.analyze_runs;
-    return nullptr;
-  }
-
-  Key key;
-  key.rows = a.rows();
-  key.cols = a.cols();
-  key.nnz = a.nnz();
-  key.fingerprint = fingerprint_(a.rows(), a.cols(), a.col_ptr(), a.row_ind());
-  key.layout = int(opt.layout);
-  key.ordering = int(opt.ordering);
-
-  Future fut;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      Entry& e = it->second;
-      if (e.ptr == a.col_ptr() && e.idx == a.row_ind()) {
-        ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, e.lru_pos);
-        fut = e.future;
-        if (hit != nullptr) *hit = true;
-      } else {
-        ++stats_.collisions;
-        erase_locked(key);
-      }
-    }
-    if (!fut.valid()) {
-      ++stats_.misses;
-      while (long(map_.size()) >= capacity_) {
-        ++stats_.evictions;
-        erase_locked(lru_.back());
-      }
-      Entry e;
-      e.ptr = a.col_ptr();
-      e.idx = a.row_ind();
-      e.future = res.promise_.get_future().share();
-      e.generation = next_generation_++;
-      lru_.push_front(key);
-      e.lru_pos = lru_.begin();
-      res.cache_ = this;
-      res.key_ = key;
-      res.generation_ = e.generation;
-      map_.emplace(key, std::move(e));
-      stats_.entries = long(map_.size());
-      return nullptr;  // caller owns the pending entry via `res`
-    }
-  }
-  return fut.get();  // pending or resident entry of another producer
-}
-
-AnalysisCache::Reservation::~Reservation() {
-  if (cache_ != nullptr) {
-    abandon(std::make_exception_ptr(
-        std::runtime_error("analysis reservation abandoned")));
-  }
-}
-
-void AnalysisCache::Reservation::fulfill(std::shared_ptr<const Analysis> an) {
-  AnalysisCache* c = cache_;
-  cache_ = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(c->mu_);
-    ++c->stats_.analyze_runs;
-  }
-  promise_.set_value(std::move(an));
-}
-
-void AnalysisCache::Reservation::abandon(std::exception_ptr err) {
-  AnalysisCache* c = cache_;
-  cache_ = nullptr;
-  promise_.set_exception(std::move(err));
-  std::lock_guard<std::mutex> lock(c->mu_);
-  ++c->stats_.analyze_runs;
-  auto it = c->map_.find(key_);
-  if (it != c->map_.end() && it->second.generation == generation_) {
-    c->erase_locked(key_);
-  }
 }
 
 CacheStats AnalysisCache::stats() const {

@@ -68,23 +68,6 @@ class AnalysisCache {
                                                  const Options& opt,
                                                  bool* hit = nullptr);
 
-  class Reservation;
-
-  /// Pipeline integration (core/pipeline.h): the pipelined driver produces
-  /// its OWN analysis as a side effect of factorizing, so the caller -- not
-  /// the cache -- runs the symbolic work.  On a confirmed hit this returns
-  /// the cached analysis (`res` stays invalid).  On a miss it publishes a
-  /// pending entry keyed like get_or_analyze and hands back a Reservation
-  /// the caller MUST settle: fulfill() with the pipeline's analysis, or
-  /// abandon() on failure (waiters get the exception, the entry is
-  /// removed).  Concurrent requests for the same pattern block on the
-  /// pending entry exactly as with get_or_analyze.  scale_and_permute
-  /// bypasses the cache (returns nullptr, `res` invalid -- run uncached).
-  std::shared_ptr<const Analysis> lookup_or_reserve(const CscMatrix& a,
-                                                    const Options& opt,
-                                                    Reservation& res,
-                                                    bool* hit = nullptr);
-
   CacheStats stats() const;
   void clear();
   int capacity() const { return capacity_; }
@@ -127,33 +110,6 @@ class AnalysisCache {
   /// Removes `key`'s entry if present (LRU node included); lock held.
   void erase_locked(const Key& key);
 
- public:
-  /// A pending cache slot from lookup_or_reserve.  Move-only; exactly one
-  /// of fulfill() / abandon() must be called on a valid reservation (the
-  /// destructor abandons as a safety net so waiters are never stranded).
-  class Reservation {
-   public:
-    Reservation() = default;
-    Reservation(Reservation&&) = default;
-    Reservation& operator=(Reservation&&) = default;
-    ~Reservation();
-
-    bool valid() const { return cache_ != nullptr; }
-    /// Publishes the analysis to the cache entry and every waiter.
-    void fulfill(std::shared_ptr<const Analysis> an);
-    /// Removes the entry (unless a collision replacement raced in) and
-    /// delivers the exception to waiters; a later request re-analyzes.
-    void abandon(std::exception_ptr err);
-
-   private:
-    friend class AnalysisCache;
-    AnalysisCache* cache_ = nullptr;
-    Key key_{};
-    long generation_ = -1;
-    std::promise<std::shared_ptr<const Analysis>> promise_;
-  };
-
- private:
   const int capacity_;
   Fingerprint fingerprint_;
   mutable std::mutex mu_;

@@ -4,9 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/driver.h"
-#include "core/pipeline.h"
-
 namespace plu::service {
 
 namespace {
@@ -244,74 +241,17 @@ void SolverService::process(const std::shared_ptr<Request>& req) {
   nopt.cancel = &req->token_;
 
   std::shared_ptr<const Analysis> an;
-  AnalysisCache::Reservation reservation;
-  const bool pipelined = pipeline_supported(aopt, nopt);
   Clock::time_point t0 = Clock::now();
   try {
-    if (!opt_.enable_cache && !pipelined) {
-      an = std::make_shared<const Analysis>(analyze(req->a_, aopt));
-    } else if (!pipelined) {
-      an = cache_.get_or_analyze(req->a_, aopt, &r.cache_hit);
-    } else if (opt_.enable_cache) {
-      // Pipelined miss path: reserve the slot and let the pipeline build
-      // the analysis WHILE factorizing -- the analyze->factor barrier the
-      // cold path used to pay is gone.  A hit still short-circuits to the
-      // phased constructor below (nothing left to overlap).
-      an = cache_.lookup_or_reserve(req->a_, aopt, reservation, &r.cache_hit);
-    }
+    an = opt_.enable_cache
+             ? cache_.get_or_analyze(req->a_, aopt, &r.cache_hit)
+             : std::make_shared<const Analysis>(analyze(req->a_, aopt));
   } catch (const std::exception& e) {
     r.error = std::string("analysis failed: ") + e.what();
     finalize(req, RequestState::kFailed, std::move(r));
     return;
   }
   r.analyze_seconds = seconds_between(t0, Clock::now());
-
-  if (pipelined && an == nullptr) {
-    // Cold pattern (or cache disabled/bypassed): one phase-spanning graph
-    // for analysis + factorization + forward solve.
-    try {
-      t0 = Clock::now();
-      PipelineDriver::Result pres = PipelineDriver::run(
-          req->a_, aopt, nopt, req->opt_.want_solve ? &req->b_ : nullptr);
-      std::shared_ptr<const Analysis> built = std::move(pres.analysis);
-      if (reservation.valid()) reservation.fulfill(built);
-      const PipelineStats& ps = pres.factorization->pipeline_stats();
-      r.analyze_seconds += ps.analyze_seconds;  // wall span; phases overlap
-      r.factor_seconds = ps.factor_seconds;
-      r.solve_seconds = ps.solve_seconds;
-      r.factor_status = pres.factorization->status();
-      if (r.factor_status == FactorStatus::kCancelled) {
-        const bool expired = req->expired_.load(std::memory_order_acquire);
-        finalize(req,
-                 expired ? RequestState::kExpired : RequestState::kCancelled,
-                 std::move(r));
-        return;
-      }
-      if (!factor_usable(r.factor_status)) {
-        r.error = std::string("factorization breakdown: ") +
-                  plu::to_string(r.factor_status);
-        finalize(req, RequestState::kFailed, std::move(r));
-        return;
-      }
-      if (req->opt_.want_solve) {
-        if (pres.solve_done) {
-          r.x = std::move(pres.x);
-        } else {
-          t0 = Clock::now();
-          r.x = pres.factorization->solve(req->b_);
-          r.solve_seconds += seconds_between(t0, Clock::now());
-        }
-      }
-      finalize(req, RequestState::kDone, std::move(r));
-    } catch (const std::exception& e) {
-      if (reservation.valid()) {
-        reservation.abandon(std::current_exception());
-      }
-      r.error = e.what();
-      finalize(req, RequestState::kFailed, std::move(r));
-    }
-    return;
-  }
 
   try {
     t0 = Clock::now();

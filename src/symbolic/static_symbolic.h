@@ -63,8 +63,8 @@ struct SymbolicResult {
 /// Runs the static symbolic factorization.  The pattern must be square with
 /// a zero-free (structural) diagonal; throws std::invalid_argument otherwise.
 /// kParallelBitset spins up its own rt::Team sized from
-/// ParallelSymbolicOptions defaults; prefer the team overload when calling
-/// from a pipeline that already owns one.
+/// ParallelSymbolicOptions defaults; prefer the team overload when the
+/// caller already owns one.
 SymbolicResult static_symbolic_factorization(const Pattern& a,
                                              Engine engine = Engine::kBitset);
 
@@ -86,8 +86,8 @@ bool is_symbolic_fixed_point(const Pattern& abar, Engine engine = Engine::kBitse
 /// symmetric eforest-postorder permutation, i.e.
 ///   symbolic(P^T A P) == P^T symbolic(A) P.
 /// `a` is the pre-symbolic pattern (zero-free diagonal), `abar` its filled
-/// pattern, `perm` the postorder relabeling.  This is what lets the
-/// pipeline permute Abar directly instead of recomputing the symbolic step.
+/// pattern, `perm` the postorder relabeling.  This is what lets analysis
+/// permute Abar directly instead of recomputing the symbolic step.
 bool postorder_commutes_with_symbolic(const Pattern& a, const Pattern& abar,
                                       const Permutation& perm,
                                       Engine engine = Engine::kBitset);

@@ -37,6 +37,8 @@ bool SupernodePartition::valid() const {
   return static_cast<int>(sup_of_col_.size()) == first_col_.back();
 }
 
+namespace {
+
 // Same supernode iff struct(L col j) \ {j} == struct(L col j+1).
 // Columns are sorted; the L part of column j starts at the diagonal.
 bool columns_share_supernode(const Pattern& abar, int j) {
@@ -49,6 +51,8 @@ bool columns_share_supernode(const Pattern& abar, int j) {
   ++bj;
   return (ej - bj == en - bn) && std::equal(bj, ej, bn);
 }
+
+}  // namespace
 
 SupernodePartition find_supernodes(const Pattern& abar) {
   const int n = abar.cols;
@@ -87,8 +91,6 @@ std::pair<const int*, const int*> l_range(const Pattern& abar, int j) {
   const int* b = std::lower_bound(abar.col_begin(j), abar.col_end(j), j);
   return {b, abar.col_end(j)};
 }
-
-}  // namespace
 
 /// The greedy merge scan over supernodes [s_begin, s_end), appending group
 /// starts.  The scan state is local to the range: a group started inside it
@@ -154,6 +156,8 @@ void amalgamate_range(const Pattern& abar, const graph::Forest& eforest,
     s = t;
   }
 }
+
+}  // namespace
 
 SupernodePartition amalgamate(const Pattern& abar, const graph::Forest& eforest,
                               const SupernodePartition& part,

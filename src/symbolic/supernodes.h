@@ -46,12 +46,6 @@ class SupernodePartition {
   std::vector<int> sup_of_col_;
 };
 
-/// The per-boundary test behind find_supernodes: columns j and j+1 share a
-/// supernode iff struct(Lbar_{*,j}) \ {j} == struct(Lbar_{*,j+1}).  Exposed
-/// for the analyze->factor pipeline (core/pipeline.cpp), which evaluates the
-/// boundaries of each eforest subtree's column range independently.
-bool columns_share_supernode(const Pattern& abar, int j);
-
 /// Finds the exact supernodes of a filled pattern: columns j and j+1 share a
 /// supernode iff struct(Lbar_{*,j}) \ {j} == struct(Lbar_{*,j+1}).
 SupernodePartition find_supernodes(const Pattern& abar);
@@ -88,16 +82,6 @@ SupernodePartition amalgamate(const Pattern& abar, const graph::Forest& eforest,
 SupernodePartition amalgamate(const Pattern& abar, const graph::Forest& eforest,
                               const SupernodePartition& part,
                               const AmalgamationOptions& opt, rt::Team& team);
-
-/// The greedy merge scan over supernodes [s_begin, s_end), appending group
-/// starts (column indices) to `starts`.  The scan state is local to the
-/// range, so disjoint ranges reproduce the sequential greedy exactly as long
-/// as no merge could cross their boundary (see the forest-parallel
-/// amalgamate).  Exposed for the pipeline's per-subtree analysis tasks.
-void amalgamate_range(const Pattern& abar, const graph::Forest& eforest,
-                      const SupernodePartition& part,
-                      const AmalgamationOptions& opt, int s_begin, int s_end,
-                      std::vector<int>& starts);
 
 /// Statistics used by Table 3 and the A1 ablation.
 struct SupernodeStats {

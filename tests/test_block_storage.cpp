@@ -202,25 +202,6 @@ TEST(ArenaStorage, ThreadedFirstTouchInitMatchesSequential) {
             1e-300);
 }
 
-TEST(ArenaStorage, DeferredSegmentedMatchesFullConstruction) {
-  for (const CscMatrix& a : test::small_matrices()) {
-    Fixture f(a);
-    BlockMatrix full(f.an.blocks, StorageMode::kArena);
-    full.load(f.permuted);
-    for (StorageMode mode : {StorageMode::kArena, StorageMode::kVectors}) {
-      BlockMatrix def(f.an.blocks, BlockMatrix::DeferredColumns{}, mode);
-      for (int j = 0; j < def.num_block_columns(); ++j) {
-        def.init_column(j, full.column_blocks(j));
-        def.load_column(j, f.permuted);
-      }
-      EXPECT_LT(blas::max_abs_diff(full.to_dense().view(),
-                                   def.to_dense().view()),
-                1e-300);
-      EXPECT_GE(def.storage_bytes(), 8 * def.stored_doubles());
-    }
-  }
-}
-
 TEST(ArenaStorage, MoveTransfersOwnership) {
   CscMatrix a = test::small_matrices()[0];
   Fixture f(a);

@@ -4,10 +4,11 @@
 // execution is bitwise identical to ExecutionMode::kSequential -- same
 // pivot sequences, same factor values, same status folds -- at any thread
 // count, either layout, any threshold.  Enforced over the same 50-matrix
-// property sweep the pipeline gate uses, plus structural invariants of the
-// contracted graph (partition, forward-only edges, flop conservation), the
-// fuzzed-schedule executor, and the race checker (coarsening must neither
-// introduce races nor be disabled by checking).  Carries the `sanitize`
+// property sweep the race harness uses and four production shapes at 4
+// threads, plus structural invariants of the contracted graph (partition,
+// forward-only edges, flop conservation), the fuzzed-schedule executor, and
+// the race checker (coarsening must neither introduce races nor be
+// disabled by checking).  Carries the `sanitize`
 // ctest label so TSan executes the coarse schedules.
 #include <gtest/gtest.h>
 
@@ -25,9 +26,8 @@
 namespace plu {
 namespace {
 
-// Same five matrix classes x ten seeds as the race harness and the
-// pipeline gate: convected 2-D grids, dropped 3-D grids, banded, uniform
-// random, circuit.
+// Same five matrix classes x ten seeds as the race harness: convected 2-D
+// grids, dropped 3-D grids, banded, uniform random, circuit.
 std::vector<CscMatrix> sweep_matrices() {
   std::vector<CscMatrix> out;
   gen::StencilOptions g;
@@ -55,10 +55,9 @@ std::vector<CscMatrix> sweep_matrices() {
   return out;
 }
 
-// Bitwise factor identity (the pipeline gate's assertion set).  When the
-// reference broke down only unusability must agree: under cooperative
-// cancellation which failing column is OBSERVED first is
-// schedule-dependent.
+// Bitwise factor identity.  When the reference broke down only
+// unusability must agree: under cooperative cancellation which failing
+// column is OBSERVED first is schedule-dependent.
 void expect_same_factorization(const Factorization& ref,
                                const Factorization& co,
                                const std::string& what) {
@@ -225,7 +224,8 @@ TEST(Coarsen, FusesWholeTreesOnForestMatrices) {
 
 // ---------------------------------------------------------------------------
 // The determinism gate: 50 matrices x both layouts x {1, 2, 4, 8} threads,
-// coarsened threaded factors bitwise identical to kSequential.
+// plus the production shapes at 4 threads, coarsened threaded factors
+// bitwise identical to kSequential.
 
 TEST(Coarsen, BitIdenticalToSequentialAcrossSweepLayoutsAndThreads) {
   const std::vector<CscMatrix> pool = sweep_matrices();
@@ -268,6 +268,19 @@ TEST(Coarsen, BitIdenticalToSequentialAcrossSweepLayoutsAndThreads) {
         expect_same_factorization(ref, co, what);
       }
     }
+  }
+  for (const auto& [name, a] : test::production_matrices()) {
+    const Analysis an = analyze(a);
+    NumericOptions refopt;
+    refopt.mode = ExecutionMode::kSequential;
+    const Factorization ref(an, a, refopt);
+    NumericOptions nopt;
+    nopt.mode = ExecutionMode::kThreaded;
+    nopt.threads = 4;
+    nopt.coarsen = true;
+    const Factorization co(an, a, nopt);
+    EXPECT_TRUE(co.coarsen_stats().ran) << name;
+    expect_same_factorization(ref, co, name + ", threads 4");
   }
 }
 

@@ -2,6 +2,8 @@
 #pragma once
 
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "matrix/coo.h"
@@ -53,6 +55,34 @@ inline CscMatrix example_matrix() {
   coo.add(6, 5, 1.0);
   coo.add(2, 6, 0.25);
   return coo.to_csc();
+}
+
+/// Production-shape gate matrices: the shapes the benches run, where
+/// independent subtrees really do execute concurrently at 4 threads (the
+/// 50 small sweep matrices rarely run two subtrees at once).  forest12 has
+/// >= 12 independent eforest trees; the other three are the
+/// bench_scaling_modern --smoke shapes.
+inline std::vector<std::pair<std::string, CscMatrix>> production_matrices() {
+  std::vector<std::pair<std::string, CscMatrix>> out;
+  {
+    std::vector<CscMatrix> blocks;
+    gen::StencilOptions g;
+    g.convection = 0.3;
+    for (int i = 0; i < 12; ++i) {
+      g.seed = 1000 + i;
+      blocks.push_back(gen::grid2d(28 + i, 28, g));
+    }
+    out.emplace_back("forest12", gen::block_diag(blocks));
+  }
+  {
+    gen::StencilOptions g;
+    g.seed = 81;
+    out.emplace_back("multiphys-2k", gen::multiphysics3d(8, 8, 8, 4, g));
+  }
+  out.emplace_back("powerlaw-2k", gen::power_law(2000, 4.0, 2.0, 0.6, 0.8, 84));
+  out.emplace_back("banded-6k", gen::banded(6000, {-200, -199, -1, 1, 199, 200},
+                                            0.8, 0.7, 83));
+  return out;
 }
 
 }  // namespace plu::test

@@ -5,10 +5,11 @@
 // measured-density per-tile routing, adjacent same-decision tile fusion --
 // and the factors stay BITWISE identical to blocking == kOff at any thread
 // count, either layout, any option rotation.  Enforced over the same
-// 50-matrix property sweep the coarsening and pipeline gates use, plus
-// structural invariants of the plan itself, transpose consistency of the
-// block structure after plan construction, the fuzzed-schedule executor,
-// the race checker, and the DAG-bound tiny-supernode merge.  Carries the
+// 50-matrix property sweep the coarsening gate uses and four production
+// shapes at 4 threads, plus structural invariants of the plan itself,
+// transpose consistency of the block structure after plan construction,
+// the fuzzed-schedule executor, the race checker, and the DAG-bound
+// tiny-supernode merge.  Carries the
 // `sanitize` ctest label so TSan executes the plan-driven schedules.
 #include <gtest/gtest.h>
 
@@ -28,9 +29,9 @@
 namespace plu {
 namespace {
 
-// Same five matrix classes x ten seeds as the race harness, the pipeline
-// gate and the coarsening gate: convected 2-D grids, dropped 3-D grids,
-// banded, uniform random, circuit.
+// Same five matrix classes x ten seeds as the race harness and the
+// coarsening gate: convected 2-D grids, dropped 3-D grids, banded, uniform
+// random, circuit.
 std::vector<CscMatrix> sweep_matrices() {
   std::vector<CscMatrix> out;
   gen::StencilOptions g;
@@ -214,7 +215,8 @@ TEST(Repartition, TransposeConsistentAfterPlanBuild) {
 // ---------------------------------------------------------------------------
 // The bitwise gate: 50 matrices x both layouts x {sequential, 1, 2, 4, 8}
 // threads, blocking=auto factors identical to the blocking=off sequential
-// reference under a rotating option mix.
+// reference under a rotating option mix; then the production shapes at 4
+// threads, uncoarsened and coarsened.
 
 TEST(Repartition, BlockingAutoBitIdenticalAcrossSweepLayoutsAndThreads) {
   const std::vector<CscMatrix> pool = sweep_matrices();
@@ -265,6 +267,25 @@ TEST(Repartition, BlockingAutoBitIdenticalAcrossSweepLayoutsAndThreads) {
         EXPECT_TRUE(co.blocking_stats().ran) << what;
         expect_same_factorization(ref, co, what);
       }
+    }
+  }
+  for (const auto& [name, a] : test::production_matrices()) {
+    const Analysis an = analyze(a);
+    NumericOptions refopt;
+    refopt.mode = ExecutionMode::kSequential;
+    refopt.blocking = BlockingMode::kOff;
+    const Factorization ref(an, a, refopt);
+    for (bool coarsen : {false, true}) {
+      const std::string what =
+          name + ", threads 4" + (coarsen ? ", coarsened" : "");
+      NumericOptions nopt;
+      nopt.mode = ExecutionMode::kThreaded;
+      nopt.threads = 4;
+      nopt.blocking = BlockingMode::kAuto;
+      nopt.coarsen = coarsen;
+      const Factorization co(an, a, nopt);
+      EXPECT_TRUE(co.blocking_stats().ran) << what;
+      expect_same_factorization(ref, co, what);
     }
   }
 }

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -734,209 +733,6 @@ TEST(SharedRuntime, PreCancelledTokenDrainsAndPoolStaysUsable) {
       execute_dag(succ, indeg, 0, [&](int) { ran.fetch_add(1); }, clean);
   EXPECT_TRUE(rep2.completed);
   EXPECT_EQ(ran.load(), 3);
-}
-
-// ---------------------------------------------------------------------------
-// Dynamic graphs (submit_dynamic / append_batch): the mechanism the
-// phase-spanning pipeline (core/pipeline.cpp) grows its numeric batches
-// with.  A batch-0 task must be able to splice later batches whose tasks
-// depend on EXPORTED tasks of earlier batches, with full ordering.
-
-namespace {
-// Publishes the Run handle to task bodies that need to append: the body may
-// start before submit_dynamic() has returned the handle to the caller.
-struct RunBox {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::shared_ptr<SharedRuntime::Run> run;
-  void set(std::shared_ptr<SharedRuntime::Run> r) {
-    std::lock_guard<std::mutex> lock(mu);
-    run = std::move(r);
-    cv.notify_all();
-  }
-  std::shared_ptr<SharedRuntime::Run> get() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return run != nullptr; });
-    return run;
-  }
-};
-}  // namespace
-
-TEST(SharedRuntimeDynamic, SingleBatchDiamondCompletes) {
-  SharedRuntime pool(3);
-  std::atomic<long> clock{0};
-  std::vector<long> start(4), finish(4);
-  SharedRuntime::BatchSpec spec;
-  spec.n = 4;  // diamond 0 -> {1, 2} -> 3
-  spec.run = [&](int id) {
-    start[id] = clock.fetch_add(1);
-    finish[id] = clock.fetch_add(1);
-  };
-  spec.indegree = {0, 1, 1, 2};
-  spec.succ = {{1, 2}, {3}, {3}, {}};
-  ExecutionReport rep = pool.submit_dynamic(std::move(spec), 1)->wait();
-  EXPECT_TRUE(rep.completed);
-  EXPECT_EQ(rep.tasks_run, 4);
-  EXPECT_LT(finish[0], start[1]);
-  EXPECT_LT(finish[0], start[2]);
-  EXPECT_LT(finish[1], start[3]);
-  EXPECT_LT(finish[2], start[3]);
-}
-
-TEST(SharedRuntimeDynamic, AppendedBatchesHonorCrossBatchEdges) {
-  // Batch 0: chain 0 -> 1, task 1 exported; task 0 appends TWO batches of a
-  // fan each, whose tasks cross-depend on task 1 (gid 1) and, for the second
-  // batch, on an exported task of the FIRST appended batch -- the exact
-  // shape of the pipeline's per-unit numeric batches chained off the
-  // materialization task.
-  SharedRuntime pool(4);
-  const int kFan = 16;
-  std::atomic<long> clock{0};
-  std::vector<long> start(2 + 2 * kFan, -1), finish(2 + 2 * kFan, -1);
-  std::atomic<int> runs{0};
-  RunBox box;
-  auto body = [&](long gid) {
-    start[gid] = clock.fetch_add(1);
-    runs.fetch_add(1);
-    finish[gid] = clock.fetch_add(1);
-  };
-  long base1 = -1, base2 = -1;
-  SharedRuntime::BatchSpec spec;
-  spec.n = 2;
-  spec.indegree = {0, 1};
-  spec.succ = {{1}, {}};
-  spec.exported = {0, 1};
-  spec.run = [&](int id) {
-    if (id == 0) {
-      std::shared_ptr<SharedRuntime::Run> run = box.get();
-      SharedRuntime::BatchSpec b1;
-      b1.n = kFan;
-      b1.indegree.assign(kFan, 1);
-      b1.succ.assign(kFan, {});
-      b1.cross_preds.assign(kFan, {1});  // all wait on batch-0 task 1
-      b1.exported.assign(kFan, 0);
-      b1.exported[0] = 1;
-      b1.run = [&](int lid) { body(base1 + lid); };
-      base1 = pool.append_batch(run, std::move(b1));
-      SharedRuntime::BatchSpec b2;
-      b2.n = kFan;
-      b2.indegree.assign(kFan, 2);
-      b2.succ.assign(kFan, {});
-      b2.cross_preds.assign(kFan, {1, base1});  // batch 0 AND batch 1 preds
-      b2.run = [&](int lid) { body(base2 + lid); };
-      base2 = pool.append_batch(run, std::move(b2));
-    }
-    body(id);
-  };
-  RunBox* boxp = &box;
-  std::shared_ptr<SharedRuntime::Run> run =
-      pool.submit_dynamic(std::move(spec), 3);
-  boxp->set(run);
-  ExecutionReport rep = run->wait();
-  EXPECT_TRUE(rep.completed);
-  EXPECT_EQ(rep.tasks_run, 2 + 2 * kFan);
-  EXPECT_EQ(runs.load(), 2 + 2 * kFan);
-  ASSERT_EQ(base1, 2);
-  ASSERT_EQ(base2, 2 + kFan);
-  for (int i = 0; i < kFan; ++i) {
-    EXPECT_LT(finish[1], start[base1 + i]) << "fan1 " << i;
-    EXPECT_LT(finish[1], start[base2 + i]) << "fan2 " << i;
-    EXPECT_LT(finish[base1], start[base2 + i]) << "fan2 " << i;
-  }
-}
-
-TEST(SharedRuntimeDynamic, CancelDrainsPendingBatchesAndPoolSurvives) {
-  // The token trips from inside a batch-1 task: every remaining task drains
-  // unrun, wait() reports cancelled, and the pool accepts fresh graphs.
-  SharedRuntime pool(2);
-  CancelToken token;
-  std::atomic<int> late_runs{0};
-  RunBox box;
-  SharedRuntime::BatchSpec spec;
-  spec.n = 1;
-  spec.indegree = {0};
-  spec.succ = {{}};
-  spec.exported = {1};
-  spec.run = [&](int) {
-    std::shared_ptr<SharedRuntime::Run> run = box.get();
-    SharedRuntime::BatchSpec chain;  // 64-task chain; task 0 cancels
-    chain.n = 64;
-    chain.indegree.assign(64, 1);
-    chain.indegree[0] = 0;
-    chain.succ.assign(64, {});
-    for (int i = 0; i + 1 < 64; ++i) chain.succ[i] = {i + 1};
-    chain.cross_preds.assign(64, {});
-    chain.cross_preds[0] = {0};
-    chain.indegree[0] = 1;
-    chain.run = [&](int lid) {
-      if (lid == 0) token.cancel();
-      if (lid > 0) late_runs.fetch_add(1);
-    };
-    pool.append_batch(run, std::move(chain));
-  };
-  std::shared_ptr<SharedRuntime::Run> run =
-      pool.submit_dynamic(std::move(spec), 2, &token);
-  box.set(run);
-  ExecutionReport rep = run->wait();
-  EXPECT_FALSE(rep.completed);
-  EXPECT_TRUE(rep.cancelled);
-  // In-flight tasks finish; everything released after the trip drains.
-  EXPECT_LT(rep.tasks_run, 65);
-  EXPECT_LT(late_runs.load(), 63);
-  std::vector<std::vector<int>> succ = {{1}, {}};
-  std::vector<int> indeg = {0, 1};
-  std::atomic<int> ran{0};
-  ExecOptions clean;
-  clean.shared = &pool;
-  ExecutionReport rep2 =
-      execute_dag(succ, indeg, 0, [&](int) { ran.fetch_add(1); }, clean);
-  EXPECT_TRUE(rep2.completed);
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(SharedRuntimeDynamic, PrioritiesAreCrossBatchComparable) {
-  // Dynamic batches carry FINAL priorities (no normalization): with one
-  // worker, ready tasks from different batches must pop highest-first.
-  SharedRuntime pool(1);
-  std::vector<int> order;
-  std::mutex order_mu;
-  RunBox box;
-  SharedRuntime::BatchSpec spec;
-  spec.n = 2;  // task 0 appends; task 1 (low priority) waits in the deque
-  spec.indegree = {0, 0};
-  spec.succ = {{}, {}};
-  spec.priorities = {100.0, 1.0};
-  spec.exported = {1, 0};
-  spec.run = [&](int id) {
-    if (id == 0) {
-      std::shared_ptr<SharedRuntime::Run> run = box.get();
-      SharedRuntime::BatchSpec b;
-      b.n = 2;
-      b.indegree = {1, 1};
-      b.succ = {{}, {}};
-      b.cross_preds = {{0}, {0}};
-      b.priorities = {50.0, 2.0};  // both beat batch-0 task 1 (prio 1)? no:
-      // 50 and 2 both above 1, so expected pop order after task 0 retires:
-      // gid 2 (50), gid 3 (2), then batch-0 task 1 (1).
-      b.run = [&](int lid) {
-        std::lock_guard<std::mutex> lock(order_mu);
-        order.push_back(2 + lid);
-      };
-      pool.append_batch(run, std::move(b));
-    } else {
-      std::lock_guard<std::mutex> lock(order_mu);
-      order.push_back(id);
-    }
-  };
-  std::shared_ptr<SharedRuntime::Run> run =
-      pool.submit_dynamic(std::move(spec), 2);
-  box.set(run);
-  ExecutionReport rep = run->wait();
-  EXPECT_TRUE(rep.completed);
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 2);  // priority 50
-  EXPECT_EQ(order[1], 3);  // priority 2
-  EXPECT_EQ(order[2], 1);  // priority 1
 }
 
 TEST(ExecuteSequential, UsesTopologicalOrder) {

@@ -24,9 +24,6 @@
 //     --scale               MC64 max-product permutation + scaling
 //     --pivot-threshold T   threshold pivoting with diagonal preference
 //     --threads N           threaded numeric factorization
-//     --pipeline            phase-spanning pipeline: analysis, factorization
-//                           and the forward solve run as ONE dynamic task
-//                           graph (implies --threads; bit-identical results)
 //     --analyze-threads N   parallel symbolic analysis on N threads
 //                           (bit-identical to the sequential analysis;
 //                           0 = hardware concurrency)
@@ -73,7 +70,7 @@ namespace {
                "       [--ordering auto|md|amd|nd|rcm|natural] [--ordering-dry-run]\n"
                "       [--no-postorder] [--taskgraph eforest|sstar|sstar-po]\n"
                "       [--layout 1d|2d] [--scale] [--pivot-threshold T]\n"
-               "       [--threads N] [--pipeline] [--analyze-threads N] [--lazy]\n"
+               "       [--threads N] [--analyze-threads N] [--lazy]\n"
                "       [--coarsen] [--blocking auto|off] [--storage arena|vectors]\n"
                "       [--perturb] [--refine] [--simulate P] [--stats]\n"
                "       [--verbose]\n",
@@ -191,9 +188,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       nopt.threads = std::stoi(next());
       nopt.mode = plu::ExecutionMode::kThreaded;
-    } else if (arg == "--pipeline") {
-      nopt.pipeline = true;
-      nopt.mode = plu::ExecutionMode::kThreaded;
     } else if (arg == "--analyze-threads") {
       opt.analysis.parallel_analyze = true;
       opt.analysis.threads = std::stoi(next());
@@ -240,14 +234,7 @@ int main(int argc, char** argv) {
 
     plu::SparseLU lu(opt);
     lu.numeric_options() = nopt;
-    // The pipelined path overlaps the forward solve with factorization, so
-    // factor and solve together when it might run; x is bitwise the same.
-    std::vector<double> pipelined_x;
-    if (nopt.pipeline && !refine) {
-      pipelined_x = lu.factorize_and_solve(a, b);
-    } else {
-      lu.factorize(a);
-    }
+    lu.factorize(a);
     const plu::Analysis& an = lu.analysis();
 
     std::printf("analysis: fill=%.2fx, %d supernodes, %d tasks, %zu diagonal "
@@ -296,13 +283,6 @@ int main(int argc, char** argv) {
     std::printf("storage: %s, %.1f MB peak\n",
                 plu::to_string(f.blocks().storage_mode()),
                 f.blocks().storage_bytes() / 1e6);
-    if (f.pipeline_stats().ran) {
-      const plu::PipelineStats& ps = f.pipeline_stats();
-      std::printf("pipeline: total %.3fs, walls analyze %.3fs + factor %.3fs "
-                  "+ solve %.3fs, overlap %.3fs\n",
-                  ps.total_seconds, ps.analyze_seconds, ps.factor_seconds,
-                  ps.solve_seconds, ps.overlap_seconds);
-    }
     if (f.status() == plu::FactorStatus::kPerturbed) {
       std::printf("perturbed: %zu pivot(s) bumped to %.3e (growth %.3e); "
                   "%s\n",
@@ -317,8 +297,6 @@ int main(int argc, char** argv) {
       x = std::move(r.x);
       std::printf("refinement: %d iteration(s), backward error %.3e\n",
                   r.iterations, r.backward_error);
-    } else if (!pipelined_x.empty()) {
-      x = std::move(pipelined_x);
     } else {
       x = lu.solve(b);
     }
