@@ -6,15 +6,11 @@
 //     owner, so the dependence-graph choice is nearly irrelevant there;
 //   * under free scheduling, the eforest graph's advantage over the
 //     program-order S* baseline survives even the FIFO scheduler.
-// A second table runs the REAL fuzzed DAG executor (random ready-queue pop
-// order) over spin-per-flop task bodies and reports the makespan spread
-// across interleavings: how sensitive each graph's makespan is to the
-// schedule the runtime happens to pick.
-// A third table is the scheduler-implementation ablation this tier exists
-// for: the work-stealing runtime (per-worker deques, critical-path steal
-// priorities) against the central mutex/condvar queue, wall-clock, on the
-// eforest graph's spin-per-flop bodies across thread counts.  With --json
-// it appends one record per (matrix, executor, threads) cell.
+// A second table runs the REAL DAG runtime with schedule fuzzing
+// (rt::ExecOptions::fuzz: seeded random ready-task picks) over
+// spin-per-flop task bodies and reports the makespan spread across
+// interleavings: how sensitive each graph's makespan is to the schedule
+// the runtime happens to pick.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -36,28 +32,9 @@ double fuzzed_makespan_ms(const taskgraph::TaskGraph& g,
   const double scale = max_flops / 4000.0;
   rt::FuzzOptions fuzz;
   fuzz.seed = seed;
-  fuzz.max_delay_us = 0;  // perturb pop order only, not task durations
-  auto t0 = std::chrono::steady_clock::now();
-  rt::execute_task_graph_fuzzed(g, threads, fuzz, [&](int id) {
-    volatile double sink = 0.0;
-    const long spins = static_cast<long>(flops[id] / scale) + 1;
-    for (long s = 0; s < spins; ++s) sink = sink + static_cast<double>(s);
-    (void)sink;
-  });
-  auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-// Wall-clock makespan of one NON-fuzzed execution on the selected executor,
-// same spin-per-flop bodies as fuzzed_makespan_ms.
-double executor_makespan_ms(const taskgraph::TaskGraph& g,
-                            const std::vector<double>& flops, int threads,
-                            rt::ExecutorKind kind) {
-  double max_flops = 1.0;
-  for (double f : flops) max_flops = std::max(max_flops, f);
-  const double scale = max_flops / 4000.0;
+  fuzz.max_delay_us = 0;  // perturb the pick order only, not task durations
   rt::ExecOptions eopt;
-  eopt.kind = kind;
+  eopt.fuzz = &fuzz;
   auto t0 = std::chrono::steady_clock::now();
   rt::execute_task_graph(g, threads, [&](int id) {
     volatile double sink = 0.0;
@@ -69,52 +46,8 @@ double executor_makespan_ms(const taskgraph::TaskGraph& g,
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-void print_executor_ablation_table() {
-  std::printf("\nExecutor ablation: work-stealing vs central queue (real DAG "
-              "executor,\neforest graph, spin-per-flop bodies, best of 5 "
-              "reps)\n");
-  print_rule(74);
-  std::printf("%-10s %8s %14s %14s %10s\n", "Matrix", "threads",
-              "steal ms", "central ms", "speedup");
-  print_rule(74);
-  const int kReps = 5;
-  for (const char* name : {"orsreg1", "goodwin"}) {
-    NamedMatrix nm = make_named_matrix(name);
-    Options opt;
-    opt.task_graph = taskgraph::GraphKind::kEforest;
-    Analysis an = analyze(nm.a, opt);
-    double total_flops = 0.0;
-    for (double f : an.costs.flops) total_flops += f;
-    for (int threads : {1, 2, 4, 8}) {
-      double best[2] = {1e300, 1e300};
-      const rt::ExecutorKind kinds[2] = {rt::ExecutorKind::kWorkStealing,
-                                         rt::ExecutorKind::kCentralQueue};
-      for (int rep = 0; rep < kReps; ++rep) {
-        for (int e = 0; e < 2; ++e) {
-          best[e] = std::min(best[e], executor_makespan_ms(
-                                          an.graph, an.costs.flops, threads,
-                                          kinds[e]));
-        }
-      }
-      std::printf("%-10s %8d %14.2f %14.2f %9.2fx\n", name, threads, best[0],
-                  best[1], best[1] / best[0]);
-      for (int e = 0; e < 2; ++e) {
-        json_append(JsonRecord()
-                        .field("bench", "ablation_scheduler")
-                        .field("matrix", name)
-                        .field("graph", "eforest")
-                        .field("executor", rt::to_string(kinds[e]))
-                        .field("threads", threads)
-                        .field("makespan_ms", best[e])
-                        .field("gflops", total_flops / (best[e] * 1e6)));
-      }
-    }
-  }
-  print_rule(74);
-}
-
 void print_fuzz_variance_table() {
-  std::printf("\nFuzzed-schedule makespan variance (real DAG executor, "
+  std::printf("\nFuzzed-schedule makespan variance (real DAG runtime, "
               "spin-per-flop bodies,\n8 threads, 10 seeds; spread = "
               "(max-min)/mean)\n");
   print_rule(84);
@@ -179,7 +112,6 @@ void print_table() {
   }
   print_rule(100);
   print_fuzz_variance_table();
-  print_executor_ablation_table();
 }
 
 }  // namespace

@@ -443,7 +443,7 @@ class Run2D : public RunState {
 };
 
 /// Shared mode dispatch: a sequential right-looking stage loop (also the
-/// partial/Schur mode), a topological-order replay, or the DAG executor
+/// partial/Schur mode), a topological-order replay, or the DAG runtime
 /// (optionally schedule-fuzzed).  `dispatch` runs one task id.
 template <typename Dispatch>
 void execute(NumericRun& run, const NumericOptions& opt,
@@ -495,7 +495,14 @@ void execute(NumericRun& run, const NumericOptions& opt,
       break;
     }
     case ExecutionMode::kThreaded: {
-      rt::ExecutionReport rep;
+      rt::FuzzOptions fuzz;
+      fuzz.seed = opt.fuzz_seed;
+      fuzz.max_delay_us = opt.fuzz_max_delay_us;
+      rt::ExecOptions eopt;
+      eopt.cancel = token;
+      eopt.shared = opt.shared_runtime;
+      eopt.request_priority = opt.request_priority;
+      eopt.fuzz = opt.fuzz_schedule ? &fuzz : nullptr;
       taskgraph::CoarseGraph cg;
       if (opt.coarsen) {
         taskgraph::CoarsenOptions copt;
@@ -505,6 +512,7 @@ void execute(NumericRun& run, const NumericOptions& opt,
         cg = taskgraph::coarsen_task_graph(run.graph, run.an.blocks, copt);
         run.coarsen = cg.stats(run.graph);
       }
+      rt::ExecutionReport rep;
       if (cg.coarsened) {
         // A fused group runs its member tasks in sequential right-looking
         // order; `guarded` keeps the per-task cancellation drain, so a
@@ -513,36 +521,10 @@ void execute(NumericRun& run, const NumericOptions& opt,
         const auto run_group = [&](int gid) {
           for (int id : cg.members[gid]) guarded(id);
         };
-        if (opt.fuzz_schedule) {
-          rt::FuzzOptions fuzz;
-          fuzz.seed = opt.fuzz_seed;
-          fuzz.max_delay_us = opt.fuzz_max_delay_us;
-          fuzz.cancel = token;
-          rep = rt::execute_dag_fuzzed(cg.succ, cg.indegree, opt.threads, fuzz,
-                                       run_group);
-        } else {
-          rt::ExecOptions eopt;
-          eopt.kind = opt.executor;
-          eopt.cancel = token;
-          eopt.shared = opt.shared_runtime;
-          eopt.request_priority = opt.request_priority;
-          eopt.priorities = &cg.priorities;
-          rep = rt::execute_dag(cg.succ, cg.indegree, opt.threads, run_group,
-                                eopt);
-        }
-      } else if (opt.fuzz_schedule) {
-        rt::FuzzOptions fuzz;
-        fuzz.seed = opt.fuzz_seed;
-        fuzz.max_delay_us = opt.fuzz_max_delay_us;
-        fuzz.cancel = token;
-        rep = rt::execute_task_graph_fuzzed(run.graph, opt.threads, fuzz,
-                                            polled);
+        eopt.priorities = &cg.priorities;
+        rep = rt::execute_dag(cg.succ, cg.indegree, opt.threads, run_group,
+                              eopt);
       } else {
-        rt::ExecOptions eopt;
-        eopt.kind = opt.executor;
-        eopt.cancel = token;
-        eopt.shared = opt.shared_runtime;
-        eopt.request_priority = opt.request_priority;
         rep = rt::execute_task_graph(run.graph, opt.threads, polled, eopt);
       }
       if (!rep.completed && !rep.cancelled) {

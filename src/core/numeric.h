@@ -69,16 +69,11 @@ const char* to_string(BlockingMode m);
 struct NumericOptions {
   ExecutionMode mode = ExecutionMode::kSequential;
   int threads = 4;
-  /// Which threaded executor runs the task graph under kThreaded (ignored
-  /// by the other modes and by fuzz_schedule): the work-stealing runtime
-  /// with critical-path priorities, or the central mutex/condvar queue kept
-  /// as the scheduler-ablation baseline (rt::ExecutorKind).
-  rt::ExecutorKind executor = rt::ExecutorKind::kWorkStealing;
   /// Run the kThreaded task graph on this persistent multi-DAG pool
   /// (runtime/shared_runtime.h) instead of a private worker team, so
   /// factorizations of DIFFERENT matrices -- distinct Factorization /
   /// SparseLU instances, or solver-service requests -- interleave on one
-  /// set of workers.  `threads` and `executor` are then ignored.  The pool
+  /// set of workers.  `threads` is then ignored.  The pool
   /// must outlive the factorize call; non-owning.
   rt::SharedRuntime* shared_runtime = nullptr;
   /// Per-request priority fold for the shared pool
@@ -119,10 +114,10 @@ struct NumericOptions {
   /// verification of Theorem 4).  Results in Factorization::races().
   /// Works in every execution mode; kThreaded exercises real interleavings.
   bool check_races = false;
-  /// Run kThreaded execution on the schedule-fuzzing executor
-  /// (rt::execute_task_graph_fuzzed): randomized ready-task selection plus
+  /// Fuzz the kThreaded schedule (rt::ExecOptions::fuzz): a seeded random
+  /// pick among the ready tasks instead of the priority order, plus
   /// injected delays, so repeated runs with different seeds explore many
-  /// legal interleavings instead of the one the mutex produces.
+  /// legal interleavings instead of the one the priorities produce.
   bool fuzz_schedule = false;
   std::uint64_t fuzz_seed = 1;
   /// Maximum injected pre-task delay (microseconds) when fuzzing.

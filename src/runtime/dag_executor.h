@@ -4,28 +4,20 @@
 // decrements each successor's counter (release) and the worker that drops a
 // counter to zero acquires the task -- the release/acquire pair on the
 // counter makes every predecessor's writes visible before the successor
-// runs (see DESIGN.md, "The work-stealing runtime").  Tasks left unordered
-// by the graph (updates from independent subtrees) touch disjoint blocks --
+// runs (see DESIGN.md, "The DAG runtime").  Tasks left unordered by the
+// graph (updates from independent subtrees) touch disjoint blocks --
 // Theorem 4 / verify_candidate_disjointness -- so no additional
 // synchronization is required beyond what the numeric layer chooses to
 // take.
 //
-// Two executors are kept runtime-selectable (ExecOptions::kind) so the
-// scheduler ablation can measure one against the other:
-//
-//   kWorkStealing (default): per-worker Chase-Lev deques
-//     (runtime/work_steal_deque.h).  A worker pushes the successors it
-//     releases onto its own deque in ascending priority order and pops LIFO,
-//     so it dives depth-first along the most critical chain it just enabled;
-//     idle workers steal FIFO from a randomized victim, preferring -- by
-//     two-choice top-task comparison -- the victim whose oldest task has the
-//     higher critical-path priority.  Priorities are the classic bottom
-//     levels (weighted longest path to a sink) over the per-task flop
-//     estimates taskgraph::build annotates; idle workers spin with
-//     exponential backoff before parking on a condvar.
-//
-//   kCentralQueue: the original single mutex/condvar FIFO queue
-//     (runtime/thread_pool.h), preserved as the ablation baseline.
+// Every parallel execution runs on one engine, rt::SharedRuntime
+// (runtime/shared_runtime.h): per-worker Chase-Lev deques, successors
+// pushed in ascending critical-path priority and popped LIFO, randomized
+// stealing, park on a condvar when idle.  A call with ExecOptions::shared
+// submits to that persistent pool; any other call builds a transient
+// SharedRuntime(num_threads) for the one graph, so there is no
+// process-global pool and a nested call cannot deadlock.  Schedule fuzzing
+// (ExecOptions::fuzz) is a per-graph policy of the same engine.
 #pragma once
 
 #include <atomic>
@@ -62,25 +54,29 @@ struct ExecutionReport {
                            // worker exception, which cancels before rethrow)
 };
 
-enum class ExecutorKind {
-  kWorkStealing,  // Chase-Lev deques + critical-path steal preference
-  kCentralQueue,  // single mutex/condvar FIFO queue (ablation baseline)
+class SharedRuntime;  // runtime/shared_runtime.h: the DAG runtime
+
+/// Schedule perturbation for testing: whenever a worker takes one of the
+/// graph's tasks it runs a seed-determined RANDOM task from the graph's
+/// whole ready set instead of the one the priorities chose, after a random
+/// delay, so repeated runs explore many legal interleavings of the
+/// unordered tasks (the ones Theorem 4 leaves unordered).  Used by the
+/// concurrency-correctness tier (tests/test_race_harness.cpp, ctest -L
+/// sanitize).
+struct FuzzOptions {
+  std::uint64_t seed = 1;
+  /// Maximum injected pre-task delay in microseconds (uniform in
+  /// [0, max_delay_us]; 0 disables delays and only randomizes the pick).
+  int max_delay_us = 50;
 };
 
-const char* to_string(ExecutorKind k);
-
-class SharedRuntime;  // runtime/shared_runtime.h: persistent multi-DAG pool
-
-/// Tuning and policy knobs for the non-fuzzed executors.
+/// Placement, priority, cancellation and fuzzing policy of one execution.
 struct ExecOptions {
-  ExecutorKind kind = ExecutorKind::kWorkStealing;
-  /// When set, the graph is NOT run on a private worker team: it is
-  /// submitted to this persistent multi-DAG runtime and the calling thread
-  /// blocks until it completes, so DAGs from concurrent callers interleave
-  /// on one shared pool (the solver-service path).  `num_threads` and
-  /// `kind` are ignored -- the pool's size and work-stealing discipline
-  /// apply; priorities, cancellation and the rethrow-on-caller exception
-  /// contract carry over unchanged.
+  /// When set, the graph is submitted to this persistent multi-DAG pool and
+  /// the calling thread blocks until it completes, so DAGs from concurrent
+  /// callers interleave on one set of workers (the solver-service path) and
+  /// `num_threads` is ignored.  Otherwise a transient pool of `num_threads`
+  /// workers runs the graph.
   SharedRuntime* shared = nullptr;
   /// Per-request priority fold for the shared runtime: added to this
   /// graph's normalized critical-path priorities, so a caller can bias the
@@ -90,40 +86,25 @@ struct ExecOptions {
   /// When empty, execute_task_graph derives critical-path bottom levels
   /// from the graph's flop annotations; execute_dag treats all tasks equal.
   const std::vector<double>* priorities = nullptr;
-  /// Bound on the exponential backoff an idle worker spins through before
-  /// parking on the condvar (iterations of the final spin round).
-  int max_spin = 256;
   /// Optional cooperative cancellation: when the token is cancelled the
   /// executor stops releasing dependences and drains queued tasks without
   /// running them (ExecutionReport::cancelled).  A worker exception cancels
   /// the same token, so the caller can observe WHY a run stopped early.
   CancelToken* cancel = nullptr;
-};
-
-/// Schedule perturbation for the fuzzed executors: instead of the pop order
-/// the scheduler happens to produce, workers pop a seed-determined RANDOM
-/// ready task and may sleep a random delay before running it, so repeated
-/// runs explore many legal interleavings of the unordered tasks (the ones
-/// Theorem 4 leaves unordered).  Used by the concurrency-correctness tier
-/// (tests/test_race_harness.cpp, ctest -L sanitize).
-struct FuzzOptions {
-  std::uint64_t seed = 1;
-  /// Maximum injected pre-task delay in microseconds (uniform in
-  /// [0, max_delay_us]; 0 disables delays and only shuffles pop order).
-  int max_delay_us = 50;
-  /// Same cooperative cancellation contract as ExecOptions::cancel.
-  CancelToken* cancel = nullptr;
+  /// Schedule fuzzing for this graph (null = off); overrides the priority
+  /// order.  Must outlive the call.
+  const FuzzOptions* fuzz = nullptr;
 };
 
 /// Executes the graph on `num_threads` threads, invoking run(task_id) for
-/// each task after all its predecessors finished.  Uses the work-stealing
-/// executor with critical-path priorities from the graph's flop annotations
-/// unless `opt` says otherwise.
+/// each task after all its predecessors finished, with critical-path
+/// priorities from the graph's flop annotations unless `opt` says otherwise.
 ///
 /// Worker-exception safety: if run(id) throws, the exception is captured
 /// via std::exception_ptr, the execution is cancelled (queued tasks drain
-/// without running, dependences stop being released), the worker threads
-/// are joined, and the exception is RETHROWN on the calling thread -- never
+/// without running, dependences stop being released), the run retires (no
+/// worker touches it again), and the exception is RETHROWN on the calling
+/// thread -- never
 /// std::terminate.  When several in-flight tasks throw, the exception of
 /// the lowest task id among those that actually ran wins, so a single
 /// failing task reports deterministically across schedules.
@@ -139,20 +120,6 @@ ExecutionReport execute_dag(const std::vector<std::vector<int>>& succ,
                             const std::vector<int>& indegree, int num_threads,
                             const std::function<void(int)>& run,
                             const ExecOptions& opt = {});
-
-/// Like execute_task_graph, but with the fuzzed ready-queue discipline of
-/// `fuzz`.  Same completion semantics; different (still legal) interleaving
-/// per seed.
-ExecutionReport execute_task_graph_fuzzed(const taskgraph::TaskGraph& g,
-                                          int num_threads, const FuzzOptions& fuzz,
-                                          const std::function<void(int)>& run);
-
-/// Fuzzed variant of execute_dag.  A cyclic graph runs the acyclic prefix
-/// and reports completed == false (no task runs twice).
-ExecutionReport execute_dag_fuzzed(const std::vector<std::vector<int>>& succ,
-                                   const std::vector<int>& indegree,
-                                   int num_threads, const FuzzOptions& fuzz,
-                                   const std::function<void(int)>& run);
 
 /// Sequential reference execution in a given topological order (or the
 /// default one when `order` is empty).

@@ -1,6 +1,8 @@
 #include "runtime/shared_runtime.h"
 
 #include <algorithm>
+#include <chrono>
+#include <utility>
 
 namespace plu::rt {
 
@@ -15,6 +17,15 @@ inline void cpu_relax() {
 }
 
 constexpr int kMaxSpin = 256;
+
+/// splitmix64 finalizer: turns a fuzz seed into a well-mixed, nonzero
+/// xorshift state.
+std::uint64_t mix_seed(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return (x ^ (x >> 31)) | 1;
+}
 
 }  // namespace
 
@@ -104,8 +115,18 @@ std::shared_ptr<SharedRuntime::Run> SharedRuntime::submit(GraphSpec spec) {
   run->outstanding_.store(static_cast<long>(roots.size()),
                           std::memory_order_relaxed);
 
-  // Inject the roots FIFO, most critical first within this graph.
-  if (!run->prio_.empty()) {
+  // Inject the roots FIFO, most critical first within this graph.  A
+  // fuzzed graph's roots form its ready set instead, and one kPickReady
+  // placeholder per root is injected (fuzz_pick).
+  const bool fuzzed = spec.fuzz != nullptr;
+  if (fuzzed) {
+    run->fuzz_rng_.resize(workers_.size());
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      run->fuzz_rng_[w] = mix_seed(spec.fuzz->seed ^ ((w + 1) << 32));
+    }
+    run->fuzz_delay_us_ = std::max(0, spec.fuzz->max_delay_us);
+    run->fuzz_ready_ = roots;
+  } else if (!run->prio_.empty()) {
     std::stable_sort(roots.begin(), roots.end(), [&](int a, int b) {
       return run->prio_[a] > run->prio_[b];
     });
@@ -125,7 +146,7 @@ std::shared_ptr<SharedRuntime::Run> SharedRuntime::submit(GraphSpec spec) {
   slots_[slot].store(run.get(), std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(inject_mu_);
-    for (int v : roots) inject_.push_back(pack(slot, v));
+    for (int v : roots) inject_.push_back(pack(slot, fuzzed ? kPickReady : v));
     inject_count_.store(static_cast<long>(inject_.size()),
                         std::memory_order_release);
   }
@@ -146,22 +167,24 @@ void SharedRuntime::worker_loop(int tid) {
   for (;;) {
     std::int64_t item = me.deque.pop();
     if (item < 0) item = steal(me);
-    if (item < 0) item = take_injected();
+    if (item < 0) item = take_injected(me);
     if (item >= 0) {
       run_item(me, item);
       continue;
     }
     if (shutdown_.load(std::memory_order_acquire)) return;
-    idle(me);
+    idle();
   }
 }
 
 void SharedRuntime::run_item(Worker& me, std::int64_t item) {
   const int slot = static_cast<int>(item >> 32);
-  const int id = static_cast<int>(item & 0xFFFFFFFFll);
   // The item holds its graph live (outstanding_ > 0 until we decrement
   // below), so this dereference can never see a retired slot.
   Run* r = slots_[slot].load(std::memory_order_acquire);
+  const bool fuzzed = !r->fuzz_rng_.empty();
+  const int id =
+      fuzzed ? fuzz_pick(*r, me) : static_cast<int>(item & 0xFFFFFFFFll);
   if (!r->cancel_->cancelled()) {
     try {
       r->body_(id);
@@ -177,9 +200,9 @@ void SharedRuntime::run_item(Worker& me, std::int64_t item) {
       r->cancel_->cancel();
     }
   }
-  // Release/drain, same memory-order story as the single-DAG engine: the
-  // acq_rel fetch_sub publishes this task's writes to whichever worker
-  // drops the successor's counter to zero.
+  // Lock-free release: the release half of the acq_rel fetch_sub publishes
+  // every write this task made; the worker that drops a successor's counter
+  // to zero acquires them all (dag_executor.h, DESIGN.md).
   me.ready.clear();
   if (!r->cancel_->cancelled()) {
     for (int s : (*r->succ_)[id]) {
@@ -189,7 +212,13 @@ void SharedRuntime::run_item(Worker& me, std::int64_t item) {
     }
   }
   if (!me.ready.empty()) {
-    if (!r->prio_.empty()) {
+    if (fuzzed) {
+      // Into the ready set BEFORE the placeholders become visible, so every
+      // placeholder finds a task.
+      std::lock_guard<std::mutex> lock(r->fuzz_mu_);
+      r->fuzz_ready_.insert(r->fuzz_ready_.end(), me.ready.begin(),
+                            me.ready.end());
+    } else if (!r->prio_.empty()) {
       // Ascending priority: the most critical successor is pushed last and
       // popped first -- the worker dives along this graph's critical path.
       std::stable_sort(me.ready.begin(), me.ready.end(), [&](int a, int b) {
@@ -198,12 +227,33 @@ void SharedRuntime::run_item(Worker& me, std::int64_t item) {
     }
     r->outstanding_.fetch_add(static_cast<long>(me.ready.size()),
                               std::memory_order_relaxed);
-    for (int s : me.ready) me.deque.push(pack(slot, s));
+    for (int s : me.ready) me.deque.push(pack(slot, fuzzed ? kPickReady : s));
     wake_workers();
   }
   if (r->outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     finish_run(r);
   }
+}
+
+int SharedRuntime::fuzz_pick(Run& r, Worker& me) {
+  // A seeded random task from the graph's WHOLE ready set, not just from
+  // this worker's deque; the mutex also carries the releasing worker's
+  // acquire of the indegree counter over to us.
+  std::uint64_t& rng = r.fuzz_rng_[me.id];
+  int id;
+  {
+    std::lock_guard<std::mutex> lock(r.fuzz_mu_);
+    const std::size_t k = next_rand(rng) % r.fuzz_ready_.size();
+    id = r.fuzz_ready_[k];
+    r.fuzz_ready_[k] = r.fuzz_ready_.back();
+    r.fuzz_ready_.pop_back();
+  }
+  if (r.fuzz_delay_us_ > 0) {
+    const auto max_us = static_cast<std::uint64_t>(r.fuzz_delay_us_);
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(next_rand(rng) % (max_us + 1)));
+  }
+  return id;
 }
 
 void SharedRuntime::finish_run(Run* r) {
@@ -236,37 +286,49 @@ void SharedRuntime::finish_run(Run* r) {
 
 std::int64_t SharedRuntime::steal(Worker& me) {
   const int w = static_cast<int>(workers_.size());
-  if (w == 1) return WorkStealDeque64::kEmpty;
+  if (w == 1) return WorkStealDeque::kEmpty;
   // Two random victims, then a full sweep from a random start.  No priority
   // peek here -- see the header for the lifetime argument.
   for (int round = 0; round < 2; ++round) {
-    int v = static_cast<int>(next_rand(me) % static_cast<std::uint64_t>(w - 1));
+    int v = static_cast<int>(next_rand(me.rng_state) %
+                             static_cast<std::uint64_t>(w - 1));
     v += (v >= me.id) ? 1 : 0;
     const std::int64_t r = workers_[v]->deque.steal();
     if (r >= 0) return r;
   }
-  const int start = static_cast<int>(next_rand(me) % static_cast<std::uint64_t>(w));
+  const int start = static_cast<int>(next_rand(me.rng_state) %
+                                     static_cast<std::uint64_t>(w));
   for (int i = 0; i < w; ++i) {
     const int v = (start + i) % w;
     if (v == me.id) continue;
     std::int64_t r = workers_[v]->deque.steal();
-    if (r == WorkStealDeque64::kAbort) r = workers_[v]->deque.steal();
+    if (r == WorkStealDeque::kAbort) r = workers_[v]->deque.steal();
     if (r >= 0) return r;
   }
-  return WorkStealDeque64::kEmpty;
+  return WorkStealDeque::kEmpty;
 }
 
-std::int64_t SharedRuntime::take_injected() {
+std::int64_t SharedRuntime::take_injected(Worker& me) {
   if (inject_count_.load(std::memory_order_acquire) == 0) {
-    return WorkStealDeque64::kEmpty;
+    return WorkStealDeque::kEmpty;
   }
-  std::lock_guard<std::mutex> lock(inject_mu_);
-  if (inject_.empty()) return WorkStealDeque64::kEmpty;
-  const std::int64_t v = inject_.front();
-  inject_.pop_front();
-  inject_count_.store(static_cast<long>(inject_.size()),
-                      std::memory_order_release);
-  return v;
+  std::int64_t first;
+  std::size_t take;
+  {
+    std::lock_guard<std::mutex> lock(inject_mu_);
+    if (inject_.empty()) return WorkStealDeque::kEmpty;
+    // A fair share in one lock hold.  The rest go onto our deque in reverse
+    // (least critical first), so our next pop is the next most critical.
+    take = (inject_.size() + workers_.size() - 1) / workers_.size();
+    first = inject_.front();
+    for (std::size_t i = take - 1; i >= 1; --i) me.deque.push(inject_[i]);
+    inject_.erase(inject_.begin(),
+                  inject_.begin() + static_cast<std::ptrdiff_t>(take));
+    inject_count_.store(static_cast<long>(inject_.size()),
+                        std::memory_order_release);
+  }
+  if (take > 1) wake_workers();  // the pushed items are stealable
+  return first;
 }
 
 bool SharedRuntime::work_visible() const {
@@ -277,11 +339,13 @@ bool SharedRuntime::work_visible() const {
   return false;
 }
 
-void SharedRuntime::idle(Worker& me) {
-  // Exponential backoff then park -- the single-DAG engine's epoch protocol
-  // (dag_executor.cpp) against lost wakeups: producers bump the epoch AFTER
-  // making work visible, so either the probe below sees the work or the
-  // epoch predicate is already true at the wait.
+void SharedRuntime::idle() {
+  // Exponential backoff: spin rounds of 1, 2, 4, ..., kMaxSpin pause
+  // iterations, re-probing between rounds; yield each round so on an
+  // oversubscribed core the worker actually holding work gets to run.
+  // Then park.  Epoch protocol against lost wakeups: producers bump the
+  // epoch AFTER making work visible, so either the probe below sees the
+  // work or the epoch predicate is already true at the wait.
   for (int spins = 1; spins <= kMaxSpin; spins *= 2) {
     if (shutdown_.load(std::memory_order_acquire)) return;
     for (int i = 0; i < spins; ++i) cpu_relax();

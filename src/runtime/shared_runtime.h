@@ -1,13 +1,9 @@
-// A persistent work-stealing pool that executes MANY task dependence graphs
-// concurrently -- the multi-DAG runtime under the solver service
-// (src/service/solver_service.h).
-//
-// The single-DAG executors in runtime/dag_executor.h spin a fresh worker
-// team per execute() call, which is right for one factorization but wrong
-// for a server: N in-flight requests would run N uncoordinated teams,
-// oversubscribing the machine and giving the OS scheduler -- not the
-// critical-path priorities -- the final say.  SharedRuntime keeps ONE team
-// alive for the process and lets any thread submit() a DAG; tasks from all
+// The DAG runtime: a work-stealing pool that executes task dependence
+// graphs.  rt::execute_dag builds a transient pool for one graph; the
+// solver service (src/service/solver_service.h) keeps ONE persistent pool
+// and lets any thread submit() a DAG, so N in-flight requests share one
+// team instead of oversubscribing the machine with N, and the critical-path
+// priorities -- not the OS scheduler -- get the final say.  Tasks from all
 // active graphs interleave freely on the same Chase-Lev deques
 // (runtime/work_steal_deque.h), so a wide graph soaks up workers a narrow
 // graph cannot use and a small request's tasks are stolen out from under a
@@ -15,19 +11,33 @@
 //
 // Scheduling.  Each deque item packs (graph slot, task id) into 64 bits.  A
 // worker that releases successors pushes them onto its OWN deque in
-// ascending priority order and pops LIFO -- the same critical-path diving as
-// the single-DAG engine.  Per-graph priorities are NORMALIZED bottom levels
-// (divided by the graph's maximum) plus the submitter's per-request boost,
-// so a huge matrix's raw flop counts cannot drown out a small request's
-// critical path: across graphs, priorities compare on [boost, boost + 1]
-// regardless of problem size (the fair-share half of the scheme; admission
-// fairness lives in the service's orchestrator lanes).  New graphs enter
-// through a FIFO injection queue that idle workers drain after their own
-// deque and steals come up empty, so submission order is respected across
-// requests of equal standing.  Steals pick two random victims plus a full
-// sweep; unlike the single-DAG engine there is NO priority peek -- a peeked
-// item may belong to a graph that completed (and was freed) between the
-// peek and the priority lookup, and the hint is not worth a lifetime rule.
+// ascending priority order and pops LIFO, so it dives along the most
+// critical chain it just enabled.  Per-graph priorities are NORMALIZED
+// bottom levels (divided by the graph's maximum) plus the submitter's
+// per-request boost, so a huge matrix's raw flop counts cannot drown out a
+// small request's critical path: across graphs, priorities compare on
+// [boost, boost + 1] regardless of problem size (admission fairness lives in
+// the service's orchestrator lanes).  New graphs enter through a FIFO
+// injection queue, roots most critical first, so submission order is
+// respected across requests of equal standing.  A worker whose own deque
+// and steals come up empty takes ceil(queue / threads) injected items in
+// one lock hold: it runs the first and pushes the rest onto its own deque
+// least critical first, so the next most critical pops next and the rest
+// are stealable -- a graph's roots cross the injection mutex in a few
+// batches, not one at a time.  Steals pick two random victims plus a full
+// sweep, with NO priority peek: a peeked item may belong to a graph that
+// completed (and was freed) between the peek and the priority lookup, and
+// the hint is not worth a lifetime rule.
+//
+// Fuzzing.  GraphSpec::fuzz makes one graph's schedule seed-determined
+// random (FuzzOptions).  Its ready tasks sit in a per-graph set, and the
+// deques carry one kPickReady placeholder per ready task instead of the
+// task itself; whichever worker runs a placeholder draws a random task from
+// the graph's whole ready set and sleeps a random delay before running it.
+// The RNG state is per (graph, worker) -- a worker only touches its own
+// entry -- so fuzzing is race-free and leaves the other graphs on the pool
+// alone; the worker loop, deques, cancellation drain, exception capture and
+// retire path are the production ones.
 //
 // Lifetime of a graph.  `outstanding` counts a graph's queued-or-running
 // tasks; items only exist in deques while outstanding > 0, and the worker
@@ -73,6 +83,8 @@ class SharedRuntime {
     double boost = 0.0;
     /// Cooperative cancellation, same semantics as ExecOptions::cancel.
     CancelToken* cancel = nullptr;
+    /// Schedule fuzzing for this graph only (null = off); read at submit.
+    const FuzzOptions* fuzz = nullptr;
   };
 
   /// Handle to one submitted graph.
@@ -98,6 +110,12 @@ class SharedRuntime {
     int slot_ = -1;
     std::atomic<long> outstanding_{0};
     std::atomic<long> done_count_{0};
+    // Fuzzing (empty fuzz_rng_ = off): one RNG state per worker, and the
+    // graph's ready tasks, which kPickReady items draw from.
+    std::vector<std::uint64_t> fuzz_rng_;
+    int fuzz_delay_us_ = 0;
+    std::mutex fuzz_mu_;
+    std::vector<int> fuzz_ready_;
 
     std::mutex err_mu_;
     int err_task_ = 0;
@@ -135,34 +153,38 @@ class SharedRuntime {
   struct alignas(64) Worker {
     Worker(int id_, std::uint64_t seed) : id(id_), rng_state(seed) {}
     const int id;
-    WorkStealDeque64 deque;
+    WorkStealDeque deque;
     std::uint64_t rng_state;
     std::vector<int> ready;  // scratch for newly released successors
     std::thread thread;
   };
+
+  /// Task field of a fuzzed graph's items: "run a random ready task".
+  static constexpr int kPickReady = -1;
 
   static std::int64_t pack(int slot, int task) {
     return (static_cast<std::int64_t>(slot) << 32) |
            static_cast<std::int64_t>(static_cast<std::uint32_t>(task));
   }
 
-  std::uint64_t next_rand(Worker& me) {
-    // xorshift64*: per-worker, no allocation, good enough for victim picks.
-    std::uint64_t x = me.rng_state;
+  static std::uint64_t next_rand(std::uint64_t& state) {
+    // xorshift64*: no allocation, good enough for victim picks and fuzzing.
+    std::uint64_t x = state;
     x ^= x >> 12;
     x ^= x << 25;
     x ^= x >> 27;
-    me.rng_state = x;
+    state = x;
     return x * 0x2545F4914F6CDD1Dull;
   }
 
   void worker_loop(int tid);
   void run_item(Worker& me, std::int64_t item);
+  int fuzz_pick(Run& r, Worker& me);
   void finish_run(Run* r);
   std::int64_t steal(Worker& me);
-  std::int64_t take_injected();
+  std::int64_t take_injected(Worker& me);
   bool work_visible() const;
-  void idle(Worker& me);
+  void idle();
   void wake_workers();
 
   const int max_graphs_;
@@ -184,7 +206,7 @@ class SharedRuntime {
   std::deque<std::int64_t> inject_;
   std::atomic<long> inject_count_{0};
 
-  // Park/wake protocol, same epoch scheme as the single-DAG engine.
+  // Park/wake protocol (idle() in shared_runtime.cpp).
   std::atomic<bool> shutdown_{false};
   std::atomic<std::uint64_t> wake_epoch_{0};
   std::atomic<int> sleepers_{0};

@@ -1,5 +1,5 @@
-// Chase-Lev work-stealing deque of task ids (the per-worker ready queue of
-// the work-stealing DAG executor, runtime/dag_executor.cpp).
+// Chase-Lev work-stealing deque of task handles (the per-worker ready queue
+// of the DAG runtime, runtime/shared_runtime.cpp).
 //
 // One OWNER thread pushes and pops at the bottom (LIFO, so a worker dives
 // depth-first along the dependence chain it just released -- cache-warm and,
@@ -29,34 +29,28 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 namespace plu::rt {
 
-/// The deque is generic over the (signed integral) item type: the single-DAG
-/// executor queues plain task ids (int), while the shared multi-DAG runtime
-/// (runtime/shared_runtime.h) queues 64-bit handles packing (graph slot,
-/// task id).  Valid items must be >= 0 -- the negative range is reserved for
+/// Items are 64-bit handles -- the runtime packs (graph slot, task id) into
+/// one.  Valid items must be >= 0: the negative range is reserved for
 /// kEmpty / kAbort.
-template <typename T>
-class BasicWorkStealDeque {
-  static_assert(std::is_integral_v<T> && std::is_signed_v<T>,
-                "deque items must be signed integers (negatives are sentinels)");
-
+class WorkStealDeque {
  public:
-  static constexpr T kEmpty = T(-1);  // nothing to take
-  static constexpr T kAbort = T(-2);  // lost a steal race; caller may retry
+  using T = std::int64_t;
+  static constexpr T kEmpty = -1;  // nothing to take
+  static constexpr T kAbort = -2;  // lost a steal race; caller may retry
 
-  explicit BasicWorkStealDeque(std::int64_t capacity_hint = 64) {
+  explicit WorkStealDeque(std::int64_t capacity_hint = 64) {
     std::int64_t cap = 16;
     while (cap < capacity_hint) cap <<= 1;
     rings_.push_back(std::make_unique<Ring>(cap));
     ring_.store(rings_.back().get(), std::memory_order_relaxed);
   }
 
-  BasicWorkStealDeque(const BasicWorkStealDeque&) = delete;
-  BasicWorkStealDeque& operator=(const BasicWorkStealDeque&) = delete;
+  WorkStealDeque(const WorkStealDeque&) = delete;
+  WorkStealDeque& operator=(const WorkStealDeque&) = delete;
 
   /// Owner only: push a task at the bottom.
   void push(T v) {
@@ -107,10 +101,8 @@ class BasicWorkStealDeque {
     return v;
   }
 
-  /// Racy hint: the task id a steal() would currently take (kEmpty if the
-  /// deque looks empty).  Used for two-choice victim selection -- the value
-  /// may be stale by the time the steal lands, which only mis-prioritizes,
-  /// never mis-executes.
+  /// Racy hint: the item a steal() would currently take (kEmpty if the
+  /// deque looks empty).  The value may be stale by the time a steal lands.
   T peek_top() const {
     const std::int64_t t = top_.load(std::memory_order_acquire);
     const std::int64_t b = bottom_.load(std::memory_order_acquire);
@@ -154,10 +146,5 @@ class BasicWorkStealDeque {
   std::atomic<Ring*> ring_{nullptr};
   std::vector<std::unique_ptr<Ring>> rings_;  // owner-only; keeps retired rings alive
 };
-
-/// Task-id deque of the single-DAG work-stealing executor.
-using WorkStealDeque = BasicWorkStealDeque<int>;
-/// Packed-handle deque of the shared multi-DAG runtime.
-using WorkStealDeque64 = BasicWorkStealDeque<std::int64_t>;
 
 }  // namespace plu::rt

@@ -40,14 +40,6 @@ std::vector<ModeCase> all_modes() {
   {
     ModeCase m{"threaded-worksteal", {}};
     m.opt.mode = ExecutionMode::kThreaded;
-    m.opt.executor = rt::ExecutorKind::kWorkStealing;
-    m.opt.threads = 4;
-    modes.push_back(m);
-  }
-  {
-    ModeCase m{"threaded-central", {}};
-    m.opt.mode = ExecutionMode::kThreaded;
-    m.opt.executor = rt::ExecutorKind::kCentralQueue;
     m.opt.threads = 4;
     modes.push_back(m);
   }

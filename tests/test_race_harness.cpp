@@ -1,5 +1,5 @@
 // Concurrency-correctness harness: the footprint race checker (the dynamic
-// cross-check of Theorem 4), the schedule-fuzzing executor, and their
+// cross-check of Theorem 4), schedule fuzzing, and their
 // integration with the numeric factorization.
 //
 // The load-bearing assertions:
@@ -251,11 +251,10 @@ TEST(RaceHarness, TwentyFuzzSeedsZeroRacesOnEforestGraph) {
   EXPECT_TRUE(lockfree_arm);  // natural ordering must prove disjointness here
 }
 
-// The same gate on the WORK-STEALING runtime (and its central-queue
-// ablation baseline): 20 repeats of real non-fuzzed threaded execution per
-// executor, each one race-checked and residual-checked.  Stealing explores
-// different interleavings run to run (randomized victim selection), so the
-// repeats are the WS analogue of the fuzz seeds above.
+// The same gate on the unfuzzed work-stealing schedule: 20 repeats of real
+// threaded execution, each one race-checked and residual-checked.
+// Stealing explores different interleavings run to run (randomized victim
+// selection), so the repeats are the analogue of the fuzz seeds above.
 TEST(RaceHarness, TwentyWorkStealingRunsZeroRacesOnEforestGraph) {
   gen::StencilOptions g;
   g.seed = 42;
@@ -269,24 +268,17 @@ TEST(RaceHarness, TwentyWorkStealingRunsZeroRacesOnEforestGraph) {
     Options aopt;
     aopt.ordering = method;
     Analysis an = analyze(a, aopt);
-    for (rt::ExecutorKind kind :
-         {rt::ExecutorKind::kWorkStealing, rt::ExecutorKind::kCentralQueue}) {
-      const int reps = (kind == rt::ExecutorKind::kWorkStealing) ? 20 : 3;
-      for (int rep = 0; rep < reps; ++rep) {
-        NumericOptions opt;
-        opt.mode = ExecutionMode::kThreaded;
-        opt.executor = kind;
-        opt.threads = 4;
-        opt.check_races = true;
-        opt.use_column_locks = !an.blocks.lockfree_safe;
-        Factorization f(an, a, opt);
-        ASSERT_TRUE(f.race_checked());
-        EXPECT_TRUE(f.races().empty())
-            << rt::to_string(kind) << " rep " << rep << ": "
-            << to_string(f.races().front());
-        EXPECT_LT(relative_residual(a, f.solve(b), b), 1e-9)
-            << rt::to_string(kind) << " rep " << rep;
-      }
+    for (int rep = 0; rep < 20; ++rep) {
+      NumericOptions opt;
+      opt.mode = ExecutionMode::kThreaded;
+      opt.threads = 4;
+      opt.check_races = true;
+      opt.use_column_locks = !an.blocks.lockfree_safe;
+      Factorization f(an, a, opt);
+      ASSERT_TRUE(f.race_checked());
+      EXPECT_TRUE(f.races().empty())
+          << "rep " << rep << ": " << to_string(f.races().front());
+      EXPECT_LT(relative_residual(a, f.solve(b), b), 1e-9) << "rep " << rep;
     }
     if (an.blocks.lockfree_safe) lockfree_arm = true;
   }

@@ -1,5 +1,5 @@
-// Runtime: thread pool semantics, the work-stealing deque, and DAG executor
-// ordering guarantees (both executor kinds).
+// Runtime: the work-stealing deque, DAG execution ordering, cancellation
+// and fuzzing guarantees, and the multi-DAG pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,77 +16,11 @@
 #include "core/analysis.h"
 #include "runtime/dag_executor.h"
 #include "runtime/shared_runtime.h"
-#include "runtime/thread_pool.h"
 #include "runtime/work_steal_deque.h"
 #include "test_helpers.h"
 
 namespace plu::rt {
 namespace {
-
-constexpr ExecutorKind kBothKinds[] = {ExecutorKind::kWorkStealing,
-                                       ExecutorKind::kCentralQueue};
-
-TEST(ThreadPool, RunsAllJobs) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, JobsMaySubmitJobs) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&] {
-    count.fetch_add(1);
-    for (int i = 0; i < 10; ++i) {
-      pool.submit([&] { count.fetch_add(1); });
-    }
-  });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 11);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(3);
-  pool.wait_idle();
-  SUCCEED();
-}
-
-TEST(ThreadPool, AtLeastOneThread) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1);
-  std::atomic<bool> ran{false};
-  pool.submit([&] { ran = true; });
-  pool.wait_idle();
-  EXPECT_TRUE(ran);
-}
-
-TEST(ThreadPool, WaitIdleCorrectUnderTransitiveSubmitStress) {
-  // wait_idle must cover jobs submitted BY jobs: each root fans out a
-  // 3-level tree of children, repeatedly.  A wait_idle that only counted
-  // directly submitted jobs would return early and miss increments.
-  ThreadPool pool(4);
-  for (int round = 0; round < 25; ++round) {
-    std::atomic<long> count{0};
-    // spawn(depth) runs one unit of work and submits 3 children per level.
-    std::function<void(int)> spawn = [&](int depth) {
-      count.fetch_add(1, std::memory_order_relaxed);
-      if (depth == 0) return;
-      for (int c = 0; c < 3; ++c) {
-        pool.submit([&spawn, depth] { spawn(depth - 1); });
-      }
-    };
-    for (int r = 0; r < 4; ++r) {
-      pool.submit([&spawn] { spawn(3); });
-    }
-    pool.wait_idle();
-    // 4 roots x (1 + 3 + 9 + 27) nodes.
-    EXPECT_EQ(count.load(), 4 * 40) << "round " << round;
-  }
-}
 
 TEST(WorkStealDeque, OwnerSideIsLifo) {
   WorkStealDeque d;
@@ -131,7 +65,7 @@ TEST(WorkStealDeque, ConcurrentThievesConserveItems) {
   for (int t = 0; t < kThieves; ++t) {
     thieves.emplace_back([&] {
       while (!done.load() || d.size_hint() > 0) {
-        int v = d.steal();
+        const std::int64_t v = d.steal();
         if (v >= 0) {
           counts[v].fetch_add(1);
           taken.fetch_add(1);
@@ -142,14 +76,14 @@ TEST(WorkStealDeque, ConcurrentThievesConserveItems) {
   for (int v = 0; v < kN; ++v) {
     d.push(v);
     if (v % 7 == 0) {
-      int got = d.pop();
+      const std::int64_t got = d.pop();
       if (got >= 0) {
         counts[got].fetch_add(1);
         taken.fetch_add(1);
       }
     }
   }
-  int got;
+  std::int64_t got;
   while ((got = d.pop()) != WorkStealDeque::kEmpty) {
     counts[got].fetch_add(1);
     taken.fetch_add(1);
@@ -169,69 +103,63 @@ taskgraph::TaskGraph small_graph(const CscMatrix& a,
   return analyze(a, opt).graph;
 }
 
-TEST(DagExecutor, RunsEveryTaskOnceBothExecutors) {
-  for (ExecutorKind kind : kBothKinds) {
-    ExecOptions eopt;
-    eopt.kind = kind;
-    for (const CscMatrix& a : test::small_matrices()) {
-      taskgraph::TaskGraph g = small_graph(a, taskgraph::GraphKind::kEforest);
-      std::vector<std::atomic<int>> runs(g.size());
-      for (auto& r : runs) r.store(0);
-      ExecutionReport rep = execute_task_graph(
-          g, 4, [&](int id) { runs[id].fetch_add(1); }, eopt);
-      EXPECT_TRUE(rep.completed) << to_string(kind);
-      EXPECT_EQ(rep.tasks_run, g.size()) << to_string(kind);
-      for (int id = 0; id < g.size(); ++id) {
-        EXPECT_EQ(runs[id].load(), 1) << to_string(kind) << " task " << id;
-      }
+TEST(DagExecutor, RunsEveryTaskOnce) {
+  for (const CscMatrix& a : test::small_matrices()) {
+    taskgraph::TaskGraph g = small_graph(a, taskgraph::GraphKind::kEforest);
+    std::vector<std::atomic<int>> runs(g.size());
+    for (auto& r : runs) r.store(0);
+    ExecutionReport rep =
+        execute_task_graph(g, 4, [&](int id) { runs[id].fetch_add(1); });
+    EXPECT_TRUE(rep.completed);
+    EXPECT_EQ(rep.tasks_run, g.size());
+    for (int id = 0; id < g.size(); ++id) {
+      EXPECT_EQ(runs[id].load(), 1) << "task " << id;
     }
   }
 }
 
-TEST(DagExecutor, RespectsDependenceOrderBothExecutors) {
+TEST(DagExecutor, RespectsDependenceOrder) {
   CscMatrix a = test::small_matrices()[0];
   taskgraph::TaskGraph g = small_graph(a, taskgraph::GraphKind::kSStar);
-  for (ExecutorKind kind : kBothKinds) {
-    ExecOptions eopt;
-    eopt.kind = kind;
-    // Logical clock: record a finish stamp per task; every edge must observe
-    // pred.finish < succ.start.
-    std::atomic<long> clock{0};
-    std::vector<long> start(g.size()), finish(g.size());
-    ExecutionReport rep = execute_task_graph(g, 8, [&](int id) {
-      start[id] = clock.fetch_add(1);
-      finish[id] = clock.fetch_add(1);
-    }, eopt);
-    ASSERT_TRUE(rep.completed) << to_string(kind);
-    for (int u = 0; u < g.size(); ++u) {
-      for (int v : g.succ[u]) {
-        EXPECT_LT(finish[u], start[v])
-            << to_string(kind) << " edge " << u << "->" << v;
-      }
+  // Logical clock: record a finish stamp per task; every edge must observe
+  // pred.finish < succ.start.
+  std::atomic<long> clock{0};
+  std::vector<long> start(g.size()), finish(g.size());
+  ExecutionReport rep = execute_task_graph(g, 8, [&](int id) {
+    start[id] = clock.fetch_add(1);
+    finish[id] = clock.fetch_add(1);
+  });
+  ASSERT_TRUE(rep.completed);
+  for (int u = 0; u < g.size(); ++u) {
+    for (int v : g.succ[u]) {
+      EXPECT_LT(finish[u], start[v]) << "edge " << u << "->" << v;
     }
   }
 }
 
 TEST(DagExecutor, SingleWorkerFollowsCriticalPathPriorities) {
-  // Star: 0 -> {1, 2, 3, 4} with explicit priorities.  The work-stealing
-  // executor pushes released successors in ASCENDING priority so its LIFO
-  // pop serves the most critical first; with one worker the execution order
-  // is therefore deterministic: root, then children by descending priority.
+  // Star 0 -> {1, 2, 3, 4} plus three independent roots 5, 6, 7, with
+  // explicit priorities.  Roots are injected most critical first and one
+  // worker takes them all in one batch, running the first and pushing the
+  // rest least critical first; released successors are pushed in ASCENDING
+  // priority so the LIFO pop serves the most critical first.  With one
+  // worker the order is therefore deterministic: roots by descending
+  // priority, each root's released children (pushed above the remaining
+  // roots) by descending priority before the next root.
   taskgraph::TaskGraph g;
-  g.tasks = taskgraph::TaskList({{}, {}, {}, {}, {}});
-  g.succ.assign(5, {});
-  g.indegree.assign(5, 0);
+  g.tasks = taskgraph::TaskList({{}, {}, {}, {}, {}, {}, {}, {}});
+  g.succ.assign(8, {});
+  g.indegree.assign(8, 0);
   g.succ[0] = {1, 2, 3, 4};
   for (int v = 1; v < 5; ++v) g.indegree[v] = 1;
-  std::vector<double> prio = {100.0, 1.0, 5.0, 9.0, 3.0};
+  std::vector<double> prio = {100.0, 1.0, 5.0, 9.0, 3.0, 50.0, 200.0, 7.0};
   ExecOptions eopt;
-  eopt.kind = ExecutorKind::kWorkStealing;
   eopt.priorities = &prio;
   std::vector<int> seen;
   ExecutionReport rep =
       execute_task_graph(g, 1, [&](int id) { seen.push_back(id); }, eopt);
   ASSERT_TRUE(rep.completed);
-  EXPECT_EQ(seen, (std::vector<int>{0, 3, 2, 4, 1}));
+  EXPECT_EQ(seen, (std::vector<int>{6, 0, 3, 2, 4, 1, 5, 7}));
 }
 
 TEST(DagExecutor, StealHeavyUnbalancedDagRunsCorrectly) {
@@ -273,24 +201,20 @@ TEST(DagExecutor, StealHeavyUnbalancedDagRunsCorrectly) {
 TEST(DagExecutor, CyclicGraphRunsAcyclicPrefixOnceAndReportsIncomplete) {
   // 0 -> 1, 1 -> 2, 2 -> 1: task 0 is runnable, the 1-2 cycle is not.
   // execute_dag (no up-front acyclicity check) must run the acyclic prefix
-  // exactly once, never run a cyclic task, and report completed == false --
-  // on BOTH executors (negative control for the work-stealing termination
-  // counter: outstanding_ drains when the prefix does, without the cycle).
+  // exactly once, never run a cyclic task, and report completed == false
+  // (negative control for the termination counter: outstanding_ drains
+  // when the prefix does, without the cycle).
   std::vector<std::vector<int>> succ = {{1}, {2}, {1}};
   std::vector<int> indegree = {0, 2, 1};
-  for (ExecutorKind kind : kBothKinds) {
-    ExecOptions eopt;
-    eopt.kind = kind;
-    std::vector<std::atomic<int>> runs(3);
-    for (auto& r : runs) r.store(0);
-    ExecutionReport rep = execute_dag(
-        succ, indegree, 4, [&](int id) { runs[id].fetch_add(1); }, eopt);
-    EXPECT_FALSE(rep.completed) << to_string(kind);
-    EXPECT_EQ(rep.tasks_run, 1) << to_string(kind);
-    EXPECT_EQ(runs[0].load(), 1) << to_string(kind);
-    EXPECT_EQ(runs[1].load(), 0) << to_string(kind);
-    EXPECT_EQ(runs[2].load(), 0) << to_string(kind);
-  }
+  std::vector<std::atomic<int>> runs(3);
+  for (auto& r : runs) r.store(0);
+  ExecutionReport rep =
+      execute_dag(succ, indegree, 4, [&](int id) { runs[id].fetch_add(1); });
+  EXPECT_FALSE(rep.completed);
+  EXPECT_EQ(rep.tasks_run, 1);
+  EXPECT_EQ(runs[0].load(), 1);
+  EXPECT_EQ(runs[1].load(), 0);
+  EXPECT_EQ(runs[2].load(), 0);
 }
 
 TEST(DagExecutor, DetectsCycle) {
@@ -302,13 +226,12 @@ TEST(DagExecutor, DetectsCycle) {
   g.succ[1] = {0};
   g.indegree[0] = 1;
   g.indegree[1] = 1;
-  for (ExecutorKind kind : kBothKinds) {
-    ExecOptions eopt;
-    eopt.kind = kind;
-    ExecutionReport rep = execute_task_graph(g, 2, [](int) {}, eopt);
-    EXPECT_FALSE(rep.completed) << to_string(kind);
-  }
+  ExecutionReport rep = execute_task_graph(g, 2, [](int) {});
+  EXPECT_FALSE(rep.completed);
 }
+
+// Fuzzed execution (ExecOptions::fuzz): the production runtime with a
+// seeded random pick among the ready tasks and pre-task delays.
 
 TEST(FuzzedExecutor, RunsEveryTaskOnceAcrossSeeds) {
   CscMatrix a = test::small_matrices()[0];
@@ -317,10 +240,12 @@ TEST(FuzzedExecutor, RunsEveryTaskOnceAcrossSeeds) {
     FuzzOptions fuzz;
     fuzz.seed = seed;
     fuzz.max_delay_us = 5;
+    ExecOptions eopt;
+    eopt.fuzz = &fuzz;
     std::vector<std::atomic<int>> runs(g.size());
     for (auto& r : runs) r.store(0);
-    ExecutionReport rep = execute_task_graph_fuzzed(
-        g, 4, fuzz, [&](int id) { runs[id].fetch_add(1); });
+    ExecutionReport rep = execute_task_graph(
+        g, 4, [&](int id) { runs[id].fetch_add(1); }, eopt);
     ASSERT_TRUE(rep.completed) << "seed " << seed;
     EXPECT_EQ(rep.tasks_run, g.size());
     for (int id = 0; id < g.size(); ++id) {
@@ -335,12 +260,14 @@ TEST(FuzzedExecutor, RespectsDependenceOrder) {
   for (std::uint64_t seed : {3ull, 17ull}) {
     FuzzOptions fuzz;
     fuzz.seed = seed;
+    ExecOptions eopt;
+    eopt.fuzz = &fuzz;
     std::atomic<long> clock{0};
     std::vector<long> start(g.size()), finish(g.size());
-    ExecutionReport rep = execute_task_graph_fuzzed(g, 8, fuzz, [&](int id) {
+    ExecutionReport rep = execute_task_graph(g, 8, [&](int id) {
       start[id] = clock.fetch_add(1);
       finish[id] = clock.fetch_add(1);
-    });
+    }, eopt);
     ASSERT_TRUE(rep.completed);
     for (int u = 0; u < g.size(); ++u) {
       for (int v : g.succ[u]) {
@@ -361,13 +288,15 @@ TEST(FuzzedExecutor, DistinctSeedsProduceDistinctInterleavings) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     FuzzOptions fuzz;
     fuzz.seed = seed;
-    fuzz.max_delay_us = 0;  // pop-order shuffling only
+    fuzz.max_delay_us = 0;  // random picks only
+    ExecOptions eopt;
+    eopt.fuzz = &fuzz;
     std::vector<int> order;
     std::mutex mu;
-    ExecutionReport rep = execute_task_graph_fuzzed(g, 2, fuzz, [&](int id) {
+    ExecutionReport rep = execute_task_graph(g, 2, [&](int id) {
       std::lock_guard<std::mutex> lock(mu);
       order.push_back(id);
-    });
+    }, eopt);
     ASSERT_TRUE(rep.completed);
     orders.push_back(std::move(order));
   }
@@ -383,10 +312,12 @@ TEST(FuzzedExecutor, DetectsCycleAndRunsNoTaskTwice) {
   std::vector<int> indegree = {0, 2, 1};
   FuzzOptions fuzz;
   fuzz.seed = 11;
+  ExecOptions eopt;
+  eopt.fuzz = &fuzz;
   std::vector<std::atomic<int>> runs(3);
   for (auto& r : runs) r.store(0);
-  ExecutionReport rep = execute_dag_fuzzed(succ, indegree, 4, fuzz,
-                                           [&](int id) { runs[id].fetch_add(1); });
+  ExecutionReport rep = execute_dag(
+      succ, indegree, 4, [&](int id) { runs[id].fetch_add(1); }, eopt);
   EXPECT_FALSE(rep.completed);
   EXPECT_EQ(rep.tasks_run, 1);
   for (int id = 0; id < 3; ++id) EXPECT_LE(runs[id].load(), 1);
@@ -394,12 +325,14 @@ TEST(FuzzedExecutor, DetectsCycleAndRunsNoTaskTwice) {
 
 TEST(FuzzedExecutor, EmptyGraphCompletes) {
   FuzzOptions fuzz;
-  ExecutionReport rep = execute_dag_fuzzed({}, {}, 4, fuzz, [](int) {});
+  ExecOptions eopt;
+  eopt.fuzz = &fuzz;
+  ExecutionReport rep = execute_dag({}, {}, 4, [](int) {}, eopt);
   EXPECT_TRUE(rep.completed);
   EXPECT_EQ(rep.tasks_run, 0);
 }
 
-TEST(DagExecutor, ThrowingTaskCancelsDownstreamAndRethrowsBothExecutors) {
+TEST(DagExecutor, ThrowingTaskCancelsDownstreamAndRethrows) {
   // Chain 0 -> 1 -> 2 -> ... plus a wide fan off the root.  Task 1 throws:
   // the executor must rethrow the exception on the calling thread (never
   // std::terminate), and every task downstream of the thrower must drain
@@ -413,51 +346,44 @@ TEST(DagExecutor, ThrowingTaskCancelsDownstreamAndRethrowsBothExecutors) {
   for (int w = 0; w < kWide; ++w) succ[0].push_back(1 + kChain + w);
   succ[0].push_back(1);  // chain: 1 -> 2 -> ... -> kChain
   for (int c = 1; c < kChain; ++c) succ[c] = {c + 1};
-  for (ExecutorKind kind : kBothKinds) {
-    ExecOptions eopt;
-    eopt.kind = kind;
-    CancelToken token;
-    eopt.cancel = &token;
-    std::vector<std::atomic<int>> runs(n);
-    for (auto& r : runs) r.store(0);
-    bool threw = false;
-    try {
-      execute_dag(succ, indegree, 4, [&](int id) {
-        runs[id].fetch_add(1);
-        if (id == 1) throw std::runtime_error("pivot breakdown in task 1");
-      }, eopt);
-    } catch (const std::runtime_error& e) {
-      threw = true;
-      EXPECT_STREQ(e.what(), "pivot breakdown in task 1") << to_string(kind);
-    }
-    EXPECT_TRUE(threw) << to_string(kind);
-    EXPECT_TRUE(token.cancelled()) << to_string(kind);
-    for (int c = 2; c <= kChain; ++c) {
-      EXPECT_EQ(runs[c].load(), 0)
-          << to_string(kind) << " chain task " << c << " ran after the throw";
-    }
-    for (int id = 0; id < n; ++id) {
-      EXPECT_LE(runs[id].load(), 1) << to_string(kind) << " task " << id;
-    }
+  ExecOptions eopt;
+  CancelToken token;
+  eopt.cancel = &token;
+  std::vector<std::atomic<int>> runs(n);
+  for (auto& r : runs) r.store(0);
+  bool threw = false;
+  try {
+    execute_dag(succ, indegree, 4, [&](int id) {
+      runs[id].fetch_add(1);
+      if (id == 1) throw std::runtime_error("pivot breakdown in task 1");
+    }, eopt);
+  } catch (const std::runtime_error& e) {
+    threw = true;
+    EXPECT_STREQ(e.what(), "pivot breakdown in task 1");
+  }
+  EXPECT_TRUE(threw);
+  EXPECT_TRUE(token.cancelled());
+  for (int c = 2; c <= kChain; ++c) {
+    EXPECT_EQ(runs[c].load(), 0) << "chain task " << c << " ran after the throw";
+  }
+  for (int id = 0; id < n; ++id) {
+    EXPECT_LE(runs[id].load(), 1) << "task " << id;
   }
 }
 
-TEST(DagExecutor, PreCancelledTokenDrainsWithoutRunningBothExecutors) {
+TEST(DagExecutor, PreCancelledTokenDrainsWithoutRunning) {
   CscMatrix a = test::small_matrices()[0];
   taskgraph::TaskGraph g = small_graph(a, taskgraph::GraphKind::kEforest);
-  for (ExecutorKind kind : kBothKinds) {
-    ExecOptions eopt;
-    eopt.kind = kind;
-    CancelToken token;
-    token.cancel();
-    eopt.cancel = &token;
-    std::atomic<int> ran{0};
-    ExecutionReport rep =
-        execute_task_graph(g, 4, [&](int) { ran.fetch_add(1); }, eopt);
-    EXPECT_EQ(ran.load(), 0) << to_string(kind);
-    EXPECT_FALSE(rep.completed) << to_string(kind);
-    EXPECT_TRUE(rep.cancelled) << to_string(kind);
-  }
+  ExecOptions eopt;
+  CancelToken token;
+  token.cancel();
+  eopt.cancel = &token;
+  std::atomic<int> ran{0};
+  ExecutionReport rep =
+      execute_task_graph(g, 4, [&](int) { ran.fetch_add(1); }, eopt);
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_FALSE(rep.completed);
+  EXPECT_TRUE(rep.cancelled);
 }
 
 TEST(DagExecutor, CancelFromInsideATaskStopsDependenceRelease) {
@@ -466,23 +392,20 @@ TEST(DagExecutor, CancelFromInsideATaskStopsDependenceRelease) {
   // drains through the skipped tasks).
   std::vector<std::vector<int>> succ = {{1}, {2}, {}};
   std::vector<int> indegree = {0, 1, 1};
-  for (ExecutorKind kind : kBothKinds) {
-    ExecOptions eopt;
-    eopt.kind = kind;
-    CancelToken token;
-    eopt.cancel = &token;
-    std::vector<std::atomic<int>> runs(3);
-    for (auto& r : runs) r.store(0);
-    ExecutionReport rep = execute_dag(succ, indegree, 2, [&](int id) {
-      runs[id].fetch_add(1);
-      if (id == 0) token.cancel();
-    }, eopt);
-    EXPECT_EQ(runs[0].load(), 1) << to_string(kind);
-    EXPECT_EQ(runs[1].load(), 0) << to_string(kind);
-    EXPECT_EQ(runs[2].load(), 0) << to_string(kind);
-    EXPECT_FALSE(rep.completed) << to_string(kind);
-    EXPECT_TRUE(rep.cancelled) << to_string(kind);
-  }
+  ExecOptions eopt;
+  CancelToken token;
+  eopt.cancel = &token;
+  std::vector<std::atomic<int>> runs(3);
+  for (auto& r : runs) r.store(0);
+  ExecutionReport rep = execute_dag(succ, indegree, 2, [&](int id) {
+    runs[id].fetch_add(1);
+    if (id == 0) token.cancel();
+  }, eopt);
+  EXPECT_EQ(runs[0].load(), 1);
+  EXPECT_EQ(runs[1].load(), 0);
+  EXPECT_EQ(runs[2].load(), 0);
+  EXPECT_FALSE(rep.completed);
+  EXPECT_TRUE(rep.cancelled);
 }
 
 TEST(FuzzedExecutor, ThrowingTaskCancelsAndRethrows) {
@@ -492,16 +415,18 @@ TEST(FuzzedExecutor, ThrowingTaskCancelsAndRethrows) {
     FuzzOptions fuzz;
     fuzz.seed = seed;
     fuzz.max_delay_us = 5;
+    ExecOptions eopt;
+    eopt.fuzz = &fuzz;
     CancelToken token;
-    fuzz.cancel = &token;
+    eopt.cancel = &token;
     std::vector<std::atomic<int>> runs(3);
     for (auto& r : runs) r.store(0);
     bool threw = false;
     try {
-      execute_dag_fuzzed(succ, indegree, 4, fuzz, [&](int id) {
+      execute_dag(succ, indegree, 4, [&](int id) {
         runs[id].fetch_add(1);
         if (id == 1) throw std::runtime_error("boom");
-      });
+      }, eopt);
     } catch (const std::runtime_error&) {
       threw = true;
     }
@@ -529,7 +454,6 @@ TEST(DagExecutor, WorkStealingCancellationTwentySeedGate) {
   for (int seed = 1; seed <= 20; ++seed) {
     const int thrower = 1 + (seed * 37) % kWide;  // a fan task
     ExecOptions eopt;
-    eopt.kind = ExecutorKind::kWorkStealing;
     CancelToken token;
     eopt.cancel = &token;
     std::vector<std::atomic<int>> runs(n);
@@ -561,12 +485,12 @@ TEST(DagExecutor, WorkStealingCancellationTwentySeedGate) {
 TEST(DagExecutor, ExternalCancelRacingFinalReleaseFortySeedFuzz) {
   // Drain-vs-release window: an EXTERNAL canceller fires while the last few
   // tasks are releasing their dependences, so the token trip races the
-  // final fetch_sub/park-wake sequence of both executors.  The trigger
-  // point is seed-derived (anywhere from "before the root" to "after the
-  // last task"), which sweeps the trip across the whole run.  Contract
-  // under every trip point: every task runs at most once, a task only ran
-  // if its predecessor did, completed == (tasks_run == n), and the run
-  // terminates (a lost wakeup here would hang the join).
+  // final fetch_sub/park-wake sequence.  The trigger point is seed-derived
+  // (anywhere from "before the root" to "after the last task"), which
+  // sweeps the trip across the whole run.  Contract under every trip
+  // point: every task runs at most once, a task only ran if its
+  // predecessor did, completed == (tasks_run == n), and the run terminates
+  // (a lost wakeup here would hang the wait).
   const int kWide = 48, kChain = 16;
   const int n = 1 + kWide + kChain;
   std::vector<std::vector<int>> succ(n);
@@ -575,49 +499,44 @@ TEST(DagExecutor, ExternalCancelRacingFinalReleaseFortySeedFuzz) {
   for (int w = 0; w < kWide; ++w) succ[0].push_back(1 + w);
   succ[0].push_back(1 + kWide);  // chain head
   for (int c = 0; c + 1 < kChain; ++c) succ[1 + kWide + c] = {1 + kWide + c + 1};
-  for (ExecutorKind kind : kBothKinds) {
-    for (int seed = 1; seed <= 40; ++seed) {
-      const long trigger = (seed * 7919L) % (n + 2);  // 0 .. n+1
-      ExecOptions eopt;
-      eopt.kind = kind;
-      CancelToken token;
-      eopt.cancel = &token;
-      std::vector<std::atomic<int>> runs(n);
-      for (auto& r : runs) r.store(0);
-      std::atomic<long> done_count{0};
-      std::atomic<bool> stop_canceller{false};
-      std::thread canceller([&] {
-        while (!stop_canceller.load(std::memory_order_acquire)) {
-          if (done_count.load(std::memory_order_acquire) >= trigger) {
-            token.cancel();
-            return;
-          }
-          std::this_thread::yield();
+  for (int seed = 1; seed <= 40; ++seed) {
+    const long trigger = (seed * 7919L) % (n + 2);  // 0 .. n+1
+    ExecOptions eopt;
+    CancelToken token;
+    eopt.cancel = &token;
+    std::vector<std::atomic<int>> runs(n);
+    for (auto& r : runs) r.store(0);
+    std::atomic<long> done_count{0};
+    std::atomic<bool> stop_canceller{false};
+    std::thread canceller([&] {
+      while (!stop_canceller.load(std::memory_order_acquire)) {
+        if (done_count.load(std::memory_order_acquire) >= trigger) {
+          token.cancel();
+          return;
         }
-      });
-      ExecutionReport rep = execute_dag(succ, indegree, 4, [&](int id) {
-        runs[id].fetch_add(1);
-        done_count.fetch_add(1, std::memory_order_release);
-      }, eopt);
-      stop_canceller.store(true, std::memory_order_release);
-      canceller.join();
-      EXPECT_EQ(rep.completed, rep.tasks_run == n)
-          << to_string(kind) << " seed " << seed;
-      long total = 0;
-      for (int id = 0; id < n; ++id) {
-        EXPECT_LE(runs[id].load(), 1)
-            << to_string(kind) << " seed " << seed << " task " << id;
-        total += runs[id].load();
+        std::this_thread::yield();
       }
-      EXPECT_EQ(total, rep.tasks_run) << to_string(kind) << " seed " << seed;
-      for (int w = 0; w < kWide; ++w) {
-        EXPECT_LE(runs[1 + w].load(), runs[0].load())
-            << to_string(kind) << " seed " << seed << " fan " << w;
-      }
-      for (int c = 1; c < kChain; ++c) {
-        EXPECT_LE(runs[1 + kWide + c].load(), runs[1 + kWide + c - 1].load())
-            << to_string(kind) << " seed " << seed << " chain " << c;
-      }
+    });
+    ExecutionReport rep = execute_dag(succ, indegree, 4, [&](int id) {
+      runs[id].fetch_add(1);
+      done_count.fetch_add(1, std::memory_order_release);
+    }, eopt);
+    stop_canceller.store(true, std::memory_order_release);
+    canceller.join();
+    EXPECT_EQ(rep.completed, rep.tasks_run == n) << "seed " << seed;
+    long total = 0;
+    for (int id = 0; id < n; ++id) {
+      EXPECT_LE(runs[id].load(), 1) << "seed " << seed << " task " << id;
+      total += runs[id].load();
+    }
+    EXPECT_EQ(total, rep.tasks_run) << "seed " << seed;
+    for (int w = 0; w < kWide; ++w) {
+      EXPECT_LE(runs[1 + w].load(), runs[0].load())
+          << "seed " << seed << " fan " << w;
+    }
+    for (int c = 1; c < kChain; ++c) {
+      EXPECT_LE(runs[1 + kWide + c].load(), runs[1 + kWide + c - 1].load())
+          << "seed " << seed << " chain " << c;
     }
   }
 }
@@ -733,6 +652,57 @@ TEST(SharedRuntime, PreCancelledTokenDrainsAndPoolStaysUsable) {
       execute_dag(succ, indeg, 0, [&](int) { ran.fetch_add(1); }, clean);
   EXPECT_TRUE(rep2.completed);
   EXPECT_EQ(ran.load(), 3);
+}
+
+TEST(SharedRuntime, FuzzedAndPlainGraphsShareOnePool) {
+  // Fuzzing is a per-graph policy: a fuzzed graph (random ready picks,
+  // pre-task delays) and a plain priority-ordered graph submitted
+  // concurrently to ONE pool must both complete, run every task exactly
+  // once and respect every edge.
+  SharedRuntime pool(4);
+  const std::vector<CscMatrix> mats = test::small_matrices();
+  const taskgraph::TaskGraph fuzzed_g =
+      small_graph(mats[0], taskgraph::GraphKind::kEforest);
+  const taskgraph::TaskGraph plain_g =
+      small_graph(mats[1], taskgraph::GraphKind::kSStar);
+  const auto run_checked = [&](const taskgraph::TaskGraph& g,
+                               const ExecOptions& eopt, const char* label) {
+    std::vector<std::atomic<int>> runs(g.size());
+    for (auto& r : runs) r.store(0);
+    std::atomic<long> clock{0};
+    std::vector<long> start(g.size()), finish(g.size());
+    ExecutionReport rep = execute_task_graph(g, /*num_threads=*/0, [&](int id) {
+      start[id] = clock.fetch_add(1);
+      runs[id].fetch_add(1);
+      finish[id] = clock.fetch_add(1);
+    }, eopt);
+    EXPECT_TRUE(rep.completed) << label;
+    EXPECT_EQ(rep.tasks_run, g.size()) << label;
+    for (int id = 0; id < g.size(); ++id) {
+      EXPECT_EQ(runs[id].load(), 1) << label << " task " << id;
+    }
+    for (int u = 0; u < g.size(); ++u) {
+      for (int v : g.succ[u]) {
+        EXPECT_LT(finish[u], start[v]) << label << " edge " << u << "->" << v;
+      }
+    }
+  };
+  const int kRounds = 5;
+  for (int round = 1; round <= kRounds; ++round) {
+    FuzzOptions fuzz;
+    fuzz.seed = static_cast<std::uint64_t>(round);
+    fuzz.max_delay_us = 5;
+    ExecOptions fuzzed;
+    fuzzed.shared = &pool;
+    fuzzed.fuzz = &fuzz;
+    ExecOptions plain;
+    plain.shared = &pool;
+    std::thread fuzzed_submitter(
+        [&] { run_checked(fuzzed_g, fuzzed, "fuzzed"); });
+    run_checked(plain_g, plain, "plain");
+    fuzzed_submitter.join();
+  }
+  EXPECT_EQ(pool.graphs_completed(), 2 * kRounds);
 }
 
 TEST(ExecuteSequential, UsesTopologicalOrder) {
