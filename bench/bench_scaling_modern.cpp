@@ -22,10 +22,11 @@
 // For each matrix the sweep times the threaded numeric factorization over
 // threads {1,2,4,8} x coarsening {off,on} x block storage {vectors,arena}
 // with the warmup + min-of-N protocol (bench_common.h), analysis done ONCE
-// per matrix and reused by every configuration.  A refactorization record
-// (same pattern, perturbed values -- the Newton / time-stepping workload)
-// and machine-model scaling records (rt::simulate on the Origin-2000 model,
-// P = 1..8) complete the artifact.
+// per matrix and reused by every configuration.  Two refactorization
+// records (same pattern, perturbed values -- the Newton / time-stepping
+// workload: a fresh Factorization on the shared analysis, and the in-place
+// path of one reused SparseLU) and machine-model scaling records
+// (rt::simulate on the Origin-2000 model, P = 1..8) complete the artifact.
 //
 // HONESTY NOTE: wall-clock speedups are real measurements on THIS host --
 // on a single-core container threads > 1 cannot beat 1 and the wall
@@ -174,6 +175,27 @@ void run(bool smoke) {
           .field("threads", 8)
           .field("wall_seconds", secs);
       json_append(rec);
+
+      // The same refactorization through one SparseLU, the way a Newton
+      // loop runs it: the untimed warmup call analyzes and allocates, every
+      // timed call refactorizes in place (Factorization::refactor: one fill
+      // of the same slab, the slot scatter, one factor scan).
+      SparseLU lu(aopt);
+      lu.numeric_options() = nopt;
+      const double inplace_secs =
+          min_of_n_seconds(reps, [&] { lu.factorize(a2); });
+      std::printf("%-15s %8d   refactor in place (SparseLU, 8t, coarsen) "
+                  "%10.4f\n",
+                  c.name.c_str(), c.a.rows(), inplace_secs);
+      JsonRecord inplace;
+      inplace.field("bench", "scaling_modern_refactor_inplace")
+          .field("matrix", c.name)
+          .field("n", c.a.rows())
+          .field("cores", cores)
+          .field("threads", 8)
+          .field("wall_seconds", inplace_secs)
+          .field("analyze_count", lu.analyze_count());
+      json_append(inplace);
     }
     // Machine-model scaling (Origin-2000 costs, critical-path list
     // scheduling): the platform-independent record of how this matrix's

@@ -22,6 +22,24 @@ double lap(std::chrono::steady_clock::time_point& last) {
   return s;
 }
 
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// The pipeline of analyze_pattern() without the input record.
+Analysis analyze_structure(const Pattern& a, const Options& opt);
+
+/// Records the input pattern (original ordering) and its scatter slots under
+/// the final permutations; the time counts toward timings.total.
+void attach_input(Analysis& an, Pattern input) {
+  const auto t0 = std::chrono::steady_clock::now();
+  an.input_slots = scatter_slots(an.blocks, input.ptr, input.idx, an.row_perm,
+                                 an.col_perm);
+  an.input_pattern = std::move(input);
+  an.timings.total += seconds_since(t0);
+}
+
 }  // namespace
 
 CscMatrix Analysis::permute_input(const CscMatrix& a) const {
@@ -43,6 +61,14 @@ CscMatrix Analysis::permute_input(const CscMatrix& a) const {
 }
 
 Analysis analyze_pattern(const Pattern& a, const Options& opt) {
+  Analysis an = analyze_structure(a, opt);
+  attach_input(an, a);
+  return an;
+}
+
+namespace {
+
+Analysis analyze_structure(const Pattern& a, const Options& opt) {
   if (a.rows != a.cols) {
     throw std::invalid_argument("analyze: matrix must be square");
   }
@@ -154,11 +180,11 @@ Analysis analyze_pattern(const Pattern& a, const Options& opt) {
         an.blocks, opt.task_graph, taskgraph::Granularity::kBlock, team);
   }
   an.timings.taskgraph = lap(last);
-  an.timings.total =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start)
-          .count();
+  an.timings.total = seconds_since(t_start);
   return an;
 }
+
+}  // namespace
 
 Analysis analyze(const CscMatrix& a, const Options& opt) {
   if (!opt.scale_and_permute) {
@@ -173,10 +199,12 @@ Analysis analyze(const CscMatrix& a, const Options& opt) {
   // Row-permuted pattern (values are irrelevant to the pattern pipeline;
   // the big-diagonal property makes the inner transversal the identity).
   Pattern pre = a.pattern().permuted(wm->row_perm, Permutation(a.cols()));
-  Analysis an = analyze_pattern(pre, opt);
+  Analysis an = analyze_structure(pre, opt);
   an.row_perm = Permutation::compose(wm->row_perm, an.row_perm);
   an.row_scale = std::move(wm->row_scale);
   an.col_scale = std::move(wm->col_scale);
+  // The slots need the composed row_perm, so they are built only now.
+  attach_input(an, a.pattern());
   return an;
 }
 

@@ -4,8 +4,10 @@
 // amalgamation -> block structure -> task dependence graph + costs.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
+#include "core/block_storage.h"
 #include "core/layout.h"
 #include "graph/forest.h"
 #include "matrix/csc.h"
@@ -135,13 +137,24 @@ struct Analysis {
   /// (tree sizes of the postordered eforest; NoBlks of Table 3 is size()).
   std::vector<int> diag_block_sizes;
 
+  /// The analyzed input pattern in the ORIGINAL ordering (what analyze() /
+  /// analyze_pattern() was given) and, per entry, its scatter slot under the
+  /// final row_perm/col_perm (core/block_storage.h, scatter_slots): the
+  /// offset inside its block column's buffer.  Fixed here, before any
+  /// numeric work, so loading new values of this pattern is one pass with
+  /// no search and no permuted copy.
+  Pattern input_pattern;
+  std::vector<std::uint64_t> input_slots;
+
   /// Per-phase wall-clock breakdown of the analyze run that produced this
   /// (excluded from bit-identity comparisons, obviously).
   AnalysisTimings timings;
 
   double fill_ratio() const { return symbolic.fill_ratio(nnz_input); }
 
-  /// Applies row_perm/col_perm to the input matrix.
+  /// Applies row_perm/col_perm (and the scalings) to the input matrix: the
+  /// matrix the factorization loads, as an explicit copy.  The numeric
+  /// phase itself never builds it -- it scatters through input_slots.
   CscMatrix permute_input(const CscMatrix& a) const;
 };
 

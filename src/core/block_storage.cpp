@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <new>
 #include <stdexcept>
 #include <thread>
@@ -117,23 +118,82 @@ BlockMatrix::BlockMatrix(const symbolic::BlockStructure& bs, StorageMode mode,
 }
 
 void BlockMatrix::load(const CscMatrix& a) {
-  assert(a.rows() == bs_->part.num_cols() && a.cols() == bs_->part.num_cols());
+  const Permutation identity(bs_->part.num_cols());
+  const std::vector<std::uint64_t> slots =
+      scatter_slots(*bs_, a.col_ptr(), a.row_ind(), identity, identity);
   set_zero();
+  scatter(a, slots, identity, {}, {});
+}
+
+double BlockMatrix::scatter(const CscMatrix& a,
+                            const std::vector<std::uint64_t>& slots,
+                            const Permutation& col_perm,
+                            const std::vector<double>& row_scale,
+                            const std::vector<double>& col_scale) {
+  if (slots.size() != static_cast<std::size_t>(a.nnz()) ||
+      a.cols() != bs_->part.num_cols()) {
+    throw std::invalid_argument("BlockMatrix::scatter: slots do not match");
+  }
+  const bool scaled = !row_scale.empty();
+  const int* row = a.row_ind().data();
+  const double* val = a.values().data();
+  double scale = 0.0;
   for (int col = 0; col < a.cols(); ++col) {
-    const int j = bs_->part.supernode_of(col);
-    const int jc = col - bs_->part.first(j);  // column within the block column
-    const int height = column_height(j);
-    double* buf = col_ptr_[j] + static_cast<std::size_t>(jc) * height;
+    double* base = col_ptr_[bs_->part.supernode_of(col_perm.new_of(col))];
+    const double cs = scaled ? col_scale[col] : 1.0;
     for (int k = a.col_begin(col); k < a.col_end(col); ++k) {
-      const int row = a.row_index(k);
-      const int bi = bs_->part.supernode_of(row);
-      const int off = block_offset(bi, j);
-      if (off < 0) {
-        throw std::invalid_argument("BlockMatrix::load: entry outside pattern");
-      }
-      buf[off + (row - bs_->part.first(bi))] = a.value(k);
+      const double v = scaled ? val[k] * (row_scale[row[k]] * cs) : val[k];
+      base[slots[k]] = v;
+      scale = std::max(scale, std::abs(v));
     }
   }
+  return scale;
+}
+
+std::vector<std::uint64_t> scatter_slots(const symbolic::BlockStructure& bs,
+                                         const std::vector<int>& col_ptr,
+                                         const std::vector<int>& row_ind,
+                                         const Permutation& row_perm,
+                                         const Permutation& col_perm) {
+  const symbolic::SupernodePartition& part = bs.part;
+  const int nb = bs.num_blocks();
+  const int n = part.num_cols();
+  if (col_ptr.size() != static_cast<std::size_t>(n) + 1) {
+    throw std::invalid_argument("BlockMatrix: matrix/structure size mismatch");
+  }
+  std::vector<std::uint64_t> slots(row_ind.size());
+  // Row offset of each row block inside the current block column's buffer,
+  // valid where owner[bi] == that column.
+  std::vector<int> owner(nb, -1);
+  std::vector<int> offset(nb, 0);
+  for (int j = 0; j < nb; ++j) {
+    int height = 0;
+    for (const int* b = bs.bpattern.col_begin(j); b != bs.bpattern.col_end(j);
+         ++b) {
+      owner[*b] = j;
+      offset[*b] = height;
+      height += part.width(*b);
+    }
+    for (int c = part.first(j); c < part.end(j); ++c) {
+      const int old_col = col_perm.old_of(c);
+      const std::uint64_t col_base =
+          static_cast<std::uint64_t>(c - part.first(j)) * height;
+      for (int k = col_ptr[old_col]; k < col_ptr[old_col + 1]; ++k) {
+        if (row_ind[k] < 0 || row_ind[k] >= n) {
+          throw std::invalid_argument(
+              "BlockMatrix: matrix/structure size mismatch");
+        }
+        const int r = row_perm.new_of(row_ind[k]);
+        const int bi = part.supernode_of(r);
+        if (owner[bi] != j) {
+          throw std::invalid_argument(
+              "BlockMatrix: matrix entry outside the block pattern");
+        }
+        slots[k] = col_base + offset[bi] + (r - part.first(bi));
+      }
+    }
+  }
+  return slots;
 }
 
 void BlockMatrix::set_zero() {

@@ -12,10 +12,11 @@
 //   kArena (default): ONE contiguous 64-byte-aligned slab sized exactly
 //   from the symbolic block structure, with every column buffer starting
 //   on a 64-byte boundary inside it.  One allocation instead of one per
-//   block column, set_zero() as a single contiguous fill (the
-//   refactorization fast path), and pages first-touched by the worker
-//   threads that will own each column range (`init_threads`), so on NUMA
-//   machines the column data lands near its consumers.
+//   block column, set_zero() as a single contiguous fill (the fill
+//   Factorization::refactor runs before reloading the same slab), and
+//   pages first-touched by the worker threads that will own each column
+//   range (`init_threads`), so on NUMA machines the column data lands near
+//   its consumers.
 //
 //   kVectors: the original per-column std::vector<std::vector<double>>
 //   layout, kept as the storage-ablation baseline
@@ -26,14 +27,25 @@
 //
 // Explicit zeros inside blocks are stored and computed on, exactly as in
 // S*/S+ ("even if some operations will involve zero elements").
+//
+// Loading values (scatter slots): where an input entry lands depends only
+// on the symbolic structure and the analysis permutations, so
+// scatter_slots() computes it once per pattern -- one 64-bit offset per
+// entry, inside the buffer of the entry's block column -- and
+// BlockMatrix::scatter() is then a single pass `column_base[slot[k]] = v`
+// with no search and no permuted copy of the matrix.  The analysis keeps
+// the slots of its input pattern (Analysis::input_slots), so every
+// refactorization of that pattern reuses them.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "blas/dense.h"
 #include "matrix/csc.h"
+#include "matrix/permutation.h"
 #include "symbolic/blocks.h"
 
 namespace plu {
@@ -44,6 +56,17 @@ enum class StorageMode {
 };
 
 const char* to_string(StorageMode m);
+
+/// Scatter slots of the pattern (col_ptr, row_ind) over `bs`: for entry k of
+/// original column j and row i, the offset of (row_perm.new_of(i),
+/// col_perm.new_of(j)) inside the buffer of the block column holding
+/// col_perm.new_of(j).  Throws std::invalid_argument when an entry falls
+/// outside the block pattern.
+std::vector<std::uint64_t> scatter_slots(const symbolic::BlockStructure& bs,
+                                         const std::vector<int>& col_ptr,
+                                         const std::vector<int>& row_ind,
+                                         const Permutation& row_perm,
+                                         const Permutation& col_perm);
 
 class BlockMatrix {
  public:
@@ -70,9 +93,24 @@ class BlockMatrix {
   /// surfaced in FactorizationReport.
   std::size_t storage_bytes() const;
 
-  /// Scatters a CSC matrix (already permuted to the analysis ordering) into
-  /// the blocks.  Throws if an entry falls outside the block pattern.
+  /// Zeroes the storage, then scatters a CSC matrix (already permuted to
+  /// the analysis ordering) into the blocks: scatter() over
+  /// scatter_slots() with identity permutations.  Throws
+  /// std::invalid_argument if an entry falls outside the block pattern.
   void load(const CscMatrix& a);
+
+  /// Writes the values of `a` (original ordering) to `slots`, which
+  /// scatter_slots() computed for a's pattern with `col_perm`.  With
+  /// non-empty scale vectors (indexed by original row / column) entry
+  /// (i, j) is stored as a(i, j) * (row_scale[i] * col_scale[j]).  Positions
+  /// outside a's pattern are left as they are, so the storage must be
+  /// zero beforehand (freshly constructed, or set_zero()).  Returns the
+  /// largest |stored value| (NaN never enters the max, as in
+  /// blas::max_abs).
+  double scatter(const CscMatrix& a, const std::vector<std::uint64_t>& slots,
+                 const Permutation& col_perm,
+                 const std::vector<double>& row_scale,
+                 const std::vector<double>& col_scale);
 
   /// Resets all values to zero (for refactorization on the same structure).
   /// Under kArena this is one contiguous fill of the slab.

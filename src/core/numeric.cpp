@@ -1,7 +1,9 @@
 #include "core/numeric.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -27,12 +29,71 @@ const taskgraph::TaskGraph& Factorization::task_graph() const {
   return layout_ == Layout::k2D ? analysis_->block_graph : analysis_->graph;
 }
 
+namespace {
+
+/// Largest |entry| of a matrix and whether every entry is finite, in one
+/// pass.  Four independent max lanes keep the compare chain short; max is
+/// order-independent and never adopts a NaN (std::max(m, NaN) == m), so the
+/// result is bitwise blas::max_abs's.
+struct Scan {
+  double max_abs = 0.0;
+  bool finite = true;
+};
+
+Scan scan(blas::ConstMatrixView a) {
+  double m[4] = {0.0, 0.0, 0.0, 0.0};
+  bool nan = false;
+  for (int j = 0; j < a.cols; ++j) {
+    const double* c = a.col(j);
+    int i = 0;
+    for (; i + 4 <= a.rows; i += 4) {
+      for (int l = 0; l < 4; ++l) {
+        m[l] = std::max(m[l], std::abs(c[i + l]));
+        nan |= std::isnan(c[i + l]);
+      }
+    }
+    for (; i < a.rows; ++i) {
+      m[0] = std::max(m[0], std::abs(c[i]));
+      nan |= std::isnan(c[i]);
+    }
+  }
+  const double mx = std::max(std::max(m[0], m[1]), std::max(m[2], m[3]));
+  return {mx, !nan && std::isfinite(mx)};
+}
+
+}  // namespace
+
 Factorization::Factorization(const Analysis& analysis, const CscMatrix& a,
                              const NumericOptions& opt)
     : analysis_(&analysis),
       blocks_(analysis.blocks, opt.storage,
               opt.mode == ExecutionMode::kThreaded ? opt.threads : 1),
       layout_(analysis.options.layout) {
+  run(a, opt);
+}
+
+void Factorization::refactor(const CscMatrix& a, const NumericOptions& opt) {
+  status_ = FactorStatus::kCancelled;
+  if (opt.storage != blocks_.storage_mode()) {
+    throw std::invalid_argument(
+        "Factorization::refactor: storage mode differs from the allocated "
+        "one");
+  }
+  blocks_.set_zero();
+  run(a, opt);
+}
+
+void Factorization::run(const CscMatrix& a, const NumericOptions& opt) {
+  const Analysis& analysis = *analysis_;
+  // Every per-run result starts afresh; until the run completes the
+  // factors are unusable.
+  status_ = FactorStatus::kCancelled;
+  failed_column_ = -1;
+  zero_pivots_ = 0;
+  lazy_skipped_ = 0;
+  perturb_magnitude_ = 0.0;
+  races_.clear();
+  race_checked_ = false;
   if (a.rows() != analysis.n || a.cols() != analysis.n) {
     throw std::invalid_argument("Factorization: matrix/analysis size mismatch");
   }
@@ -43,16 +104,22 @@ Factorization::Factorization(const Analysis& analysis, const CscMatrix& a,
         "Factorization: 2-D layout needs an analysis run with "
         "Options::layout = Layout::k2D (no block graph present)");
   }
-  blocks_.load(analysis.permute_input(a));
-  ipiv_.assign(nb, {});
-
-  // Matrix magnitude reference for min_pivot_ratio (max |entry| of the
-  // loaded, scaled+permuted matrix).
-  double matrix_scale = 0.0;
-  for (int j = 0; j < nb; ++j) {
-    matrix_scale = std::max(matrix_scale, blas::max_abs(blocks_.column(j)));
+  // Load through the analysis' slots; any other pattern gets its own.  The
+  // scatter also returns the matrix magnitude reference for
+  // min_pivot_ratio (max |entry| of the scaled+permuted matrix).
+  std::vector<std::uint64_t> own_slots;
+  const bool analyzed_pattern = a.col_ptr() == analysis.input_pattern.ptr &&
+                                a.row_ind() == analysis.input_pattern.idx;
+  if (!analyzed_pattern) {
+    own_slots = scatter_slots(analysis.blocks, a.col_ptr(), a.row_ind(),
+                              analysis.row_perm, analysis.col_perm);
   }
+  double matrix_scale =
+      blocks_.scatter(a, analyzed_pattern ? analysis.input_slots : own_slots,
+                      analysis.col_perm, analysis.row_scale,
+                      analysis.col_scale);
   if (matrix_scale == 0.0) matrix_scale = 1.0;
+  ipiv_.assign(nb, {});
 
   std::unique_ptr<rt::RaceChecker> checker;
   if (opt.check_races) {
@@ -77,21 +144,22 @@ Factorization::Factorization(const Analysis& analysis, const CscMatrix& a,
   lazy_skipped_ = run.lazy_skipped;
   min_pivot_ratio_ =
       std::isfinite(run.min_pivot) ? run.min_pivot / matrix_scale : 0.0;
-  status_ = run.status;
   failed_column_ = run.failed_column;
   perturbed_columns_ = std::move(run.perturbed_columns);
   coarsen_stats_ = run.coarsen;
   blocking_stats_ = run.blocking;
-  // Final factor scan: pivot growth, plus overflow the factor tasks could
-  // not see (in the 1-D layout the U blocks above a panel are only written
-  // by Update tasks, which perform no scan of their own).
+  // One scan of the factors: pivot growth, plus overflow the factor tasks
+  // could not see (in the 1-D layout the U blocks above a panel are only
+  // written by Update tasks, which perform no scan of their own).  Only a
+  // flagged column is searched again for the first bad entry.
   double factor_max = 0.0;
   for (int j = 0; j < nb; ++j) {
     blas::ConstMatrixView col = blocks_.column(j);
-    factor_max = std::max(factor_max, blas::max_abs(col));
+    const Scan s = scan(col);
+    factor_max = std::max(factor_max, s.max_abs);
     int bad = -1;
-    if (factor_usable(status_) && !blas::all_finite(col, &bad)) {
-      status_ = FactorStatus::kOverflow;
+    if (!s.finite && factor_usable(run.status) && !blas::all_finite(col, &bad)) {
+      run.status = FactorStatus::kOverflow;
       failed_column_ = analysis.blocks.part.first(j) + bad;
     }
   }
@@ -102,6 +170,7 @@ Factorization::Factorization(const Analysis& analysis, const CscMatrix& a,
     races_ = checker->check(graph);
     race_checked_ = true;
   }
+  status_ = run.status;
 }
 
 void Factorization::require_usable(const char* what) const {

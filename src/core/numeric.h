@@ -155,12 +155,31 @@ struct NumericOptions {
   bool perturb_pivots = false;
 };
 
+/// One factorization of an analyzed pattern, owning its block storage.
+///
+/// Run path: the constructor allocates the storage (its first-touch fill is
+/// the only zeroing a fresh slab gets) and refactor() zeroes the same slab
+/// once; both then run one private body -- scatter the values through the
+/// analysis' slots (Analysis::input_slots; a different pattern gets its own
+/// from scatter_slots()), run the layout's driver, and make one scan of
+/// the factors for pivot growth and overflow.  A refactorization therefore
+/// costs the numeric tasks plus one fill, one scatter and one scan, and its
+/// results are bitwise equal to a fresh Factorization's wherever the run is
+/// deterministic.
 class Factorization {
  public:
   /// Factorizes `a` (original ordering; permuted internally) over the given
   /// analysis.  `analysis` must outlive the Factorization.
   Factorization(const Analysis& analysis, const CscMatrix& a,
                 const NumericOptions& opt = {});
+
+  /// Factorizes new values in place: same analysis, same block storage
+  /// (references to blocks() stay valid), every per-run result reset.  `a`
+  /// may carry a sub-pattern of the analyzed one; an entry outside the block
+  /// pattern throws std::invalid_argument.  opt.storage must equal
+  /// blocks().storage_mode() (std::invalid_argument otherwise).  After any
+  /// throw the status is kCancelled: the factors are unusable.
+  void refactor(const CscMatrix& a, const NumericOptions& opt = {});
 
   const Analysis& analysis() const { return *analysis_; }
   const BlockMatrix& blocks() const { return blocks_; }
@@ -262,6 +281,10 @@ class Factorization {
 
  private:
   friend class NumericDriver;
+
+  /// The run body shared by the constructor and refactor(); expects zeroed
+  /// storage.
+  void run(const CscMatrix& a, const NumericOptions& opt);
 
   /// Throws std::runtime_error unless factor_usable(status_).
   void require_usable(const char* what) const;

@@ -14,7 +14,6 @@ SparseLU& SparseLU::operator=(SparseLU&&) noexcept = default;
 
 void SparseLU::analyze(const CscMatrix& a) {
   analysis_ = std::make_unique<Analysis>(plu::analyze(a, options_));
-  analyzed_pattern_ = a.pattern();
   analyzed_fingerprint_ = structure_fingerprint(a.rows(), a.cols(),
                                                 a.col_ptr(), a.row_ind());
   ++analyze_count_;
@@ -30,16 +29,16 @@ bool SparseLU::pattern_matches(const CscMatrix& a) const {
   // Tiered guard: dims + fingerprint reject almost every mismatch without
   // touching the index arrays; the full compare only confirms a hash match
   // (64-bit collisions exist).
-  bool same_pattern = analysis_ && analyzed_pattern_.rows == a.rows() &&
-                      analyzed_pattern_.cols == a.cols();
+  if (!analysis_) return false;
+  const Pattern& p = analysis_->input_pattern;
+  bool same_pattern = p.rows == a.rows() && p.cols == a.cols();
   if (same_pattern) {
     same_pattern = analyzed_fingerprint_ ==
                    structure_fingerprint(a.rows(), a.cols(), a.col_ptr(),
                                          a.row_ind());
   }
   if (same_pattern) {
-    same_pattern = analyzed_pattern_.ptr == a.col_ptr() &&
-                   analyzed_pattern_.idx == a.row_ind();
+    same_pattern = p.ptr == a.col_ptr() && p.idx == a.row_ind();
   }
   return same_pattern;
 }
@@ -47,7 +46,21 @@ bool SparseLU::pattern_matches(const CscMatrix& a) const {
 void SparseLU::factorize(const CscMatrix& a) {
   if (!pattern_matches(a)) analyze(a);
   parallel_solver_.reset();  // bound to the factorization it was built from
-  factorization_ = std::make_unique<Factorization>(*analysis_, a, numeric_options_);
+  if (factorization_ &&
+      factorization_->blocks().storage_mode() == numeric_options_.storage) {
+    // Same pattern, same storage: new values into the same slab.
+    try {
+      factorization_->refactor(a, numeric_options_);
+    } catch (...) {
+      factorization_.reset();
+      last_matrix_.reset();
+      throw;
+    }
+  } else {
+    factorization_.reset();  // free the old slab before allocating the new
+    factorization_ =
+        std::make_unique<Factorization>(*analysis_, a, numeric_options_);
+  }
   last_matrix_ = a;
 }
 

@@ -45,7 +45,14 @@ class SparseLU {
   /// Runs the symbolic pipeline.  Invalidates any previous factorization.
   void analyze(const CscMatrix& a);
 
-  /// Numeric factorization; runs analyze() first when none is cached.
+  /// Numeric factorization; runs analyze() first when the pattern differs
+  /// from the analyzed one.  On the analyzed pattern with unchanged
+  /// NumericOptions::storage this refactorizes IN PLACE
+  /// (Factorization::refactor): references to factorization() and its
+  /// storage stay valid and their values are replaced.  Otherwise the old
+  /// factorization is freed before the new one allocates, so at most one
+  /// block slab is alive.  If the factorization throws, factorized()
+  /// becomes false: half-written factors are never solved with.
   void factorize(const CscMatrix& a);
 
   /// One call doing both.
@@ -95,13 +102,13 @@ class SparseLU {
                                           const NumericOptions& nopt = {});
 
  private:
-  /// Full pattern-reuse guard (dims + fingerprint + confirming compare).
+  /// Full pattern-reuse guard (dims + fingerprint + confirming compare
+  /// against Analysis::input_pattern).
   bool pattern_matches(const CscMatrix& a) const;
 
   Options options_;
   NumericOptions numeric_options_;
-  Pattern analyzed_pattern_;  // guards analysis reuse across factorize calls
-  /// Fingerprint of analyzed_pattern_: the cheap first tier of the reuse
+  /// Fingerprint of the analyzed pattern: the cheap first tier of the reuse
   /// guard (dims + hash reject mismatches; the full compare only confirms
   /// hash matches).
   std::uint64_t analyzed_fingerprint_ = 0;

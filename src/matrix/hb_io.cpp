@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -36,11 +37,14 @@ FortranFormat parse_fortran_format(const std::string& fmt) {
     s = s.substr(p + 1);
     if (!s.empty() && s[0] == ',') s = s.substr(1);
   }
-  // Now expect [repeat] KIND width [. digits].
+  // Now expect [repeat] KIND width [. digits]; counts beyond any real card
+  // image are rejected before they can overflow.
+  constexpr int kMaxCount = 1 << 20;
   std::size_t i = 0;
   int repeat = 0;
   while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
     repeat = repeat * 10 + (s[i] - '0');
+    if (repeat > kMaxCount) throw std::runtime_error("HB: bad Fortran format: " + fmt);
     ++i;
   }
   if (i >= s.size()) throw std::runtime_error("HB: bad Fortran format: " + fmt);
@@ -51,6 +55,7 @@ FortranFormat parse_fortran_format(const std::string& fmt) {
   int width = 0;
   while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
     width = width * 10 + (s[i] - '0');
+    if (width > kMaxCount) throw std::runtime_error("HB: bad field width in: " + fmt);
     ++i;
   }
   if (width <= 0) throw std::runtime_error("HB: bad field width in: " + fmt);
@@ -66,7 +71,9 @@ namespace {
 
 using hb_detail::FortranFormat;
 
-/// Reads `count` fixed-width fields across as many lines as needed.
+/// Reads `count` fixed-width fields across as many lines as needed.  The
+/// caller's storage grows field by field, so a count the data does not back
+/// ends in "truncated" having allocated only for what was read.
 template <typename Convert>
 void read_fields(std::istream& in, const FortranFormat& fmt, long count,
                  const Convert& convert) {
@@ -158,8 +165,13 @@ CscMatrix read_harwell_boeing(std::istream& in, HarwellBoeingInfo* info) {
   const long nrow = to_long(trimmed(field(l3, 14, 14)), "NROW");
   const long ncol = to_long(trimmed(field(l3, 28, 14)), "NCOL");
   const long nnz = to_long(trimmed(field(l3, 42, 14)), "NNZERO");
-  if (nrow <= 0 || ncol <= 0 || nnz < 0) {
+  if (nrow <= 0 || ncol <= 0 || nnz < 0 || nrow > INT_MAX || ncol > INT_MAX ||
+      nnz >= INT_MAX) {
     throw std::runtime_error("HB: bad dimensions");
+  }
+  const bool mirrored = symmetry == 'S' || symmetry == 'Z';
+  if (mirrored && nrow != ncol) {
+    throw std::runtime_error("HB: symmetric matrix must be square");
   }
 
   FortranFormat ptrfmt = hb_detail::parse_fortran_format(trimmed(field(l4, 0, 16)));
@@ -173,16 +185,23 @@ CscMatrix read_harwell_boeing(std::istream& in, HarwellBoeingInfo* info) {
     if (!std::getline(in, l5)) throw std::runtime_error("HB: truncated header");
   }
 
-  std::vector<long> colptr(ncol + 1);
-  read_fields(in, ptrfmt, ncol + 1,
-              [&](const std::string& s, long i) { colptr[i] = to_long(s, "PTR"); });
-  std::vector<long> rowind(nnz);
-  read_fields(in, indfmt, nnz,
-              [&](const std::string& s, long i) { rowind[i] = to_long(s, "IND"); });
-  std::vector<double> values(nnz, 1.0);
+  // Sections are appended field by field: memory follows the data read, not
+  // the counts the header declares.
+  std::vector<long> colptr;
+  read_fields(in, ptrfmt, ncol + 1, [&](const std::string& s, long) {
+    colptr.push_back(to_long(s, "PTR"));
+  });
+  std::vector<long> rowind;
+  read_fields(in, indfmt, nnz, [&](const std::string& s, long) {
+    rowind.push_back(to_long(s, "IND"));
+  });
+  std::vector<double> values;
   if (value_type == 'R') {
-    read_fields(in, valfmt, nnz,
-                [&](const std::string& s, long i) { values[i] = to_double(s); });
+    read_fields(in, valfmt, nnz, [&](const std::string& s, long) {
+      values.push_back(to_double(s));
+    });
+  } else {
+    values.assign(rowind.size(), 1.0);
   }
 
   // Validate the 1-based compressed structure, then expand through COO so
@@ -191,7 +210,7 @@ CscMatrix read_harwell_boeing(std::istream& in, HarwellBoeingInfo* info) {
     throw std::runtime_error("HB: inconsistent column pointers");
   }
   CooMatrix coo(static_cast<int>(nrow), static_cast<int>(ncol));
-  coo.reserve(static_cast<std::size_t>(nnz) * (symmetry == 'S' || symmetry == 'Z' ? 2 : 1));
+  coo.reserve(rowind.size() * (mirrored ? 2 : 1));
   for (long j = 0; j < ncol; ++j) {
     if (colptr[j + 1] < colptr[j]) {
       throw std::runtime_error("HB: decreasing column pointer");
@@ -200,7 +219,7 @@ CscMatrix read_harwell_boeing(std::istream& in, HarwellBoeingInfo* info) {
       long i = rowind[k] - 1;
       if (i < 0 || i >= nrow) throw std::runtime_error("HB: row index out of range");
       coo.add(static_cast<int>(i), static_cast<int>(j), values[k]);
-      if ((symmetry == 'S' || symmetry == 'Z') && i != j) {
+      if (mirrored && i != j) {
         coo.add(static_cast<int>(j), static_cast<int>(i),
                 symmetry == 'Z' ? -values[k] : values[k]);
       }

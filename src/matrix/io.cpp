@@ -57,9 +57,18 @@ CscMatrix read_matrix_market(std::istream& in) {
   if (!(size_line >> rows >> cols >> nnz) || rows < 0 || cols < 0 || nnz < 0) {
     throw std::runtime_error("matrix market: bad size line");
   }
+  if (rows > kMaxMatrixMarketDimension || cols > kMaxMatrixMarketDimension) {
+    throw std::runtime_error("matrix market: dimensions exceed the reader limit");
+  }
+  if ((symmetric || skew) && rows != cols) {
+    throw std::runtime_error("matrix market: symmetric matrix must be square");
+  }
 
+  // The entry list grows with the lines actually read: the declared count
+  // only caps the up-front reservation.
   CooMatrix coo(static_cast<int>(rows), static_cast<int>(cols));
-  coo.reserve(static_cast<std::size_t>(nnz) * (symmetric || skew ? 2 : 1));
+  coo.reserve(static_cast<std::size_t>(std::min(nnz, 1L << 16)) *
+              (symmetric || skew ? 2 : 1));
   for (long k = 0; k < nnz; ++k) {
     if (!std::getline(in, line)) {
       throw std::runtime_error("matrix market: truncated entry list");

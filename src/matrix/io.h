@@ -14,7 +14,17 @@
 
 namespace plu {
 
-/// Parses a Matrix Market stream; throws std::runtime_error on bad input.
+/// Largest row or column count read_matrix_market accepts.  A coordinate
+/// file declares its dimensions on one line with no data behind them, and
+/// CSC storage needs 4 bytes per column whatever the entry count, so the
+/// limit bounds what a few bytes of header can make the reader allocate
+/// (64 MiB of column pointers).  Other memory grows with the entries
+/// actually read, never with the declared entry count.
+inline constexpr long kMaxMatrixMarketDimension = 1L << 24;
+
+/// Parses a Matrix Market stream; throws std::runtime_error on bad input,
+/// including dimensions above kMaxMatrixMarketDimension and a non-square
+/// symmetric or skew-symmetric matrix.
 CscMatrix read_matrix_market(std::istream& in);
 
 /// Loads a Matrix Market file from disk.

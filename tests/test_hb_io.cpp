@@ -6,6 +6,7 @@
 
 #include "core/sparse_lu.h"
 #include "matrix/hb_io.h"
+#include "reader_fixtures.h"
 #include "test_helpers.h"
 
 namespace plu {
@@ -33,28 +34,10 @@ TEST(FortranFormat, ParsesCommonDescriptors) {
   EXPECT_THROW(parse_fortran_format("(13X6)"), std::runtime_error);
 }
 
-/// A 4x4 real unsymmetric assembled matrix:
-///   [ 1 . 5 . ]
-///   [ 2 3 . . ]
-///   [ . . 6 . ]
-///   [ . 4 . 7 ]
-/// CSC: colptr 1 3 5 7 8; rows 1 2 / 2 4 / 1 3 / 4; vals 1 2 3 4 5 6 7.
-std::string rua_fixture() {
-  std::ostringstream os;
-  os << "Test matrix for the HB reader                                           "
-        "TEST0001\n";
-  os << "             5             1             1             2             0\n";
-  os << "RUA                        4             4             7             0\n";
-  os << "(8I4)           (8I4)           (4D14.6)            \n";
-  os << "   1   3   5   7   8\n";
-  os << "   1   2   2   4   1   3   4\n";
-  os << "  1.000000D+00  2.000000D+00  3.000000D+00  4.000000D+00\n";
-  os << "  5.000000D+00  6.000000D+00  7.000000D+00\n";
-  return os.str();
-}
+using test::hb_rua_fixture;
 
 TEST(HarwellBoeing, ReadsRealUnsymmetric) {
-  std::istringstream in(rua_fixture());
+  std::istringstream in(hb_rua_fixture());
   HarwellBoeingInfo info;
   CscMatrix a = read_harwell_boeing(in, &info);
   EXPECT_EQ(info.key, "TEST0001");
@@ -73,16 +56,7 @@ TEST(HarwellBoeing, ReadsRealUnsymmetric) {
 }
 
 TEST(HarwellBoeing, ReadsSymmetricExpanding) {
-  std::ostringstream os;
-  os << "Symmetric test                                                          "
-        "SYMM0001\n";
-  os << "             3             1             1             1             0\n";
-  os << "RSA                        3             3             4             0\n";
-  os << "(8I4)           (8I4)           (4E12.4)            \n";
-  os << "   1   3   4   5\n";
-  os << "   1   3   2   3\n";
-  os << "  2.0000E+00  5.0000E+00  3.0000E+00  4.0000E+00\n";
-  std::istringstream in(os.str());
+  std::istringstream in(test::hb_rsa_fixture());
   CscMatrix a = read_harwell_boeing(in);
   EXPECT_EQ(a.nnz(), 5);  // 4 stored + 1 mirrored off-diagonal
   EXPECT_DOUBLE_EQ(a.at(2, 0), 5.0);
@@ -91,22 +65,14 @@ TEST(HarwellBoeing, ReadsSymmetricExpanding) {
 }
 
 TEST(HarwellBoeing, ReadsPatternMatrix) {
-  std::ostringstream os;
-  os << "Pattern test                                                            "
-        "PATT0001\n";
-  os << "             2             1             1             0             0\n";
-  os << "PUA                        2             2             3             0\n";
-  os << "(8I4)           (8I4)           \n";
-  os << "   1   2   4\n";
-  os << "   1   1   2\n";
-  std::istringstream in(os.str());
+  std::istringstream in(test::hb_pua_fixture());
   CscMatrix a = read_harwell_boeing(in);
   EXPECT_EQ(a.nnz(), 3);
   EXPECT_DOUBLE_EQ(a.at(0, 1), 1.0);
 }
 
 TEST(HarwellBoeing, ReadMatrixIsSolvable) {
-  std::istringstream in(rua_fixture());
+  std::istringstream in(hb_rua_fixture());
   CscMatrix a = read_harwell_boeing(in);
   std::vector<double> b = {1, 2, 3, 4};
   std::vector<double> x = SparseLU::solve_system(a, b);
@@ -118,7 +84,7 @@ TEST(HarwellBoeing, ParsesRunTogetherFixedWidthFields) {
   // fields -- with (4D14.7) and all-negative values every 14-character
   // field starts with '-' and the columns run together.  A
   // whitespace-tokenizing reader mis-splits this; the reader must cut on
-  // field width.  Same structure as rua_fixture() with negated values.
+  // field width.  Same structure as hb_rua_fixture() with negated values.
   std::ostringstream os;
   os << "Run-together fields                                                     "
         "TEST0002\n";
@@ -179,7 +145,7 @@ TEST(HarwellBoeing, RejectsBadInput) {
   }
   {
     // Truncated data.
-    std::string s = rua_fixture();
+    std::string s = hb_rua_fixture();
     s = s.substr(0, s.size() - 50);
     std::istringstream in(s);
     EXPECT_THROW(read_harwell_boeing(in), std::runtime_error);

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "matrix/io.h"
+#include "reader_fixtures.h"
 #include "test_helpers.h"
 
 namespace plu {
@@ -22,13 +23,7 @@ TEST(MatrixMarket, WriteReadRoundTrip) {
 }
 
 TEST(MatrixMarket, ReadsSymmetricExpanding) {
-  std::istringstream is(
-      "%%MatrixMarket matrix coordinate real symmetric\n"
-      "% comment\n"
-      "3 3 3\n"
-      "1 1 2.0\n"
-      "3 1 5.0\n"
-      "3 3 1.0\n");
+  std::istringstream is(test::mm_symmetric_fixture());
   CscMatrix a = read_matrix_market(is);
   EXPECT_EQ(a.nnz(), 4);
   EXPECT_DOUBLE_EQ(a.at(2, 0), 5.0);
@@ -36,21 +31,14 @@ TEST(MatrixMarket, ReadsSymmetricExpanding) {
 }
 
 TEST(MatrixMarket, ReadsSkewSymmetric) {
-  std::istringstream is(
-      "%%MatrixMarket matrix coordinate real skew-symmetric\n"
-      "2 2 1\n"
-      "2 1 3.0\n");
+  std::istringstream is(test::mm_skew_fixture());
   CscMatrix a = read_matrix_market(is);
   EXPECT_DOUBLE_EQ(a.at(1, 0), 3.0);
   EXPECT_DOUBLE_EQ(a.at(0, 1), -3.0);
 }
 
 TEST(MatrixMarket, ReadsPatternField) {
-  std::istringstream is(
-      "%%MatrixMarket matrix coordinate pattern general\n"
-      "2 2 2\n"
-      "1 1\n"
-      "2 2\n");
+  std::istringstream is(test::mm_pattern_fixture());
   CscMatrix a = read_matrix_market(is);
   EXPECT_DOUBLE_EQ(a.at(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(a.at(1, 1), 1.0);
