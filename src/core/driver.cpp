@@ -279,7 +279,7 @@ class Run1D : public RunState {
       }
       return;
     }
-    schur_update_tiled(an, *cp, k, j, panel_k, ukj_c, wk);
+    schur_update_tiled(an, *cp, j, panel_k, ukj_c, wk);
   }
 
  private:
@@ -293,7 +293,7 @@ class Run1D : public RunState {
   /// partitioned, and the forced engine IS the auto decision (DESIGN.md
   /// section 16).
   void schur_update_tiled(const Analysis& an, const symbolic::ColumnPlan& cp,
-                          int k, int j, blas::ConstMatrixView panel_k,
+                          int j, blas::ConstMatrixView panel_k,
                           blas::ConstMatrixView ukj_c, int wk) {
     const int nb = static_cast<int>(cp.l_list.size());
     if (nb == 0) return;

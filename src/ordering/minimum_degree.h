@@ -2,12 +2,25 @@
 //
 // The paper's fill-reducing step is "the minimum degree algorithm on A^T A"
 // (Section 1).  This is a quotient-graph implementation with exact external
-// degrees, element absorption and degree bucket lists (the classic MD
-// formulation).  It has no supervariable detection, so hub vertices whose
-// degree dwarfs the average send its per-round degree refresh quadratic;
-// minimum_degree_guarded() detects that profile (amd.h: hub_heavy) and
-// routes it to the approximate-minimum-degree engine, whose supervariables
-// and approximate degrees stay near-linear there.
+// degrees, element absorption, degree bucket lists and GENMMD-style multiple
+// elimination (one pass eliminates every independent variable of the
+// minimum degree, then refreshes the touched ones).
+//
+// The refresh after a pass avoids rescanning the elements it created.
+// Each variable keeps its plain edges twice: in input order (that order
+// fixes element boundaries, and so the tie-breaking; it is never pruned)
+// and as a pruned list own[u] of the edges no live element of u reaches.
+// For each new element N it counts |e \ N| once per old element e of N's
+// members; a member of N alone with at most one old element then gets its
+// degree from those counts without a scan, one with more scans only its old
+// elements, and only members of two or more new elements rescan all of
+// theirs.  The degrees are exact, so the permutation is the one a full
+// rescan gives (tests/md_reference.h keeps that engine as the test oracle).
+//
+// There is no supervariable detection, so hub vertices whose degree dwarfs
+// the average still make the refresh quadratic; minimum_degree_guarded()
+// detects that profile (amd.h: hub_heavy) and routes it to the
+// approximate-minimum-degree engine.  DESIGN.md section 15 has the details.
 #pragma once
 
 #include "matrix/csc.h"

@@ -1,15 +1,21 @@
 // Orderings: validity, fill reduction of minimum degree and AMD, bandwidth
 // reduction of RCM, nested-dissection separator/fallback behavior, the
-// policy dispatcher, and the parallel-AMD determinism gate (bit-identical
-// orderings at 1/2/4/8 lanes -- run under TSan by the CI sanitize job).
+// policy dispatcher, the parallel-AMD determinism gate (bit-identical
+// orderings at 1/2/4/8 lanes -- run under TSan by the CI sanitize job), and
+// the exact-MD equivalence gate against the full-rescan oracle in
+// md_reference.h (run under ASan+UBSan by CI).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/report.h"
 #include "core/sparse_lu.h"
 #include "graph/transversal.h"
+#include "matrix/named_matrices.h"
 #include "ordering/amd.h"
 #include "ordering/engine.h"
 #include "ordering/minimum_degree.h"
@@ -18,6 +24,7 @@
 #include "ordering/rcm.h"
 #include "runtime/parallel_for.h"
 #include "symbolic/static_symbolic.h"
+#include "md_reference.h"
 #include "test_helpers.h"
 
 namespace plu::ordering {
@@ -435,6 +442,86 @@ TEST(ParallelAmd, BitIdenticalAcrossThreadCounts) {
     ++checked;
   }
   EXPECT_GE(checked, 50);
+}
+
+// --- Exact minimum degree vs the rescanning reference (DESIGN.md 15) --------
+
+// The engine's degree refresh reuses |e \ N| and the pruned edge lists
+// instead of rescanning every element boundary; it must still take the
+// same bucket operations in the same order, so the permutation is
+// bitwise the reference's (tests/md_reference.h).
+void expect_same_as_reference(const Pattern& g, const std::string& what) {
+  EXPECT_EQ(minimum_degree(g).old_positions(),
+            plu::test::reference_minimum_degree(g).old_positions())
+      << what << " (n=" << g.cols << ")";
+}
+
+Pattern symmetric_graph(int n, const std::vector<std::pair<int, int>>& edges) {
+  CooMatrix coo(n, n);
+  for (int i = 0; i < n; ++i) coo.add(i, i, 1.0);
+  for (auto [i, j] : edges) {
+    coo.add(i, j, 1.0);
+    coo.add(j, i, 1.0);
+  }
+  return coo.to_csc().pattern();
+}
+
+TEST(MinimumDegreeEquivalence, SweepMatrices) {
+  int i = 0;
+  for (const CscMatrix& a : amd_sweep_matrices()) {
+    expect_same_as_reference(Pattern::ata(a.pattern()),
+                             "sweep #" + std::to_string(i++));
+  }
+}
+
+TEST(MinimumDegreeEquivalence, Table1Suite) {
+  for (const NamedMatrix& m : make_benchmark_suite()) {
+    expect_same_as_reference(Pattern::ata(m.a.pattern()), m.name);
+  }
+}
+
+TEST(MinimumDegreeEquivalence, ProductionShapes) {
+  for (std::uint64_t s : {11u, 12u, 13u}) {
+    gen::StencilOptions g;
+    g.seed = s;
+    g.drop_probability = 0.1;
+    expect_same_as_reference(
+        Pattern::ata(gen::grid3d(14, 14, 14, g).pattern()),
+        "grid3d 14^3 seed " + std::to_string(s));
+    expect_same_as_reference(
+        Pattern::ata(gen::random_sparse(1000, 3.0, 0.5, 0.7, s).pattern()),
+        "random_sparse(1000) seed " + std::to_string(s));
+  }
+  gen::StencilOptions g;
+  g.seed = 81;
+  expect_same_as_reference(
+      Pattern::ata(gen::multiphysics3d(8, 8, 4, 4, g).pattern()),
+      "multiphysics3d(8,8,4,4)");
+}
+
+TEST(MinimumDegreeEquivalence, HandBuiltGraphsReachEveryDegreeCase) {
+  // Leaves (degree 1) go first, so the passes are predictable.
+  // Path 0-1-2-3.  Pass 1 eliminates both ends: 1 and 2 each sit in one new
+  // element and no old one.  Pass 2 eliminates 1, whose element {2} reaches
+  // 2, and 2's pass-1 element {2} is still live: new plus one old.
+  expect_same_as_reference(symmetric_graph(4, {{0, 1}, {1, 2}, {2, 3}}),
+                           "path");
+  // Hub 0 sits in a clique {0,1,2,3,4} and has leaves 5 and 6; 7 links 0 to
+  // leaf 8.  Pass 1 eliminates 5, 6 and 8, so 0 sits in two new elements
+  // (two pivots of one pass share a neighbour).  Pass 2 eliminates 7, whose
+  // element reaches 0, and 0's two pass-1 elements are now old: new plus
+  // two old.
+  std::vector<std::pair<int, int>> hub = {{0, 5}, {0, 6}, {0, 7}, {7, 8}};
+  for (int i = 0; i < 5; ++i) {
+    for (int j = i + 1; j < 5; ++j) hub.push_back({i, j});
+  }
+  expect_same_as_reference(symmetric_graph(9, hub), "hub with leaves");
+  // Two stars joined centre to centre, with a chain off one leaf: every
+  // case, several times over.
+  expect_same_as_reference(
+      symmetric_graph(10, {{0, 1}, {0, 2}, {0, 3}, {4, 5}, {4, 6}, {4, 7},
+                           {0, 4}, {3, 8}, {8, 9}}),
+      "twin stars");
 }
 
 // --- Policy engine ----------------------------------------------------------

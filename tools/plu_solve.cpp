@@ -44,7 +44,9 @@
 //     --refine              iterative refinement on the solution
 //     --simulate P          also print the simulated makespan on P processors
 //     --stats               print extended analysis statistics
-//     --verbose             per-phase analysis timing breakdown
+//     --verbose             per-phase analysis timing breakdown, plus the
+//                           numeric factorization and solve wall times
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -63,6 +65,11 @@
 #include "symbolic/supernodes.h"
 
 namespace {
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
@@ -234,7 +241,10 @@ int main(int argc, char** argv) {
 
     plu::SparseLU lu(opt);
     lu.numeric_options() = nopt;
+    lu.analyze(a);
+    const auto factor_t0 = std::chrono::steady_clock::now();
     lu.factorize(a);
+    const double factor_s = seconds_since(factor_t0);
     const plu::Analysis& an = lu.analysis();
 
     std::printf("analysis: fill=%.2fx, %d supernodes, %d tasks, %zu diagonal "
@@ -243,6 +253,7 @@ int main(int argc, char** argv) {
                 an.diag_block_sizes.size(), an.scaled() ? ", MC64-scaled" : "");
     if (verbose) {
       std::printf("%s\n", plu::to_string(an.timings).c_str());
+      std::printf("factorize:   %g ms wall\n", factor_s * 1e3);
     }
     const plu::Factorization& f = lu.factorization();
     if (!plu::factor_usable(f.status())) {
@@ -292,6 +303,7 @@ int main(int argc, char** argv) {
     }
 
     std::vector<double> x;
+    const auto solve_t0 = std::chrono::steady_clock::now();
     if (refine) {
       plu::RefineResult r = lu.solve_refined(b);
       x = std::move(r.x);
@@ -299,6 +311,10 @@ int main(int argc, char** argv) {
                   r.iterations, r.backward_error);
     } else {
       x = lu.solve(b);
+    }
+    if (verbose) {
+      std::printf("solve:       %g ms wall%s\n", seconds_since(solve_t0) * 1e3,
+                  refine ? " (with refinement)" : "");
     }
     std::printf("relative residual: %.3e\n", plu::relative_residual(a, x, b));
 
