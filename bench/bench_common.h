@@ -113,6 +113,61 @@ inline void print_taskgraph_improvement(const std::vector<std::string>& names) {
   }
 }
 
+/// The Figure 5/6 headline on real threads: the numeric factorization of
+/// each matrix under the eforest, S* and S*-program-order graphs at 1, 2
+/// and 4 threads (Factorization in kThreaded mode, min of `reps` after a
+/// warmup), beside the simulator's P=4 makespan for the same graph.  Ends
+/// with the gate the reproduction claims: eforest no slower than the
+/// program-order S* graph at 4 threads on every matrix.
+inline void print_real_thread_arm(const std::vector<std::string>& names,
+                                  int reps = 5) {
+  const taskgraph::GraphKind kinds[] = {taskgraph::GraphKind::kEforest,
+                                        taskgraph::GraphKind::kSStar,
+                                        taskgraph::GraphKind::kSStarProgramOrder};
+  const int threads[] = {1, 2, 4};
+  std::printf("Real threads: numeric factorization wall time, min of %d "
+              "(ms), and the simulator's P=4 makespan\n\n",
+              reps);
+  std::printf("%-10s %-20s %9s %9s %9s %12s\n", "Matrix", "graph", "T=1",
+              "T=2", "T=4", "sim P=4 (s)");
+  print_rule(74);
+  std::vector<std::string> losers;
+  for (const std::string& name : names) {
+    const NamedMatrix nm = make_named_matrix(name);
+    double t4[3] = {0.0, 0.0, 0.0};
+    for (int g = 0; g < 3; ++g) {
+      Options opt;
+      opt.task_graph = kinds[g];
+      const Analysis an = analyze(nm.a, opt);
+      std::printf("%-10s %-20s", name.c_str(),
+                  taskgraph::to_string(kinds[g]).c_str());
+      for (int t : threads) {
+        NumericOptions nopt;
+        nopt.mode = ExecutionMode::kThreaded;
+        nopt.threads = t;
+        const double s =
+            min_of_n_seconds(reps, [&] { Factorization f(an, nm.a, nopt); });
+        if (t == 4) t4[g] = s;
+        std::printf(" %9.2f", 1e3 * s);
+        json_append(JsonRecord()
+                        .field("bench", "taskgraph_real_threads")
+                        .field("matrix", name)
+                        .field("graph", taskgraph::to_string(kinds[g]))
+                        .field("threads", t)
+                        .field("seconds", s)
+                        .field("reps", reps));
+      }
+      std::printf(" %12.4f\n", simulated_seconds(an, 4));
+    }
+    if (t4[0] > t4[2]) losers.push_back(name);
+  }
+  print_rule(74);
+  std::printf("gate: eforest <= sstar-program-order at 4 threads: %s",
+              losers.empty() ? "PASS" : "FAIL on");
+  for (const std::string& n : losers) std::printf(" %s", n.c_str());
+  std::printf("\n\n");
+}
+
 /// Runs any registered google-benchmark timings, then the table printer.
 /// Usage: PLU_BENCH_MAIN(print_table)
 #define PLU_BENCH_MAIN(print_fn)                      \

@@ -166,60 +166,104 @@ void micro_kernel(int kb, const double* ap, const double* bp,
 // gemm_b_dense_enough) so hint-passing callers reproduce the auto
 // decision exactly.
 
-// Direct-engine inner kernel: C(0:m,0:n) += alpha * A(0:m,0:k) * B(0:k,0:n),
-// column-major, no transposes.  4-way unrolled k-loop, stride-1 over rows,
-// and zero-operand groups are skipped entirely.
-void gemm_nn_direct(int m, int n, int k, double alpha, const double* a,
-                    int lda, const double* b, int ldb, double* c, int ldc) {
-  for (int j = 0; j < n; ++j) {
-    double* cj = c + static_cast<std::size_t>(j) * ldc;
-    const double* bj = b + static_cast<std::size_t>(j) * ldb;
-    int p = 0;
-    for (; p + 4 <= k; p += 4) {
-      const double b0 = alpha * bj[p];
-      const double b1 = alpha * bj[p + 1];
-      const double b2 = alpha * bj[p + 2];
-      const double b3 = alpha * bj[p + 3];
-      if (b0 == 0.0 && b1 == 0.0 && b2 == 0.0 && b3 == 0.0) continue;
-      const double* a0 = a + static_cast<std::size_t>(p) * lda;
-      const double* a1 = a0 + lda;
-      const double* a2 = a1 + lda;
-      const double* a3 = a2 + lda;
-      for (int i = 0; i < m; ++i) {
-        cj[i] += b0 * a0[i] + b1 * a1[i] + b2 * a2[i] + b3 * a3[i];
-      }
+// Row batches.  Both engines walk the C rows of a gemm_rows call in
+// batches of at most kMc rows, each batch a list of pieces of the caller's
+// runs (a run longer than the room left is split).  For the packed engine
+// a piece counts rounded up to whole kMr micro-panels, so a batch's packed
+// A always fits the kMc x kKc buffer.  A plain gemm is the one-run case,
+// whose batches are exactly the historical kMc row blocks.
+struct RunCursor {
+  int run = 0;  // index into the runs
+  int off = 0;  // rows of that run already consumed
+};
+
+// Fills out[] (room for kMc pieces) with the batch starting at `at`,
+// advances `at` past it and returns the piece count.
+int next_batch(const RowSpan* runs, int nruns, RunCursor& at, bool pad,
+               RowSpan* out) {
+  int room = kMc;
+  int np = 0;
+  while (at.run < nruns && room > 0) {
+    const RowSpan& r = runs[at.run];
+    const int take = std::min(r.rows - at.off, room);
+    out[np++] = {r.a_row + at.off, r.c_row + at.off, take};
+    room -= pad ? (take + kMr - 1) / kMr * kMr : take;
+    at.off += take;
+    if (at.off == r.rows) {
+      ++at.run;
+      at.off = 0;
     }
-    for (; p < k; ++p) {
-      const double bpj = alpha * bj[p];
-      if (bpj == 0.0) continue;
-      const double* ap = a + static_cast<std::size_t>(p) * lda;
-      for (int i = 0; i < m; ++i) cj[i] += ap[i] * bpj;
+  }
+  return np;
+}
+
+// Direct engine, No/No: C(runs) += alpha * A(runs) * B, column-major,
+// stride-1 over rows.  Each k-chunk of B column j is read once per batch,
+// 4 entries at a time; a group of four zeros is skipped entirely, and a
+// nonzero group updates every piece of the batch.  Per C element this is
+// the same sequence of operations for any split of the rows into runs:
+// the kKc chunks and the 4-wide groups are counted from p = 0.
+void direct_rows(double alpha, ConstMatrixView a, ConstMatrixView b,
+                 MatrixView c, const RowSpan* runs, int nruns) {
+  const int n = b.cols;
+  const int k = b.rows;
+  const std::size_t lda = a.ld;
+  RowSpan piece[kMc];
+  for (int jc = 0; jc < n; jc += kNc) {
+    const int nb = std::min(kNc, n - jc);
+    for (int pc = 0; pc < k; pc += kKc) {
+      const int kb = std::min(kKc, k - pc);
+      const double* ab = a.data + static_cast<std::size_t>(pc) * lda;
+      RunCursor at;
+      while (at.run < nruns) {
+        const int np = next_batch(runs, nruns, at, false, piece);
+        for (int j = jc; j < jc + nb; ++j) {
+          double* cj = c.data + static_cast<std::size_t>(j) * c.ld;
+          const double* bj = b.data + static_cast<std::size_t>(j) * b.ld + pc;
+          int p = 0;
+          for (; p + 4 <= kb; p += 4) {
+            const double b0 = alpha * bj[p];
+            const double b1 = alpha * bj[p + 1];
+            const double b2 = alpha * bj[p + 2];
+            const double b3 = alpha * bj[p + 3];
+            if (b0 == 0.0 && b1 == 0.0 && b2 == 0.0 && b3 == 0.0) continue;
+            const double* a0 = ab + static_cast<std::size_t>(p) * lda;
+            const double* a1 = a0 + lda;
+            const double* a2 = a1 + lda;
+            const double* a3 = a2 + lda;
+            for (int q = 0; q < np; ++q) {
+              const int ar = piece[q].a_row;
+              double* ci = cj + piece[q].c_row;
+              for (int i = 0; i < piece[q].rows; ++i) {
+                ci[i] += b0 * a0[ar + i] + b1 * a1[ar + i] + b2 * a2[ar + i] +
+                         b3 * a3[ar + i];
+              }
+            }
+          }
+          for (; p < kb; ++p) {
+            const double bpj = alpha * bj[p];
+            if (bpj == 0.0) continue;
+            const double* ap = ab + static_cast<std::size_t>(p) * lda;
+            for (int q = 0; q < np; ++q) {
+              const double* ai = ap + piece[q].a_row;
+              double* ci = cj + piece[q].c_row;
+              for (int i = 0; i < piece[q].rows; ++i) ci[i] += ai[i] * bpj;
+            }
+          }
+        }
+      }
     }
   }
 }
 
-// Direct (non-packing) engine: cache-blocked loops around gemm_nn_direct
-// for the common No/No case; index lambdas for the transpose cases (rare
-// and small below the pack threshold).
+// Direct (non-packing) engine: the row kernel above for the common No/No
+// case; index lambdas for the transpose cases (rare and small below the
+// pack threshold).
 void gemm_direct(Trans transa, Trans transb, double alpha, ConstMatrixView a,
                  ConstMatrixView b, MatrixView c, int m, int n, int k) {
   if (transa == Trans::No && transb == Trans::No) {
-    for (int jc = 0; jc < n; jc += kNc) {
-      const int nb = std::min(kNc, n - jc);
-      for (int pc = 0; pc < k; pc += kKc) {
-        const int kb = std::min(kKc, k - pc);
-        for (int ic = 0; ic < m; ic += kMc) {
-          const int mb = std::min(kMc, m - ic);
-          gemm_nn_direct(mb, nb, kb, alpha,
-                         a.data + static_cast<std::size_t>(pc) * a.ld + ic,
-                         a.ld,
-                         b.data + static_cast<std::size_t>(jc) * b.ld + pc,
-                         b.ld,
-                         c.data + static_cast<std::size_t>(jc) * c.ld + ic,
-                         c.ld);
-        }
-      }
-    }
+    const RowSpan all{0, 0, m};
+    direct_rows(alpha, a, b, c, &all, 1);
     return;
   }
   auto aa = [&](int i, int p) { return (transa == Trans::No) ? a(i, p) : a(p, i); };
@@ -313,34 +357,48 @@ namespace {
 // micro-panel buffers (transposes fold into the packing, alpha folds
 // into B), then an kMr x kNr register-tiled microkernel sweeps them.
 // The buffers come from the per-worker scratch arena, so steady-state
-// Schur updates allocate nothing.
-void gemm_packed(Trans transa, Trans transb, double alpha, ConstMatrixView a,
-                 ConstMatrixView b, MatrixView c, int m, int n, int k) {
+// Schur updates allocate nothing.  B is packed once per (jc, pc) block and
+// serves every row batch; each piece of a batch packs its own A rows, and
+// per C element the result does not depend on how the rows were split.
+void packed_rows(Trans transa, Trans transb, double alpha, ConstMatrixView a,
+                 ConstMatrixView b, MatrixView c, int n, int k,
+                 const RowSpan* runs, int nruns) {
   WorkerScratch& scratch = worker_scratch();
   double* apack = scratch.pack_a(static_cast<std::size_t>(kMc) * kKc);
   double* bpack = scratch.pack_b(static_cast<std::size_t>(kKc) * kNc);
   // Per-(panel, k-index) nonzero mask; kKc * kNc/kNr bytes fit in doubles.
   unsigned char* bmask = reinterpret_cast<unsigned char*>(
       scratch.temp(static_cast<std::size_t>(kKc) * (kNc / kNr) / 8 + 8));
+  RowSpan piece[kMc];
   for (int jc = 0; jc < n; jc += kNc) {
     const int nb = std::min(kNc, n - jc);
     for (int pc = 0; pc < k; pc += kKc) {
       const int kb = std::min(kKc, k - pc);
       const bool masked = pack_b(transb, alpha, b, pc, jc, kb, nb, bpack, bmask);
-      for (int ic = 0; ic < m; ic += kMc) {
-        const int mb = std::min(kMc, m - ic);
-        pack_a(transa, a, ic, pc, mb, kb, apack);
+      RunCursor at;
+      while (at.run < nruns) {
+        const int np = next_batch(runs, nruns, at, true, piece);
+        double* dst = apack;
+        for (int q = 0; q < np; ++q) {
+          pack_a(transa, a, piece[q].a_row, pc, piece[q].rows, kb, dst);
+          dst += static_cast<std::size_t>((piece[q].rows + kMr - 1) / kMr) *
+                 kMr * kb;
+        }
         for (int jr = 0; jr < nb; jr += kNr) {
           const double* bpanel = bpack + static_cast<std::size_t>(jr) * kb;
           const unsigned char* pmask =
               masked ? bmask + (jr / kNr) * kb : nullptr;
           const int nr = std::min(kNr, nb - jr);
-          for (int ir = 0; ir < mb; ir += kMr) {
-            micro_kernel(kb, apack + static_cast<std::size_t>(ir) * kb, bpanel,
-                         pmask,
-                         c.data + static_cast<std::size_t>(jc + jr) * c.ld +
-                             ic + ir,
-                         c.ld, std::min(kMr, mb - ir), nr);
+          const double* ap = apack;
+          for (int q = 0; q < np; ++q) {
+            const int mb = piece[q].rows;
+            for (int ir = 0; ir < mb; ir += kMr) {
+              micro_kernel(kb, ap, bpanel, pmask,
+                           c.data + static_cast<std::size_t>(jc + jr) * c.ld +
+                               piece[q].c_row + ir,
+                           c.ld, std::min(kMr, mb - ir), nr);
+              ap += static_cast<std::size_t>(kMr) * kb;
+            }
           }
         }
       }
@@ -392,7 +450,8 @@ void gemm(Trans transa, Trans transb, double alpha, ConstMatrixView a,
                  : GemmEngine::kDirect;
   }
   if (engine == GemmEngine::kPacked) {
-    gemm_packed(transa, transb, alpha, a, b, c, m, n, k);
+    const RowSpan all{0, 0, m};
+    packed_rows(transa, transb, alpha, a, b, c, n, k, &all, 1);
   } else {
     gemm_direct(transa, transb, alpha, a, b, c, m, n, k);
   }
@@ -401,6 +460,20 @@ void gemm(Trans transa, Trans transb, double alpha, ConstMatrixView a,
 void gemm(Trans transa, Trans transb, double alpha, ConstMatrixView a,
           ConstMatrixView b, double beta, MatrixView c) {
   gemm(transa, transb, alpha, a, b, beta, c, GemmEngine::kAuto);
+}
+
+void gemm_rows(double alpha, ConstMatrixView a, ConstMatrixView b,
+               MatrixView c, const RowSpan* runs, int nruns,
+               GemmEngine engine) {
+  assert(a.cols == b.rows && b.cols == c.cols);
+  assert(engine != GemmEngine::kAuto);
+  if (alpha == 0.0 || b.rows == 0 || nruns == 0) return;
+  if (engine == GemmEngine::kPacked) {
+    packed_rows(Trans::No, Trans::No, alpha, a, b, c, b.cols, b.rows, runs,
+                nruns);
+  } else {
+    direct_rows(alpha, a, b, c, runs, nruns);
+  }
 }
 
 void trsm(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,

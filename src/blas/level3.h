@@ -43,6 +43,25 @@ void gemm(Trans transa, Trans transb, double alpha, ConstMatrixView a,
 bool gemm_pack_worthwhile(int m, int n, int k);
 bool gemm_b_dense_enough(Trans transb, ConstMatrixView b, int k, int n);
 
+/// One run of a row-restricted gemm: rows [a_row, a_row + rows) of A
+/// update rows [c_row, c_row + rows) of C.
+struct RowSpan {
+  int a_row;
+  int c_row;
+  int rows;
+};
+
+/// Row-restricted gemm: C(runs) += alpha * A(runs) * B (no transposes,
+/// beta = 1) for the given runs, which must not overlap in C; no other row
+/// of C is read or written.  `engine` is kDirect or kPacked.  Each run's
+/// rows come out bitwise equal to what gemm(..., engine) on the whole of A
+/// and C would store there, since neither engine's per-element arithmetic
+/// depends on how m is split; B is scanned once per batch of kMc rows,
+/// however many runs the batch holds.
+void gemm_rows(double alpha, ConstMatrixView a, ConstMatrixView b,
+               MatrixView c, const RowSpan* runs, int nruns,
+               GemmEngine engine);
+
 /// C := alpha * op(A) * op(B) + beta * C  (naive triple loop).
 void gemm_reference(Trans transa, Trans transb, double alpha, ConstMatrixView a,
                     ConstMatrixView b, double beta, MatrixView c);

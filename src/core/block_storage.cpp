@@ -1,5 +1,8 @@
 #include "core/block_storage.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -26,13 +29,27 @@ const char* to_string(StorageMode m) {
   return m == StorageMode::kVectors ? "vectors" : "arena";
 }
 
-void BlockMatrix::AlignedDelete::operator()(double* p) const {
-  ::operator delete[](p, std::align_val_t(kAlignBytes));
+void BlockMatrix::SlabUnmap::operator()(double* p) const {
+  if (p != nullptr) munmap(reinterpret_cast<char*>(p) - lead, bytes);
 }
 
 BlockMatrix::Slab BlockMatrix::allocate_slab(std::size_t doubles) {
-  return Slab(static_cast<double*>(::operator new[](
-      doubles * sizeof(double), std::align_val_t(kAlignBytes))));
+  const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const std::size_t data = doubles * sizeof(double);
+  const std::size_t body = (data + page - 1) / page * page;
+  const std::size_t bytes = body + 2 * page;
+  void* base =
+      mmap(nullptr, bytes, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (base == MAP_FAILED) throw std::bad_alloc();
+  char* const first = static_cast<char*>(base);
+  if (mprotect(first + page, body, PROT_READ | PROT_WRITE) != 0) {
+    munmap(base, bytes);
+    throw std::bad_alloc();
+  }
+  // Flush against the trailing guard page; `data` is a multiple of 64
+  // bytes, so the slab stays 64-byte aligned.
+  const std::size_t lead = page + (body - data);
+  return Slab(reinterpret_cast<double*>(first + lead), SlabUnmap{bytes, lead});
 }
 
 std::size_t BlockMatrix::describe_column(int j) {
@@ -84,7 +101,7 @@ BlockMatrix::BlockMatrix(const symbolic::BlockStructure& bs, StorageMode mode,
     total += align_up(len);
   }
   arena_doubles_ = total;
-  arena_ = allocate_slab(std::max<std::size_t>(total, 1));
+  arena_ = allocate_slab(std::max(total, kAlignDoubles));
   for (int j = 0; j < nb; ++j) col_ptr_[j] = arena_.get() + base[j];
 
   // First-touch initialization: each worker zeroes one contiguous range of
@@ -253,20 +270,19 @@ int BlockMatrix::panel_height(int k) const {
 
 int BlockMatrix::column_height(int j) const { return offsets_[j].back(); }
 
-std::vector<int> BlockMatrix::panel_rows_in_column(int k, int j) const {
-  std::vector<int> rows;
-  rows.reserve(panel_height(k));
-  for (std::size_t t = diag_pos_[k]; t < blocks_[k].size(); ++t) {
-    const int bi = blocks_[k][t];
-    const int off = block_offset(bi, j);
-    if (off < 0) {
-      throw std::logic_error(
-          "BlockMatrix::panel_rows_in_column: closure violation (block "
-          "missing in target column)");
-    }
-    for (int r = 0; r < bs_->part.width(bi); ++r) rows.push_back(off + r);
+int BlockMatrix::panel_row_in_column(int k, int j, int p) const {
+  const std::vector<int>& off = offsets_[k];
+  const int q = off[diag_pos_[k]] + p;  // row inside column k's buffer
+  const int t = static_cast<int>(
+      std::upper_bound(off.begin() + diag_pos_[k], off.end() - 1, q) -
+      off.begin() - 1);
+  const int o = block_offset(blocks_[k][t], j);
+  if (o < 0) {
+    throw std::logic_error(
+        "BlockMatrix::panel_row_in_column: closure violation (block missing "
+        "in target column)");
   }
-  return rows;
+  return o + (q - off[t]);
 }
 
 void BlockMatrix::swap_rows(int j, int r1, int r2) {

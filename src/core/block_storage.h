@@ -11,7 +11,8 @@
 //
 //   kArena (default): ONE contiguous 64-byte-aligned slab sized exactly
 //   from the symbolic block structure, with every column buffer starting
-//   on a 64-byte boundary inside it.  One allocation instead of one per
+//   on a 64-byte boundary inside it.  The slab is its own anonymous mapping
+//   with a guard page at each end (BlockMatrix::allocate_slab).  One allocation instead of one per
 //   block column, set_zero() as a single contiguous fill (the fill
 //   Factorization::refactor runs before reloading the same slab), and
 //   pages first-touched by the worker threads that will own each column
@@ -136,10 +137,11 @@ class BlockMatrix {
   /// Row offset of block i inside column j's buffer; -1 if absent.
   int block_offset(int i, int j) const;
 
-  /// Buffer rows (in column j) corresponding to the packed panel rows of
-  /// panel k, in panel order.  Every row block of panel k must be present in
-  /// column j (guaranteed by block-level closure when Update(k, j) exists).
-  std::vector<int> panel_rows_in_column(int k, int j) const;
+  /// Buffer row (in column j) of row p of panel k.  The row block holding
+  /// it must be present in column j (guaranteed by block-level closure when
+  /// Update(k, j) exists); std::logic_error otherwise.  Two binary searches,
+  /// no allocation.
+  int panel_row_in_column(int k, int j, int p) const;
 
   /// Swaps buffer rows r1 and r2 of column j (all of its width).
   void swap_rows(int j, int r1, int r2);
@@ -157,11 +159,19 @@ class BlockMatrix {
   std::size_t stored_doubles() const;
 
  private:
-  struct AlignedDelete {
+  /// Unmaps a slab: `bytes` is the whole mapping, guard pages included,
+  /// and `lead` the distance from its start to the slab pointer.
+  struct SlabUnmap {
+    std::size_t bytes;
+    std::size_t lead;
     void operator()(double* p) const;
   };
-  using Slab = std::unique_ptr<double[], AlignedDelete>;
+  using Slab = std::unique_ptr<double[], SlabUnmap>;
 
+  /// Maps a slab of `doubles` (a multiple of 8) straight from the kernel,
+  /// between two PROT_NONE guard pages and flush against the trailing one,
+  /// so an access past either end faults.  Freed slabs go back to the
+  /// kernel at once instead of staying resident in a malloc arena.
   static Slab allocate_slab(std::size_t doubles);
 
   int block_pos(int i, int j) const;  // index of block i in blocks_[j]; -1 absent

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
-#include <mutex>
+#include <limits>
 #include <stdexcept>
 
 #include "blas/dense.h"
@@ -35,20 +34,17 @@ const char* to_string(FactorStatus s) {
 
 namespace {
 
-/// State shared by both per-run task dispatchers: pivot/elision counters,
-/// the min-accepted-pivot fold, and the optional per-block-column mutexes.
+/// State shared by both per-run task dispatchers: pivot/elision counters
+/// and the per-column factor outcomes, folded once the run is over.  No
+/// task body takes a lock: the task graph alone orders every pair of tasks
+/// that touch one entry (row runs in 1-D, per-block writer chains in 2-D),
+/// each factor task owns its outcome slot, and the counters are atomic.
 class RunState {
  public:
-  RunState(NumericRun& run, bool take_locks)
-      : run_(run) {
-    if (take_locks) {
-      locks_ = std::make_unique<std::vector<std::mutex>>(
-          run.an.blocks.num_blocks());
-    }
-  }
+  explicit RunState(NumericRun& run)
+      : run_(run), outcome_(run.an.blocks.num_blocks()) {}
 
   void finish() {
-    run_.zero_pivots = zero_pivots_.load();
     run_.lazy_skipped = lazy_skipped_.load();
     run_.blocking.ran = run_.plan != nullptr;
     run_.blocking.tile_runs = tile_runs_.load();
@@ -56,16 +52,27 @@ class RunState {
     run_.blocking.routed_packed = routed_packed_.load();
     run_.blocking.routed_direct = routed_direct_.load();
     run_.blocking.scans_elided = scans_elided_.load();
-    {
-      std::lock_guard<std::mutex> lock(min_pivot_mu_);
-      run_.min_pivot = min_pivot_;
+    // When several factor tasks broke down, the smallest column wins (block
+    // columns own disjoint column ranges, so there are no ties).
+    run_.min_pivot = std::numeric_limits<double>::infinity();
+    run_.perturbed_columns.clear();
+    run_.zero_pivots = 0;
+    int fail_col = -1;
+    FactorStatus fail_status = FactorStatus::kOk;
+    for (const Outcome& o : outcome_) {
+      run_.min_pivot = std::min(run_.min_pivot, o.min_diag);
+      run_.zero_pivots += o.zero_pivot;
+      run_.perturbed_columns.insert(run_.perturbed_columns.end(),
+                                    o.perturbed.begin(), o.perturbed.end());
+      if (o.fail_col >= 0 && (fail_col < 0 || o.fail_col < fail_col)) {
+        fail_col = o.fail_col;
+        fail_status = o.fail_status;
+      }
     }
-    std::lock_guard<std::mutex> lock(fail_mu_);
-    std::sort(perturbed_.begin(), perturbed_.end());
-    run_.perturbed_columns = std::move(perturbed_);
-    if (fail_col_ >= 0) {
-      run_.status = fail_status_;
-      run_.failed_column = fail_col_;
+    std::sort(run_.perturbed_columns.begin(), run_.perturbed_columns.end());
+    if (fail_col >= 0) {
+      run_.status = fail_status;
+      run_.failed_column = fail_col;
     } else {
       run_.status = run_.perturbed_columns.empty() ? FactorStatus::kOk
                                                    : FactorStatus::kPerturbed;
@@ -78,61 +85,40 @@ class RunState {
   rt::CancelToken* cancel() { return &cancel_; }
 
  protected:
-  std::unique_lock<std::mutex> maybe_lock(int column) {
-    if (!locks_) return {};
-    return std::unique_lock<std::mutex>((*locks_)[column]);
-  }
-
-  /// Records a breakdown at global column `col` and cancels the run.  When
-  /// several in-flight factor tasks break down concurrently, the smallest
-  /// column wins (and, at equal columns, the first reporter).
-  void fail(int col, FactorStatus status) {
-    {
-      std::lock_guard<std::mutex> lock(fail_mu_);
-      if (fail_col_ < 0 || col < fail_col_) {
-        fail_col_ = col;
-        fail_status_ = status;
-      }
-    }
-    cancel_.cancel();
-  }
-
-  /// Folds one block-factor outcome into the run-wide status.  `col0` is
-  /// the global column of the block's first panel column, so breakdown and
-  /// perturbation positions are reported in matrix coordinates.
-  void count_factor(const kernels::FactorResult& r, int col0,
+  /// Folds the factorization of block column k into its outcome slot, and
+  /// cancels the run on a breakdown.  `col0` is the global column of the
+  /// block's first panel column, so breakdown and perturbation positions
+  /// are reported in matrix coordinates.
+  void count_factor(int k, const kernels::FactorResult& r, int col0,
                     double min_diag) {
-    {
-      std::lock_guard<std::mutex> lock(min_pivot_mu_);
-      min_pivot_ = std::min(min_pivot_, min_diag);
-    }
-    if (!r.perturbed.empty()) {
-      std::lock_guard<std::mutex> lock(fail_mu_);
-      for (int c : r.perturbed) perturbed_.push_back(col0 + c);
-    }
+    Outcome& o = outcome_[k];
+    o.min_diag = min_diag;
+    for (int c : r.perturbed) o.perturbed.push_back(col0 + c);
     if (r.info != 0) {
-      zero_pivots_.fetch_add(1, std::memory_order_relaxed);
-      fail(col0 + r.info - 1, FactorStatus::kSingular);
+      o.zero_pivot = true;
+      o.fail(col0 + r.info - 1, FactorStatus::kSingular);
     }
     if (r.first_nonfinite >= 0) {
-      fail(col0 + r.first_nonfinite, FactorStatus::kOverflow);
+      o.fail(col0 + r.first_nonfinite, FactorStatus::kOverflow);
     }
+    if (o.fail_col >= 0) cancel_.cancel();
   }
 
   void count_lazy_skip() {
     lazy_skipped_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// One dispatched tile run: `fused` is the number of per-block gemms the
-  /// run merged away (0 for a single-tile run).  kAuto means the scalar
-  /// reference arm ran (no engine routing happened).
-  void count_tile_run(blas::GemmEngine engine, int fused) {
-    tile_runs_.fetch_add(1, std::memory_order_relaxed);
+  /// Fused row runs dispatched to one engine: `runs` kernel runs, `fused`
+  /// plan runs merged away by fusion.  kAuto means the scalar reference
+  /// arm ran (no engine routing happened).
+  void count_row_runs(blas::GemmEngine engine, long runs, int fused) {
+    if (runs == 0) return;
+    tile_runs_.fetch_add(runs, std::memory_order_relaxed);
     if (fused > 0) gemms_fused_.fetch_add(fused, std::memory_order_relaxed);
     if (engine == blas::GemmEngine::kPacked) {
-      routed_packed_.fetch_add(1, std::memory_order_relaxed);
+      routed_packed_.fetch_add(runs, std::memory_order_relaxed);
     } else if (engine == blas::GemmEngine::kDirect) {
-      routed_direct_.fetch_add(1, std::memory_order_relaxed);
+      routed_direct_.fetch_add(runs, std::memory_order_relaxed);
     }
   }
 
@@ -140,61 +126,95 @@ class RunState {
     scans_elided_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Block (i, j) as a checker resource id.
-  long resource(int i, int j) const {
-    return static_cast<long>(i) * run_.an.blocks.num_blocks() + j;
-  }
-
-  void record_read(int id, int i, int j) {
-    run_.checker->read(id, resource(i, j));
-  }
-
-  /// The kernels write block (i, j) while holding column j's mutex when
-  /// locks are on; tell the checker which lock so same-column serialized
-  /// (entry-disjoint or commuting) writes are not misreported.
-  void record_write(int id, int i, int j) {
-    if (locks_) {
-      run_.checker->locked_write(id, resource(i, j), j);
-    } else {
-      run_.checker->write(id, resource(i, j));
+  /// Records `rows` scalar rows starting at global row `g0` of block
+  /// column `col` -- the footprint unit of both layouts: one row of one
+  /// block column, resource row * num_blocks + col.
+  void record_rows(int id, rt::AccessKind kind, int g0, int rows, int col) {
+    const long nb = run_.an.blocks.num_blocks();
+    for (long r = g0; r < g0 + rows; ++r) {
+      if (kind == rt::AccessKind::kRead) {
+        run_.checker->read(id, r * nb + col);
+      } else {
+        run_.checker->write(id, r * nb + col);
+      }
     }
   }
 
-  /// A write performed without taking any lock (the 2-D tasks other than
-  /// UpdateBlock -- the graph alone orders all access to their blocks).
-  void record_unlocked_write(int id, int i, int j) {
-    run_.checker->write(id, resource(i, j));
+  /// Every row of row block i in block column `col`.
+  void record_block(int id, rt::AccessKind kind, int i, int col) {
+    const symbolic::SupernodePartition& part = run_.an.blocks.part;
+    record_rows(id, kind, part.first(i), part.width(i), col);
+  }
+
+  /// The structural rows of L block `t` (index into cp.l_list) of panel k,
+  /// recorded in block column `col`.
+  void record_runs(int id, rt::AccessKind kind,
+                   const symbolic::ColumnPlan& cp, int t, int col) {
+    const int g0 = run_.an.blocks.part.first(cp.l_list[t]) - cp.l_offset[t];
+    for (int r = cp.run_ptr[t]; r < cp.run_ptr[t + 1]; ++r) {
+      record_rows(id, kind, g0 + cp.row_runs[r].src, cp.row_runs[r].rows, col);
+    }
+  }
+
+  /// Row-run lists of the current task (one per engine), reused across
+  /// tasks on this worker thread so steady-state updates allocate nothing.
+  static std::vector<blas::RowSpan>& spans(int engine) {
+    static thread_local std::vector<blas::RowSpan> lists[2];
+    lists[engine].clear();
+    return lists[engine];
+  }
+
+  /// Replays gemm's auto routing for an m-row L block against U_kj (the
+  /// scan result `bdense` is computed by the caller, at most once).
+  static blas::GemmEngine engine_for(int m, blas::ConstMatrixView ukj,
+                                     bool bdense) {
+    if (!blas::use_blocked_kernels()) return blas::GemmEngine::kAuto;
+    return bdense && blas::gemm_pack_worthwhile(m, ukj.cols, ukj.rows)
+               ? blas::GemmEngine::kPacked
+               : blas::GemmEngine::kDirect;
   }
 
   NumericRun& run_;
-  std::unique_ptr<std::vector<std::mutex>> locks_;
 
  private:
-  std::atomic<int> zero_pivots_{0};
+  /// What Factor(k) / FactorDiag(k) observed; written by that task only.
+  struct Outcome {
+    double min_diag = std::numeric_limits<double>::infinity();
+    std::vector<int> perturbed;
+    bool zero_pivot = false;
+    int fail_col = -1;
+    FactorStatus fail_status = FactorStatus::kOk;
+
+    /// The smallest failing column wins; at equal columns the first report.
+    void fail(int col, FactorStatus status) {
+      if (fail_col < 0 || col < fail_col) {
+        fail_col = col;
+        fail_status = status;
+      }
+    }
+  };
+
+  std::vector<Outcome> outcome_;
   std::atomic<long> lazy_skipped_{0};
   std::atomic<long> tile_runs_{0};
   std::atomic<long> gemms_fused_{0};
   std::atomic<long> routed_packed_{0};
   std::atomic<long> routed_direct_{0};
   std::atomic<long> scans_elided_{0};
-  std::mutex min_pivot_mu_;
-  double min_pivot_ = std::numeric_limits<double>::infinity();
   rt::CancelToken cancel_;
-  std::mutex fail_mu_;
-  int fail_col_ = -1;
-  FactorStatus fail_status_ = FactorStatus::kOk;
-  std::vector<int> perturbed_;
 };
 
 /// 1-D dispatcher: Factor(k) / Update(k, j) bodies over the packed panels,
-/// kernels from core/kernels.h.
+/// kernels from core/kernels.h.  Update(k, j) writes only the diagonal
+/// rows of block (k, j) and the structural L rows of panel k
+/// (symbolic::ColumnPlan::row_runs) in block column j, and the analysis
+/// proved the writers of every row ordered by the eforest graph
+/// (symbolic::row_writer_chain_violations), so no body takes a lock.
 class Run1D : public RunState {
  public:
   Run1D(NumericRun& run, const NumericOptions& opt)
-      // Lock-free execution is only honored when the analysis proved the
-      // unordered updates' block footprints disjoint (symbolic/blocks.h).
-      : RunState(run, opt.use_column_locks || !run.an.blocks.lockfree_safe),
-        lazy_(opt.lazy_updates), threshold_(opt.pivot_threshold) {}
+      : RunState(run), lazy_(opt.lazy_updates),
+        threshold_(opt.pivot_threshold) {}
 
   void run_task(int id) {
     const taskgraph::Task& t = run_.graph.tasks.task(id);
@@ -208,51 +228,26 @@ class Run1D : public RunState {
   void factor(int k) {
     const Analysis& an = run_.an;
     if (run_.checker) {
-      // Footprint (Theorem 4 bookkeeping): Factor(k) rewrites the packed
-      // panel of block column k -- the diagonal block and every L row
-      // block -- and touches nothing else.
+      // Footprint (Theorem 4 bookkeeping): Factor(k) rewrites every row of
+      // the packed panel of block column k and touches nothing else.
       const int id = run_.graph.tasks.factor_id(k);
-      record_write(id, k, k);
-      for (int t : an.blocks.l_blocks(k)) record_write(id, t, k);
+      record_block(id, rt::AccessKind::kWrite, k, k);
+      for (int t : an.block_plan.columns[k].l_list) {
+        record_block(id, rt::AccessKind::kWrite, t, k);
+      }
     }
-    std::unique_lock<std::mutex> lock = maybe_lock(k);
     blas::MatrixView p = run_.blocks.panel(k);
     kernels::FactorResult r = kernels::factor_block(
         p, run_.ipiv[k], threshold_, run_.perturb_magnitude);
     const int wk = an.blocks.part.width(k);
-    count_factor(r, an.blocks.part.first(k),
+    count_factor(k, r, an.blocks.part.first(k),
                  kernels::min_diag_abs(p.block(0, 0, wk, wk)));
   }
 
   void update(int k, int j) {
     const Analysis& an = run_.an;
-    const symbolic::ColumnPlan* cp =
-        run_.plan != nullptr ? &run_.plan->columns[k] : nullptr;
-    if (run_.checker) {
-      // Update(k, j) reads panel k (L blocks + ipiv via the diagonal
-      // block) and writes the panel-k row blocks of block column j: the
-      // pivot replay swaps rows inside blocks (k, j) and (t, j), the trsm
-      // rewrites (k, j), the gemms rewrite each (t, j).  These are exactly
-      // the pivot-candidate row blocks Theorem 4 proves disjoint across
-      // independent subtrees.  Footprints stay at the ORIGINAL block
-      // granularity even when the plan coalesces tiles: a fused gemm
-      // writes exactly the union of its member blocks, no more.
-      const int id = run_.graph.tasks.update_id(k, j);
-      record_read(id, k, k);
-      record_write(id, k, j);
-      std::vector<int> tmp;
-      const std::vector<int>* lblk = &tmp;
-      if (cp != nullptr) {
-        lblk = &cp->l_list;
-      } else {
-        tmp = an.blocks.l_blocks(k);
-      }
-      for (int t : *lblk) {
-        record_read(id, t, k);
-        record_write(id, t, j);
-      }
-    }
-    std::unique_lock<std::mutex> lock = maybe_lock(j);
+    const symbolic::ColumnPlan& cp = an.block_plan.columns[k];
+    if (run_.checker) record_update(k, j, cp);
     // (a) deferred pivoting: panel-k row swaps replayed on block column j.
     kernels::apply_panel_pivots(run_.blocks, run_.ipiv[k], k, j);
     // LazyS+ elision: pivoting has been replayed (the swaps move other
@@ -267,79 +262,102 @@ class Run1D : public RunState {
     blas::ConstMatrixView panel_k = run_.blocks.panel(k);
     blas::MatrixView ukj = run_.blocks.block(k, j);
     kernels::solve_with_l(panel_k.block(0, 0, wk, wk), ukj);
-    // (c) Schur updates: B_tj -= L_tk * U_kj for every L row block t.
-    blas::ConstMatrixView ukj_c = ukj;
-    if (cp == nullptr) {
-      int off = wk;
-      for (int t : an.blocks.l_blocks(k)) {
-        const int wt = an.blocks.part.width(t);
-        kernels::schur_update(panel_k.block(off, 0, wt, wk), ukj_c,
-                              run_.blocks.block(t, j));
-        off += wt;
-      }
-      return;
-    }
-    schur_update_tiled(an, *cp, j, panel_k, ukj_c, wk);
+    // (c) Schur update of the structural rows: B_tj -= L_tk * U_kj.
+    schur_update(an, cp, j, panel_k.block(wk, 0, cp.panel_rows, wk), ukj);
   }
 
  private:
-  /// Plan-driven Schur sweep: replays gemm's auto routing per tile with
-  /// the O(k*n) density scan of op(B) = U_kj hoisted out of the loop
-  /// (every tile's gemm shares it), then coalesces maximal runs of
-  /// adjacent same-decision tiles whose targets are contiguous in block
-  /// column j's buffer into single tall gemms with the engine forced.
-  /// Bitwise identical to the per-block loop: every engine accumulates
-  /// each C element over p in ascending order independent of how m is
-  /// partitioned, and the forced engine IS the auto decision (DESIGN.md
-  /// section 16).
-  void schur_update_tiled(const Analysis& an, const symbolic::ColumnPlan& cp,
-                          int j, blas::ConstMatrixView panel_k,
-                          blas::ConstMatrixView ukj_c, int wk) {
-    const int nb = static_cast<int>(cp.l_list.size());
-    if (nb == 0) return;
-    const int wj = an.blocks.part.width(j);
-    const bool blocked = blas::use_blocked_kernels();
-    // Hoisted density scan, with gemm's short-circuit preserved: the scan
-    // runs only when at least one tile crosses the size threshold (below
-    // it gemm never scans, so neither do we).
+  /// One call of the row kernel per engine.  Routing replays gemm's auto
+  /// decision per L block (size from the block's dimensions, the O(k*n)
+  /// density scan of U_kj hoisted and run at most once, only when some
+  /// block crosses the size threshold), so the forced engine IS the auto
+  /// decision.  Runs adjacent in both panel k and column j fuse.  Bitwise
+  /// equal to one gemm per whole L block: neither engine's per-element
+  /// arithmetic depends on the row split, and the rows left out hold
+  /// structural zeros of L_tk, whose contributions would leave every
+  /// stored value unchanged (DESIGN.md section 16).
+  void schur_update(const Analysis& an, const symbolic::ColumnPlan& cp, int j,
+                    blas::ConstMatrixView l, blas::ConstMatrixView ukj) {
+    if (cp.row_runs.empty()) return;
+    const symbolic::SupernodePartition& part = an.blocks.part;
+    // Hoisted density scan, with gemm's short-circuit preserved: it runs
+    // only when some L block with runs crosses the size threshold.
     int scans_wanted = 0;
     bool bdense = false;
-    if (blocked) {
-      for (int t = 0; t < nb; ++t) {
-        scans_wanted += blas::gemm_pack_worthwhile(
-            an.blocks.part.width(cp.l_list[t]), wj, wk);
+    if (blas::use_blocked_kernels()) {
+      for (std::size_t t = 0; t + 1 < cp.run_ptr.size(); ++t) {
+        scans_wanted += cp.run_ptr[t] < cp.run_ptr[t + 1] &&
+                        blas::gemm_pack_worthwhile(part.width(cp.l_list[t]),
+                                                   ukj.cols, ukj.rows);
       }
       if (scans_wanted > 0) {
-        bdense = blas::gemm_b_dense_enough(blas::Trans::No, ukj_c, wk, wj);
-        if (scans_wanted > 1) count_scans_elided(scans_wanted - 1);
+        bdense = blas::gemm_b_dense_enough(blas::Trans::No, ukj, ukj.rows,
+                                           ukj.cols);
       }
     }
-    const auto engine_of = [&](int t) {
-      if (!blocked) return blas::GemmEngine::kAuto;  // reference arm: unused
-      return blas::gemm_pack_worthwhile(an.blocks.part.width(cp.l_list[t]),
-                                        wj, wk) &&
-                     bdense
-                 ? blas::GemmEngine::kPacked
-                 : blas::GemmEngine::kDirect;
-    };
-    blas::MatrixView colj = run_.blocks.column(j);
-    int t = 0;
-    while (t < nb) {
-      const blas::GemmEngine eng = engine_of(t);
-      const int tgt0 = run_.blocks.block_offset(cp.l_list[t], j);
-      int tgt_end = tgt0 + an.blocks.part.width(cp.l_list[t]);
-      int e = t + 1;
-      while (e < nb && engine_of(e) == eng &&
-             run_.blocks.block_offset(cp.l_list[e], j) == tgt_end) {
-        tgt_end += an.blocks.part.width(cp.l_list[e]);
-        ++e;
+    std::vector<blas::RowSpan>& direct = spans(0);
+    std::vector<blas::RowSpan>& packed = spans(1);
+    int merged = 0;
+    for (std::size_t t = 0; t + 1 < cp.run_ptr.size(); ++t) {
+      if (cp.run_ptr[t] == cp.run_ptr[t + 1]) continue;
+      const int lt = cp.l_list[t];
+      const int shift = run_.blocks.block_offset(lt, j) - cp.l_offset[t];
+      std::vector<blas::RowSpan>& out =
+          engine_for(part.width(lt), ukj, bdense) == blas::GemmEngine::kPacked
+              ? packed
+              : direct;
+      for (int r = cp.run_ptr[t]; r < cp.run_ptr[t + 1]; ++r) {
+        const symbolic::RowRun& run = cp.row_runs[r];
+        const int dst = run.src + shift;
+        if (!out.empty() && out.back().a_row + out.back().rows == run.src &&
+            out.back().c_row + out.back().rows == dst) {
+          out.back().rows += run.rows;
+          ++merged;
+        } else {
+          out.push_back({run.src, dst, run.rows});
+        }
       }
-      const int run_rows = cp.l_offset[e] - cp.l_offset[t];
-      kernels::schur_update(
-          panel_k.block(wk + cp.l_offset[t], 0, run_rows, wk), ukj_c,
-          colj.block(tgt0, 0, run_rows, wj), eng);
-      count_tile_run(eng, e - t - 1);
-      t = e;
+    }
+    blas::MatrixView colj = run_.blocks.column(j);
+    kernels::schur_update_rows(l, ukj, colj, direct.data(),
+                               static_cast<int>(direct.size()),
+                               blas::GemmEngine::kDirect);
+    kernels::schur_update_rows(l, ukj, colj, packed.data(),
+                               static_cast<int>(packed.size()),
+                               blas::GemmEngine::kPacked);
+    if (run_.plan != nullptr) {
+      if (scans_wanted > 1) count_scans_elided(scans_wanted - 1);
+      count_row_runs(blas::use_blocked_kernels() ? blas::GemmEngine::kDirect
+                                                 : blas::GemmEngine::kAuto,
+                     static_cast<long>(direct.size()), merged);
+      count_row_runs(blas::GemmEngine::kPacked,
+                     static_cast<long>(packed.size()), 0);
+    }
+  }
+
+  /// Update(k, j) reads the diagonal block and the structural rows of
+  /// panel k; it writes the diagonal rows of block (k, j) (pivot replay
+  /// and trsm), the structural rows in column j (the row-exact gemm), and
+  /// the target of every pivot interchange it replays.
+  void record_update(int k, int j, const symbolic::ColumnPlan& cp) {
+    const symbolic::SupernodePartition& part = run_.an.blocks.part;
+    const int id = run_.graph.tasks.update_id(k, j);
+    record_block(id, rt::AccessKind::kRead, k, k);
+    record_block(id, rt::AccessKind::kWrite, k, j);
+    for (std::size_t t = 0; t < cp.l_list.size(); ++t) {
+      record_runs(id, rt::AccessKind::kRead, cp, static_cast<int>(t), k);
+      record_runs(id, rt::AccessKind::kWrite, cp, static_cast<int>(t), j);
+    }
+    const std::vector<int>& ipiv = run_.ipiv[k];
+    const int wk = part.width(k);
+    for (int c = 0; c < static_cast<int>(ipiv.size()); ++c) {
+      const int p = ipiv[c] - wk;  // L-part row of the interchange target
+      if (p < 0) continue;
+      const int t = static_cast<int>(
+          std::upper_bound(cp.l_offset.begin(), cp.l_offset.end(), p) -
+          cp.l_offset.begin() - 1);
+      record_rows(id, rt::AccessKind::kWrite,
+                  part.first(cp.l_list[t]) + (p - cp.l_offset[t]), 1, j);
     }
   }
 
@@ -349,34 +367,32 @@ class Run1D : public RunState {
 
 /// 2-D dispatcher: FactorDiag / FactorL / ComputeU / UpdateBlock bodies per
 /// block, same kernels.  Pivoting is restricted to the diagonal block (the
-/// price of 2-D distribution); rows outside it stay unpermuted.
+/// price of 2-D distribution); rows outside it stay unpermuted.  Like
+/// Update(k, j) in 1-D, UpdateBlock(i, k, j) writes only the structural
+/// rows of L_ik, and the eforest graph orders the writers of each row
+/// (taskgraph/build.h), so no body takes a lock.
 class Run2D : public RunState {
  public:
   Run2D(NumericRun& run, const NumericOptions& opt)
-      // Additive UpdateBlock gemms into one block commute but their memory
-      // writes must not interleave: serialize per target block column
-      // unless the graph already chains them (the S* kinds) and the caller
-      // opted out of locks.
-      : RunState(run, opt.use_column_locks ||
-                          run.graph.kind == taskgraph::GraphKind::kEforest),
-        lazy_(opt.lazy_updates), threshold_(opt.pivot_threshold) {}
+      : RunState(run), lazy_(opt.lazy_updates),
+        threshold_(opt.pivot_threshold) {}
 
   void run_task(int id) {
     const taskgraph::Task& t = run_.graph.tasks.task(id);
     switch (t.kind) {
       case taskgraph::TaskKind::kFactorDiag: {
-        if (run_.checker) record_unlocked_write(id, t.k, t.k);
+        if (run_.checker) record_block(id, rt::AccessKind::kWrite, t.k, t.k);
         blas::MatrixView d = run_.blocks.block(t.k, t.k);
         kernels::FactorResult r = kernels::factor_block(
             d, run_.ipiv[t.k], threshold_, run_.perturb_magnitude);
-        count_factor(r, run_.an.blocks.part.first(t.k),
+        count_factor(t.k, r, run_.an.blocks.part.first(t.k),
                      kernels::min_diag_abs(d));
         break;
       }
       case taskgraph::TaskKind::kComputeU: {
         if (run_.checker) {
-          record_read(id, t.k, t.k);
-          record_unlocked_write(id, t.k, t.j);
+          record_block(id, rt::AccessKind::kRead, t.k, t.k);
+          record_block(id, rt::AccessKind::kWrite, t.k, t.j);
         }
         blas::MatrixView ukj = run_.blocks.block(t.k, t.j);
         kernels::apply_local_pivots(ukj, run_.ipiv[t.k]);
@@ -389,55 +405,60 @@ class Run2D : public RunState {
       }
       case taskgraph::TaskKind::kFactorL: {
         if (run_.checker) {
-          record_read(id, t.k, t.k);
-          record_unlocked_write(id, t.i, t.k);
+          record_block(id, rt::AccessKind::kRead, t.k, t.k);
+          record_block(id, rt::AccessKind::kWrite, t.i, t.k);
         }
         kernels::solve_with_u(run_.blocks.block(t.k, t.k),
                               run_.blocks.block(t.i, t.k));
         break;
       }
-      case taskgraph::TaskKind::kUpdateBlock: {
-        blas::ConstMatrixView lik = run_.blocks.block(t.i, t.k);
-        blas::ConstMatrixView ukj = run_.blocks.block(t.k, t.j);
-        if (run_.checker) {
-          record_read(id, t.i, t.k);
-          record_read(id, t.k, t.j);
-          record_write(id, t.i, t.j);
-        }
-        // Operand reads are ordered by the graph's FL/CU edges; a zero
-        // operand contributes nothing (LazyS+ at block granularity).
-        if (lazy_ && (blas::max_abs(lik) == 0.0 || blas::max_abs(ukj) == 0.0)) {
-          count_lazy_skip();
-          break;
-        }
-        std::unique_lock<std::mutex> lock = maybe_lock(t.j);
-        if (run_.plan == nullptr) {
-          kernels::schur_update(lik, ukj, run_.blocks.block(t.i, t.j));
-          break;
-        }
-        // Plan-driven routing at block granularity: replay gemm's auto
-        // decision (same predicates, same short-circuit -- the scan only
-        // runs past the size threshold) so the forced engine is exactly
-        // what kAuto would pick, and count it for the report.  No tiles
-        // to fuse here; per-block tasks are the 2-D layout's granularity.
-        blas::GemmEngine eng = blas::GemmEngine::kAuto;
-        if (blas::use_blocked_kernels()) {
-          eng = blas::gemm_pack_worthwhile(lik.rows, ukj.cols, lik.cols) &&
-                        blas::gemm_b_dense_enough(blas::Trans::No, ukj,
-                                                  lik.cols, ukj.cols)
-                    ? blas::GemmEngine::kPacked
-                    : blas::GemmEngine::kDirect;
-        }
-        kernels::schur_update(lik, ukj, run_.blocks.block(t.i, t.j), eng);
-        count_tile_run(eng, 0);
+      case taskgraph::TaskKind::kUpdateBlock:
+        update_block(id, t.i, t.k, t.j);
         break;
-      }
       default:
         throw std::logic_error("2-D driver: column-granularity task");
     }
   }
 
  private:
+  /// B_ij -= L_ik U_kj on the structural rows of L_ik: one call of the row
+  /// kernel, routed by replaying gemm's auto decision for the whole block
+  /// (same predicates, same short-circuit), so the factors are bitwise
+  /// those of a whole-block gemm.
+  void update_block(int id, int i, int k, int j) {
+    const symbolic::ColumnPlan& cp = run_.an.block_plan.columns[k];
+    const int t = static_cast<int>(
+        std::lower_bound(cp.l_list.begin(), cp.l_list.end(), i) -
+        cp.l_list.begin());
+    blas::ConstMatrixView lik = run_.blocks.block(i, k);
+    blas::ConstMatrixView ukj = run_.blocks.block(k, j);
+    if (run_.checker) {
+      record_runs(id, rt::AccessKind::kRead, cp, t, k);
+      record_block(id, rt::AccessKind::kRead, k, j);
+      record_runs(id, rt::AccessKind::kWrite, cp, t, j);
+    }
+    // Operand reads are ordered by the graph's FL/CU edges; a zero
+    // operand contributes nothing (LazyS+ at block granularity).
+    if (lazy_ && (blas::max_abs(lik) == 0.0 || blas::max_abs(ukj) == 0.0)) {
+      count_lazy_skip();
+      return;
+    }
+    if (cp.run_ptr[t] == cp.run_ptr[t + 1]) return;
+    const bool bdense =
+        blas::use_blocked_kernels() &&
+        blas::gemm_pack_worthwhile(lik.rows, ukj.cols, lik.cols) &&
+        blas::gemm_b_dense_enough(blas::Trans::No, ukj, lik.cols, ukj.cols);
+    const blas::GemmEngine eng = engine_for(lik.rows, ukj, bdense);
+    std::vector<blas::RowSpan>& rows = spans(0);
+    for (int r = cp.run_ptr[t]; r < cp.run_ptr[t + 1]; ++r) {
+      const int off = cp.row_runs[r].src - cp.l_offset[t];
+      rows.push_back({off, off, cp.row_runs[r].rows});
+    }
+    kernels::schur_update_rows(lik, ukj, run_.blocks.block(i, j), rows.data(),
+                               static_cast<int>(rows.size()), eng);
+    if (run_.plan != nullptr) count_row_runs(eng, 1, 0);
+  }
+
   const bool lazy_;
   const double threshold_;
 };

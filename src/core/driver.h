@@ -6,7 +6,7 @@
 // constructor assembled (block storage loaded, pivot vectors sized, the
 // layout-matching task graph, an optional race checker) and executes the
 // factorization tasks over it according to NumericOptions -- enumeration,
-// dispatch, locking and footprint recording only; the task BODIES live in
+// dispatch and footprint recording only (no locks); the task BODIES live in
 // core/kernels.h, shared by both drivers.
 #pragma once
 
@@ -42,12 +42,11 @@ struct NumericRun {
   /// Factorization constructor to sqrt(eps) * max|A| when
   /// NumericOptions::perturb_pivots is on.
   double perturb_magnitude = 0.0;
-  /// Structure-aware blocking plan (symbolic/repartition.h), or nullptr to
-  /// run the legacy per-block path.  Set by the Factorization constructor
-  /// from Analysis::block_plan when NumericOptions::blocking is kAuto.
-  /// Consuming the plan never changes factor bits: the drivers re-measure
-  /// density with gemm's own exported predicates and only elide redundant
-  /// scans / fuse adjacent same-decision tiles (DESIGN.md section 16).
+  /// Structure-aware blocking plan (symbolic/repartition.h) when
+  /// NumericOptions::blocking is kAuto, else nullptr.  The drivers read
+  /// the row runs from Analysis::block_plan either way; this pointer only
+  /// turns on the routing counters and the coarsener's use of the plan, so
+  /// it never changes factor bits (DESIGN.md section 16).
   const symbolic::BlockPlan* plan = nullptr;
 
   // Outputs.

@@ -34,10 +34,11 @@ double min_diag_abs(blas::ConstMatrixView a) {
 
 void apply_panel_pivots(BlockMatrix& bm, const std::vector<int>& ipiv, int k,
                         int j) {
-  std::vector<int> rows = bm.panel_rows_in_column(k, j);
   for (std::size_t c = 0; c < ipiv.size(); ++c) {
-    if (ipiv[c] != static_cast<int>(c)) {
-      bm.swap_rows(j, rows[c], rows[ipiv[c]]);
+    const int p = static_cast<int>(c);
+    if (ipiv[c] != p) {
+      bm.swap_rows(j, bm.panel_row_in_column(k, j, p),
+                   bm.panel_row_in_column(k, j, ipiv[c]));
     }
   }
 }
@@ -57,15 +58,23 @@ void solve_with_u(blas::ConstMatrixView ukk, blas::MatrixView lik) {
 }
 
 void schur_update(blas::ConstMatrixView lik, blas::ConstMatrixView ukj,
-                  blas::MatrixView bij) {
-  blas::gemm_dispatch(blas::Trans::No, blas::Trans::No, -1.0, lik, ukj, 1.0,
-                      bij);
-}
-
-void schur_update(blas::ConstMatrixView lik, blas::ConstMatrixView ukj,
                   blas::MatrixView bij, blas::GemmEngine engine) {
   blas::gemm_dispatch(blas::Trans::No, blas::Trans::No, -1.0, lik, ukj, 1.0,
                       bij, engine);
+}
+
+void schur_update_rows(blas::ConstMatrixView l, blas::ConstMatrixView ukj,
+                       blas::MatrixView c, const blas::RowSpan* runs,
+                       int nruns, blas::GemmEngine engine) {
+  if (blas::use_blocked_kernels()) {
+    blas::gemm_rows(-1.0, l, ukj, c, runs, nruns, engine);
+    return;
+  }
+  for (int r = 0; r < nruns; ++r) {
+    blas::gemm_reference(blas::Trans::No, blas::Trans::No, -1.0,
+                         l.block(runs[r].a_row, 0, runs[r].rows, l.cols), ukj,
+                         1.0, c.block(runs[r].c_row, 0, runs[r].rows, c.cols));
+  }
 }
 
 }  // namespace plu::kernels

@@ -2,8 +2,8 @@
 // (core/driver.cpp).  Each of the four task-body operations -- the
 // partial-pivoting block factor, the deferred / local pivot application,
 // the triangular solves, and the additive Schur gemm -- exists exactly
-// once, here; the drivers contribute only task enumeration, dispatch,
-// locking and footprint recording.
+// once, here; the drivers contribute only task enumeration, dispatch and
+// footprint recording.
 //
 // All kernels operate on views into the shared BlockMatrix storage
 // (core/block_storage.h), which lays a block column out contiguously
@@ -53,7 +53,8 @@ double min_diag_abs(blas::ConstMatrixView a);
 /// Deferred pivoting (Update(k, j) step (a)): replays panel k's pivot
 /// interchanges on block column j.  The swaps cross row-block boundaries;
 /// the block-level George-Ng closure guarantees every touched row exists
-/// in column j (core/numeric.h).
+/// in column j (core/numeric.h).  Only swapped rows are located, and
+/// nothing is allocated.
 void apply_panel_pivots(BlockMatrix& bm, const std::vector<int>& ipiv, int k,
                         int j);
 
@@ -69,16 +70,21 @@ void solve_with_l(blas::ConstMatrixView lkk, blas::MatrixView ukj);
 /// FactorL body).
 void solve_with_u(blas::ConstMatrixView ukk, blas::MatrixView lik);
 
-/// Additive Schur update B_ij -= L_ik U_kj (Update(k, j) step (c) per L row
-/// block, and the whole UpdateBlock body).
-void schur_update(blas::ConstMatrixView lik, blas::ConstMatrixView ukj,
-                  blas::MatrixView bij);
-
-/// Engine-hinted Schur update for the plan-driven tiled path: the hint must
-/// be the decision kAuto would have made (caller replays the exported
-/// predicates, blas/level3.h), so the factors stay bitwise identical while
-/// redundant density scans are elided.  Ignored on the scalar-ablation arm.
+/// Whole-block Schur update B_ij -= L_ik U_kj with the engine given: the
+/// hint must be the decision kAuto would have made (caller replays the
+/// exported predicates, blas/level3.h).  Ignored on the scalar-ablation
+/// arm.  Bitwise equal to schur_update_rows over the structural rows of
+/// L_ik, which is what the drivers run.
 void schur_update(blas::ConstMatrixView lik, blas::ConstMatrixView ukj,
                   blas::MatrixView bij, blas::GemmEngine engine);
+
+/// Row-exact Schur update (Update(k, j) step (c)): C(runs) -= L(runs) *
+/// U_kj through blas::gemm_rows, where L is the L part of panel k and C is
+/// block column j's buffer; rows of C outside the runs are not touched.
+/// `engine` must be the decision kAuto would take for the runs' L blocks;
+/// the scalar-ablation arm runs gemm_reference per run.
+void schur_update_rows(blas::ConstMatrixView l, blas::ConstMatrixView ukj,
+                       blas::MatrixView c, const blas::RowSpan* runs,
+                       int nruns, blas::GemmEngine engine);
 
 }  // namespace plu::kernels

@@ -119,7 +119,13 @@ void Factorization::run(const CscMatrix& a, const NumericOptions& opt) {
                       analysis.col_perm, analysis.row_scale,
                       analysis.col_scale);
   if (matrix_scale == 0.0) matrix_scale = 1.0;
-  ipiv_.assign(nb, {});
+  // Pivot sequences start empty (an unfactored block has none) but with
+  // their final capacity, so no factor task allocates.
+  ipiv_.resize(nb);
+  for (int k = 0; k < nb; ++k) {
+    ipiv_[k].clear();
+    ipiv_[k].reserve(analysis.blocks.part.width(k));
+  }
 
   std::unique_ptr<rt::RaceChecker> checker;
   if (opt.check_races) {

@@ -13,7 +13,8 @@
 //                 sequence ipiv_k is recorded, not applied globally.
 //   Update(k,j):  (a) apply ipiv_k to the panel-k rows of block column j
 //                 (deferred pivoting), (b) trsm L_kk * U_kj = B_kj,
-//                 (c) gemm B_tj -= L_tk * U_kj for every L row block t.
+//                 (c) gemm B_tj -= L_tk * U_kj on the structural rows of
+//                 every L row block t (symbolic::ColumnPlan::row_runs).
 //
 // 2-D kernels (the S+ 2.0 scheme; pivoting RESTRICTED to each diagonal
 // block -- numerically weaker, watch min_pivot_ratio()):
@@ -31,9 +32,14 @@
 // (symbolic/blocks.h) makes all pivot-candidate row blocks of a column share
 // one block-row structure, so every row ipiv_k touches exists in every block
 // column j with Update(k,j).  Why unordered independent-subtree updates are
-// safe: their candidate row-block sets are disjoint (Theorem 4 and the
-// block-level analogue of verify_candidate_disjointness), so their swaps and
-// gemm targets never overlap.
+// safe without any lock: each update writes only the diagonal rows of its
+// own block and the structural L rows of its panel, the static structure
+// keeps every other row of the panel exactly zero (so skipping it changes no
+// stored bit), and Theorem 2 row by row makes the writers of each scalar row
+// an eforest chain -- checked at analysis (row_writer_chain_violations,
+// symbolic/repartition.h).  Updates left unordered by Theorem 4 therefore
+// touch disjoint rows, their swaps included; the same holds per block for
+// the 2-D UpdateBlocks.
 #pragma once
 
 #include <cstdint>
@@ -55,13 +61,13 @@ enum class ExecutionMode {
   kThreaded,         // DAG executor on a thread pool
 };
 
-/// Structure-aware blocking (symbolic/repartition.h).  kAuto consumes
-/// Analysis::block_plan when it was built: the drivers hoist per-update
-/// density scans, coalesce adjacent same-decision tiles into single gemms,
-/// and hand the coarsener density-effective weights plus the DAG-aware
-/// tiny-merge.  Factors are BITWISE identical to kOff at every thread
-/// count (the routing contract in blas/level3.h); kOff is the ablation
-/// baseline and the plain per-block path.
+/// Structure-aware blocking (symbolic/repartition.h).  The 1-D updates
+/// run the plan's row runs under both modes (there is one Schur path).
+/// kAuto additionally counts the row-run routing for the report, routes
+/// 2-D UpdateBlocks with the hoisted predicates, and hands the coarsener
+/// density-effective weights plus the DAG-aware tiny-merge.  Factors are
+/// BITWISE identical to kOff at every thread count (the routing contract
+/// in blas/level3.h); kOff is the ablation baseline.
 enum class BlockingMode { kAuto, kOff };
 
 const char* to_string(BlockingMode m);
@@ -86,11 +92,6 @@ struct NumericOptions {
   /// a clean, reusable runtime).  Works in every execution mode; checked at
   /// task granularity.  Non-owning; must outlive the factorize call.
   rt::CancelToken* cancel = nullptr;
-  /// Serialize writers of each block column with a mutex.  Setting this to
-  /// false is honored only when the analysis proved the unordered updates'
-  /// block footprints disjoint (BlockStructure::lockfree_safe); otherwise
-  /// locks are taken regardless.
-  bool use_column_locks = true;
   /// LazyS+-style zero-block elision (the paper's "recent developments show
   /// that some of the zero blocks can be eliminated from the computation"):
   /// Update(k, j) still replays the pivot interchanges, but skips the trsm
@@ -129,10 +130,9 @@ struct NumericOptions {
   /// kThreaded (including the fuzzed and shared-runtime paths); silently
   /// falls back to the uncoarsened graph when not applicable (non-eforest
   /// graph kind, unordered labels, no flop annotations) -- check
-  /// Factorization::coarsen_stats().ran.  When coarsening ran, the
-  /// threaded result is additionally BITWISE identical to
-  /// ExecutionMode::kSequential at any thread count (the coarse graph
-  /// chains same-target writers in sequential order).
+  /// Factorization::coarsen_stats().ran.  Coarsened or not, the threaded
+  /// result is BITWISE identical to ExecutionMode::kSequential at any
+  /// thread count (the graph orders every pair of writers of an entry).
   bool coarsen = false;
   /// Explicit fusion threshold in flops; <= 0 selects the adaptive one
   /// (min(total/(threads * 48), half the critical path)).
@@ -142,8 +142,8 @@ struct NumericOptions {
   /// storage-ablation baseline.  Values are bitwise identical either way.
   StorageMode storage = StorageMode::kArena;
   /// Structure-aware blocking plan consumption (see BlockingMode).  kAuto
-  /// is the default and bitwise-safe; set kOff to run the legacy per-block
-  /// path (the `--blocking off` ablation arm).
+  /// is the default and bitwise-safe; kOff is the `--blocking off`
+  /// ablation arm.
   BlockingMode blocking = BlockingMode::kAuto;
   /// Static pivot perturbation (the SuperLU_DIST recovery for the static
   /// symbolic factorization): a pivot with |p| < sqrt(eps) * max|A| is

@@ -50,7 +50,6 @@ AnalysisReport report(const Analysis& an) {
   r.supernodes = symbolic::supernode_stats(an.partition);
   r.exact_supernodes = symbolic::supernode_stats(an.exact_partition);
   r.extra_closure_blocks = an.blocks.extra_blocks_from_closure;
-  r.lockfree_safe = an.blocks.lockfree_safe;
   r.beforest = graph::forest_stats(an.blocks.beforest);
   r.graph_kind = taskgraph::to_string(an.graph.kind);
   r.graph = taskgraph::graph_stats(an.graph, an.costs);
@@ -96,8 +95,11 @@ std::string to_string(const AnalysisReport& r) {
      << r.extra_closure_blocks << " block(s)\n";
   os << "beforest:    " << r.beforest.trees << " tree(s), " << r.beforest.leaves
      << " leaves, height " << r.beforest.height << ", max branching "
-     << r.beforest.max_branching
-     << (r.lockfree_safe ? ", lock-free safe" : ", needs column locks") << '\n';
+     << r.beforest.max_branching << '\n';
+  if (r.blocking.built) {
+    os << "row runs:    " << r.blocking.row_runs << " structural run(s), "
+       << r.blocking.rows_skipped << " L row(s) skipped by the updates\n";
+  }
   os << "task graph:  " << r.graph_kind << ", " << r.graph.tasks << " tasks, "
      << r.graph.edges << " edges, " << r.graph.total_flops / 1e9
      << " Gflop total, max parallelism " << r.graph.max_parallelism();

@@ -29,7 +29,6 @@ struct AnalysisReport {
   symbolic::SupernodeStats supernodes;
   symbolic::SupernodeStats exact_supernodes;
   long extra_closure_blocks = 0;
-  bool lockfree_safe = false;
   // Forest shape (the block eforest driving the task graph).
   graph::ForestStats beforest;
   // Task graph.

@@ -5,33 +5,15 @@
 
 namespace plu::graph {
 
-namespace {
-
-/// Postorder interval labels for O(1) ancestor queries:
-/// u is an ancestor-or-self of v iff low[u] <= rank[v] <= rank[u].
-struct AncestorIndex {
-  std::vector<int> rank;
-  std::vector<int> low;
-
-  explicit AncestorIndex(const Forest& f) {
-    const int n = f.size();
-    rank.assign(n, 0);
-    low.assign(n, 0);
-    std::vector<int> order = f.postorder();
-    std::vector<int> sz = f.subtree_sizes();
-    for (int i = 0; i < n; ++i) rank[order[i]] = i;
-    for (int v = 0; v < n; ++v) low[v] = rank[v] - sz[v] + 1;
-  }
-
-  bool ancestor_or_self(int u, int v) const {
-    return low[u] <= rank[v] && rank[v] <= rank[u];
-  }
-  bool comparable(int u, int v) const {
-    return ancestor_or_self(u, v) || ancestor_or_self(v, u);
-  }
-};
-
-}  // namespace
+AncestorIndex::AncestorIndex(const Forest& f) {
+  const int n = f.size();
+  rank.assign(n, 0);
+  low.assign(n, 0);
+  std::vector<int> order = f.postorder();
+  std::vector<int> sz = f.subtree_sizes();
+  for (int i = 0; i < n; ++i) rank[order[i]] = i;
+  for (int v = 0; v < n; ++v) low[v] = rank[v] - sz[v] + 1;
+}
 
 Forest lu_eforest(const Pattern& abar) {
   assert(abar.rows == abar.cols);

@@ -25,6 +25,22 @@
 
 namespace plu::graph {
 
+/// Postorder interval labels for O(1) ancestor queries on a forest:
+/// u is an ancestor-or-self of v iff low[u] <= rank[v] <= rank[u].
+struct AncestorIndex {
+  std::vector<int> rank;
+  std::vector<int> low;
+
+  explicit AncestorIndex(const Forest& f);
+
+  bool ancestor_or_self(int u, int v) const {
+    return low[u] <= rank[v] && rank[v] <= rank[u];
+  }
+  bool comparable(int u, int v) const {
+    return ancestor_or_self(u, v) || ancestor_or_self(v, u);
+  }
+};
+
 /// Builds the LU eforest of a filled pattern (square, zero-free diagonal).
 Forest lu_eforest(const Pattern& abar);
 

@@ -5,10 +5,10 @@
 // counter to zero acquires the task -- the release/acquire pair on the
 // counter makes every predecessor's writes visible before the successor
 // runs (see DESIGN.md, "The DAG runtime").  Tasks left unordered by the
-// graph (updates from independent subtrees) touch disjoint blocks --
-// Theorem 4 / verify_candidate_disjointness -- so no additional
-// synchronization is required beyond what the numeric layer chooses to
-// take.
+// graph (updates from independent subtrees) write disjoint rows -- Theorem
+// 4, checked row by row at analysis (symbolic/repartition.h) -- so the
+// counters are the only synchronization: the numeric drivers take no
+// lock.
 //
 // Every parallel execution runs on one engine, rt::SharedRuntime
 // (runtime/shared_runtime.h): per-worker Chase-Lev deques, successors

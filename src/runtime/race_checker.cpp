@@ -13,23 +13,7 @@ namespace plu::rt {
 namespace {
 
 const char* kind_name(AccessKind k) {
-  switch (k) {
-    case AccessKind::kRead: return "read";
-    case AccessKind::kWrite: return "write";
-    case AccessKind::kLockedWrite: return "locked-write";
-  }
-  return "?";
-}
-
-/// Read/read never conflicts; locked writes under one lock are serialized
-/// and commutative by contract; everything else does conflict.
-bool conflicts(AccessKind ka, int la, AccessKind kb, int lb) {
-  if (ka == AccessKind::kRead && kb == AccessKind::kRead) return false;
-  if (ka == AccessKind::kLockedWrite && kb == AccessKind::kLockedWrite &&
-      la == lb) {
-    return false;
-  }
-  return true;
+  return k == AccessKind::kRead ? "read" : "write";
 }
 
 }  // namespace
@@ -45,15 +29,11 @@ void RaceChecker::reset(int num_tasks) {
 }
 
 void RaceChecker::read(int task, long resource) {
-  acc_[task].push_back({resource, -1, AccessKind::kRead});
+  acc_[task].push_back({resource, AccessKind::kRead});
 }
 
 void RaceChecker::write(int task, long resource) {
-  acc_[task].push_back({resource, -1, AccessKind::kWrite});
-}
-
-void RaceChecker::locked_write(int task, long resource, int lock_id) {
-  acc_[task].push_back({resource, lock_id, AccessKind::kLockedWrite});
+  acc_[task].push_back({resource, AccessKind::kWrite});
 }
 
 std::vector<FootprintRace> RaceChecker::check(
@@ -67,25 +47,21 @@ std::vector<FootprintRace> RaceChecker::check(
   taskgraph::Reachability reach(succ);
 
   // Accessor lists per resource.  Within one task, keep only the strongest
-  // access per resource (write > locked write > read) so repeated records
-  // do not inflate the pairwise scan.
+  // access per resource (write > read) so repeated records do not inflate
+  // the pairwise scan.
   struct Accessor {
     int task;
-    int lock;
     AccessKind kind;
-  };
-  auto rank = [](AccessKind k) {
-    return k == AccessKind::kWrite ? 2 : (k == AccessKind::kLockedWrite ? 1 : 0);
   };
   std::unordered_map<long, std::vector<Accessor>> by_resource;
   for (int t = 0; t < num_tasks(); ++t) {
-    std::unordered_map<long, Access> strongest;
+    std::unordered_map<long, AccessKind> strongest;
     for (const Access& a : acc_[t]) {
-      auto [it, inserted] = strongest.emplace(a.resource, a);
-      if (!inserted && rank(a.kind) > rank(it->second.kind)) it->second = a;
+      auto [it, inserted] = strongest.emplace(a.resource, a.kind);
+      if (!inserted && a.kind == AccessKind::kWrite) it->second = a.kind;
     }
-    for (const auto& [res, a] : strongest) {
-      by_resource[res].push_back({t, a.lock, a.kind});
+    for (const auto& [res, kind] : strongest) {
+      by_resource[res].push_back({t, kind});
     }
   }
 
@@ -96,7 +72,10 @@ std::vector<FootprintRace> RaceChecker::check(
       for (std::size_t j = i + 1; j < accs.size(); ++j) {
         const Accessor& a = accs[i];
         const Accessor& b = accs[j];
-        if (!conflicts(a.kind, a.lock, b.kind, b.lock)) continue;
+        // Read/read never conflicts; everything else does.
+        if (a.kind == AccessKind::kRead && b.kind == AccessKind::kRead) {
+          continue;
+        }
         if (reach.ordered(a.task, b.task)) continue;
         auto key = std::minmax(a.task, b.task);
         if (!reported.insert({key.first, key.second}).second) continue;

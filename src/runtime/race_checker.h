@@ -3,15 +3,17 @@
 //
 // The paper's lock-free claim is structural: updates whose sources lie in
 // independent eforest subtrees are left unordered by the dependence graph
-// because their pivot-candidate row blocks are disjoint (Theorem 4,
-// verify_candidate_disjointness, BlockStructure::lockfree_safe).  The
-// checker validates that claim dynamically: while the factorization runs,
-// each task records the block resources it reads and writes; afterwards
-// check() flags every pair of tasks that is UNORDERED in the transitive
-// dependence relation of the graph yet has conflicting footprints
-// (write/write, or read/write across tasks).  A correct graph over a
-// lock-free-safe structure yields zero races under every legal
-// interleaving; removing a single rule-4 edge makes the checker fire.
+// because they write disjoint rows (Theorem 4; row by row, the writers of
+// each scalar row form an eforest chain, which the analysis checks --
+// symbolic::row_writer_chain_violations).  The checker validates that
+// claim dynamically: while the factorization runs, each task records the
+// resources it reads and writes (one row of one block column in 1-D, one
+// block in 2-D); afterwards check() flags every pair of tasks that is
+// UNORDERED in the transitive dependence relation of the graph yet has
+// conflicting footprints (write/write, or read/write across tasks).  No
+// numeric driver takes a lock, so a correct graph yields zero races under
+// every legal interleaving; removing a single rule-4 edge, or widening one
+// row run by a row, makes the checker fire.
 //
 // Recording is wait-free with respect to other tasks: each task id is
 // recorded only by the one thread running it, into its own slot, so the
@@ -26,11 +28,11 @@
 
 namespace plu::rt {
 
-enum class AccessKind { kRead, kWrite, kLockedWrite };
+enum class AccessKind { kRead, kWrite };
 
-/// One conflicting, unordered task pair, with the first resource (dense
-/// block, encoded row_block * num_blocks + col_block by the numeric layer)
-/// it conflicts on.
+/// One conflicting, unordered task pair, with the first resource it
+/// conflicts on (encoded by the numeric layer: row * num_blocks +
+/// block_column in 1-D, row_block * num_blocks + block_column in 2-D).
 struct FootprintRace {
   int task_a = 0;
   int task_b = 0;
@@ -56,13 +58,6 @@ class RaceChecker {
   /// Task `task` wrote `resource` with no synchronization beyond the graph.
   void write(int task, long resource);
 
-  /// Task `task` wrote `resource` while holding the mutex `lock_id`.  Two
-  /// locked writes under the SAME lock are mutually excluded and assumed
-  /// commutative (the numeric layer only locks additive / entry-disjoint
-  /// updates), so they never race with each other; they still conflict
-  /// with reads and with writes under other (or no) locks.
-  void locked_write(int task, long resource, int lock_id);
-
   /// All conflicting task pairs left unordered by the transitive dependence
   /// relation of `succ` (one race per pair, first conflicting resource),
   /// capped at `max_races`.  `succ` must be acyclic and have one entry per
@@ -75,7 +70,6 @@ class RaceChecker {
  private:
   struct Access {
     long resource = 0;
-    int lock = -1;
     AccessKind kind = AccessKind::kRead;
   };
 

@@ -287,8 +287,6 @@ BlockStructure build_block_structure(const Pattern& abar,
   }
   bs.bpattern_rows = bs.bpattern.transpose();
   bs.beforest = graph::lu_eforest(bs.bpattern);
-  bs.lockfree_safe =
-      graph::verify_candidate_disjointness(bs.bpattern, bs.beforest);
   return bs;
 }
 
@@ -306,8 +304,6 @@ BlockStructure build_block_structure(const Pattern& abar,
   }
   bs.bpattern_rows = bs.bpattern.transpose();
   bs.beforest = graph::lu_eforest(bs.bpattern);
-  bs.lockfree_safe =
-      graph::verify_candidate_disjointness(bs.bpattern, bs.beforest);
   return bs;
 }
 

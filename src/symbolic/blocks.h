@@ -11,11 +11,12 @@
 // George-Ng invariant; tests assert it); amalgamation can break it, so a
 // right-looking closure pass adds the missing blocks, reported in
 // `extra_blocks_from_closure`.  (A full block-level George-Ng pass would
-// also make independent-subtree candidate sets provably disjoint, but it
-// pads the structure far beyond what S+ stores -- measured at 4-10x the
-// flops on minimum-degree-ordered matrices -- so instead `lockfree_safe`
-// records whether disjointness actually holds; the threaded executor takes
-// per-column locks when it does not.)
+// also make independent-subtree candidate sets disjoint at BLOCK level, but
+// it pads the structure far beyond what S+ stores -- measured at 4-10x the
+// flops on minimum-degree-ordered matrices.  Disjointness is needed only
+// row by row: the 1-D updates write just the structural rows of each panel
+// (symbolic::ColumnPlan::row_runs), whose writers form eforest chains on
+// every structure, so no update needs a lock.)
 #pragma once
 
 #include "graph/forest.h"
@@ -37,12 +38,6 @@ struct BlockStructure {
   /// Blocks added by the block-level closure pass.
   long extra_blocks_from_closure = 0;
 
-  /// True when the block-level candidate sets of independent beforest nodes
-  /// are disjoint (verify_candidate_disjointness on bpattern).  When false,
-  /// unordered updates may touch overlapping blocks and the threaded
-  /// executor must serialize per target column.
-  bool lockfree_safe = false;
-
   int num_blocks() const { return part.count(); }
 
   /// Row blocks i > k of block column k (the L part, below the diagonal).
@@ -63,7 +58,7 @@ BlockStructure build_block_structure(const Pattern& abar,
 
 /// Team-parallel variant; bit-identical to the sequential build (the
 /// parallel loops inside block_pattern / pairwise_closure are write-disjoint
-/// or commutative; beforest and the disjointness check stay sequential).
+/// or commutative; beforest stays sequential).
 BlockStructure build_block_structure(const Pattern& abar,
                                      const SupernodePartition& part,
                                      bool apply_closure, rt::Team& team);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "blas/tunables.h"
+#include "graph/eforest.h"
 
 namespace plu::symbolic {
 
@@ -12,8 +14,10 @@ namespace {
 // Fills plan.columns[k] from Abar's entries in block column k.  Because the
 // row partition is the column partition, part.supernode_of(row) IS the row
 // block, so one sweep over the supernode's Abar columns buckets every entry.
+// `mark` (one slot per scalar row, never equal to k on entry) flags the
+// structural rows of the panel.
 void build_column_plan(const Pattern& abar, const BlockStructure& bs, int k,
-                       ColumnPlan& cp) {
+                       ColumnPlan& cp, std::vector<int>& mark) {
   const SupernodePartition& part = bs.part;
   cp.l_list = bs.l_blocks(k);
   const int nb = static_cast<int>(cp.l_list.size());
@@ -32,8 +36,30 @@ void build_column_plan(const Pattern& abar, const BlockStructure& bs, int k,
       const auto pos = std::lower_bound(cp.l_list.begin(), cp.l_list.end(), s);
       assert(pos != cp.l_list.end() && *pos == s);
       ++cnt[pos - cp.l_list.begin()];
+      mark[*it] = k;
     }
   }
+
+  cp.row_runs.clear();
+  cp.run_ptr.assign(nb + 1, 0);
+  cp.structural_rows = 0;
+  for (int t = 0; t < nb; ++t) {
+    cp.run_ptr[t] = static_cast<int>(cp.row_runs.size());
+    const int first = part.first(cp.l_list[t]);
+    const int width = part.width(cp.l_list[t]);
+    for (int r = 0; r < width; ++r) {
+      if (mark[first + r] != k) continue;
+      const int src = cp.l_offset[t] + r;
+      if (!cp.row_runs.empty() && cp.row_runs.back().block == t &&
+          cp.row_runs.back().src + cp.row_runs.back().rows == src) {
+        ++cp.row_runs.back().rows;
+      } else {
+        cp.row_runs.push_back({src, 1, t});
+      }
+      ++cp.structural_rows;
+    }
+  }
+  cp.run_ptr[nb] = static_cast<int>(cp.row_runs.size());
 
   cp.l_density.resize(nb);
   cp.tile_class.resize(nb);
@@ -92,20 +118,64 @@ void reduce_summary(const BlockStructure& bs, BlockPlan& plan) {
       mixed |= cp.tile_class[t] != cp.tile_class[0];
     }
     if (mixed) ++s.mixed_columns;
+    s.row_runs += static_cast<long>(cp.row_runs.size());
+    s.rows_skipped += cp.panel_rows - cp.structural_rows;
   }
   s.dense_area_frac = total_area > 0.0 ? dense_area / total_area : 0.0;
 }
 
+// Shared tail of both builders: the lock-freedom invariant is not a
+// fallback path, so a structure that breaks it is a bug.
+void finish_plan(const BlockStructure& bs, BlockPlan& plan) {
+  reduce_summary(bs, plan);
+  plan.built = true;
+  if (row_writer_chain_violations(bs, plan) != 0) {
+    throw std::logic_error(
+        "build_block_plan: writers of a row do not form an eforest chain");
+  }
+}
+
 }  // namespace
+
+long row_writer_chain_violations(const BlockStructure& bs,
+                                 const BlockPlan& plan) {
+  const SupernodePartition& part = bs.part;
+  const graph::AncestorIndex idx(bs.beforest);
+  // last[r]: the latest writer of row r so far.  Block columns ascend and
+  // every ancestor has a larger label, so along a chain each new writer
+  // must be an ancestor-or-self of the previous one.
+  std::vector<int> last(part.num_cols(), graph::kNone);
+  long violations = 0;
+  for (int k = 0; k < bs.num_blocks(); ++k) {
+    const ColumnPlan& cp = plan.columns[k];
+    for (const RowRun& run : cp.row_runs) {
+      const int g0 = part.first(cp.l_list[run.block]) +
+                     (run.src - cp.l_offset[run.block]);
+      for (int r = g0; r < g0 + run.rows; ++r) {
+        if (last[r] != graph::kNone && !idx.ancestor_or_self(k, last[r])) {
+          ++violations;
+        }
+        last[r] = k;
+      }
+    }
+  }
+  for (int r = 0; r < part.num_cols(); ++r) {
+    if (last[r] != graph::kNone &&
+        !idx.ancestor_or_self(part.supernode_of(r), last[r])) {
+      ++violations;
+    }
+  }
+  return violations;
+}
 
 BlockPlan build_block_plan(const Pattern& abar, const BlockStructure& bs) {
   BlockPlan plan;
   plan.columns.resize(bs.num_blocks());
+  std::vector<int> mark(abar.rows, -1);
   for (int k = 0; k < bs.num_blocks(); ++k) {
-    build_column_plan(abar, bs, k, plan.columns[k]);
+    build_column_plan(abar, bs, k, plan.columns[k], mark);
   }
-  reduce_summary(bs, plan);
-  plan.built = true;
+  finish_plan(bs, plan);
   return plan;
 }
 
@@ -117,12 +187,12 @@ BlockPlan build_block_plan(const Pattern& abar, const BlockStructure& bs,
   // Columns are write-disjoint and each reads only its own Abar range, so
   // the fan-out is trivially bit-identical to the sequential build.
   team.parallel_for(abar.nnz(), n, [&](int kb, int ke, int) {
+    std::vector<int> mark(abar.rows, -1);
     for (int k = kb; k < ke; ++k) {
-      build_column_plan(abar, bs, k, plan.columns[k]);
+      build_column_plan(abar, bs, k, plan.columns[k], mark);
     }
   });
-  reduce_summary(bs, plan);
-  plan.built = true;
+  finish_plan(bs, plan);
   return plan;
 }
 

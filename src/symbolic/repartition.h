@@ -13,6 +13,10 @@
 //     mixed-density panel into maximal runs of like-classed tiles;
 //   * cached l_blocks lists and panel-local row offsets, so the numeric
 //     drivers' hot loops stop re-deriving them from the Pattern;
+//   * the structural row runs of every panel -- the only rows an update
+//     writes -- checked so that each row's writers form an eforest chain
+//     (row_writer_chain_violations), which is what lets every update run
+//     without a lock;
 //   * aggregate statistics for the report, the coarsening cost model
 //     (taskgraph/costs.h) and the DAG-aware tiny-supernode merge
 //     (taskgraph/coarsen.cpp).
@@ -21,9 +25,10 @@
 // Partial-pivoting row swaps move numeric zeros across block boundaries at
 // runtime, so no structural class here may force a numeric decision; the
 // drivers re-measure density with the same predicates gemm's auto router
-// uses (blas/level3.h) and use the plan to elide redundant scans and fuse
-// adjacent same-decision tiles -- transformations proven to keep the
-// factors bit-identical (DESIGN.md section 16).
+// uses (blas/level3.h), elide redundant scans and skip structurally zero
+// rows -- transformations proven to keep the factors bit-identical
+// (DESIGN.md section 16).  Structural rows are exact, not predictions: the
+// static structure bounds the fill under every pivot sequence.
 #pragma once
 
 #include <vector>
@@ -39,6 +44,15 @@ enum class TileClass : unsigned char {
   kZero = 0,    // no Abar entry at all: block-closure padding
   kSparse = 1,  // fill below tunables::kDenseTileMinFill
   kDense = 2,   // fill >= tunables::kDenseTileMinFill: microkernel material
+};
+
+/// One run of structural L rows of a panel: rows [src, src + rows) of the
+/// L part (panel-local, diagonal excluded, like ColumnPlan::l_offset), all
+/// inside the L block l_list[block].
+struct RowRun {
+  int src = 0;
+  int rows = 0;
+  int block = 0;
 };
 
 /// Per-block-column slice of the plan.
@@ -61,6 +75,17 @@ struct ColumnPlan {
   /// Number of maximal runs of equal TileClass -- the tile count the panel
   /// splits into.
   int predicted_tiles = 0;
+  /// The structural L rows: a row is structural when some column of the
+  /// supernode holds an Abar entry in it.  Every other L row of the panel
+  /// stays exactly zero under any pivoting (the static structure bounds
+  /// all fill), so Update(k, j) writes only these rows of block column j.
+  /// Maximal runs, ascending, split at L-block boundaries.
+  std::vector<RowRun> row_runs;
+  /// The runs of L block t are row_runs[run_ptr[t], run_ptr[t + 1])
+  /// (l_list.size() + 1 entries).
+  std::vector<int> run_ptr;
+  /// Rows covered by row_runs.
+  int structural_rows = 0;
 };
 
 /// Whole-plan aggregates (surfaced as the report's "blocking:" line).
@@ -73,6 +98,8 @@ struct BlockPlanSummary {
   long split_tiles = 0;      // extra tiles from splitting (runs - 1 summed)
   long mixed_columns = 0;    // columns holding more than one TileClass
   double dense_area_frac = 0.0;  // dense-block area / total L panel area
+  long row_runs = 0;      // structural row runs over all panels
+  long rows_skipped = 0;  // L panel rows outside every run (never written)
   /// Width cap below which a supernode counts as "tiny" for the DAG-aware
   /// merge (tunables::kTinyStageWidth, recorded so report and coarsener
   /// agree on the policy that produced the plan).
@@ -90,22 +117,33 @@ struct BlockPlan {
 /// (Factorization::blocking_stats(), the report's runtime "blocking:" line).
 struct BlockingStats {
   bool ran = false;        // a plan drove the numeric phase
-  long tile_runs = 0;      // coalesced same-engine tile runs dispatched
-  long gemms_fused = 0;    // per-block gemms merged away by coalescing
-  long routed_packed = 0;  // tile runs sent to the packed engine
-  long routed_direct = 0;  // tile runs sent to the direct engine
+  long tile_runs = 0;      // row runs dispatched, after fusion (1 per 2-D UB)
+  long gemms_fused = 0;    // row runs merged into an adjacent one
+  long routed_packed = 0;  // dispatched runs on the packed engine
+  long routed_direct = 0;  // dispatched runs on the direct engine
   long scans_elided = 0;   // redundant O(k*n) density scans skipped
 };
 
 /// Builds the plan from the filled pattern and the block structure
 /// (row partition == column partition, so Abar row indices map to row
-/// blocks via part.supernode_of).
+/// blocks via part.supernode_of).  Also checks the invariant that lets
+/// row-exact updates run without locks (check_row_writer_chains) and
+/// throws std::logic_error when it fails.
 BlockPlan build_block_plan(const Pattern& abar, const BlockStructure& bs);
 
 /// Team-parallel variant; bit-identical to the sequential build (columns
 /// are write-disjoint; the summary reduction stays sequential).
 BlockPlan build_block_plan(const Pattern& abar, const BlockStructure& bs,
                            rt::Team& team);
+
+/// Theorem 2 row by row: the writers of each scalar row r -- its own
+/// supernode plus every block column whose row runs contain r -- must form
+/// a chain in bs.beforest.  The eforest task graph orders Update(k, j)
+/// along ancestor chains, so this makes every pair of tasks writing one
+/// row of one block column ordered.  O(rows in all runs).  Returns the
+/// number of violating rows (0 on every structure the analysis builds).
+long row_writer_chain_violations(const BlockStructure& bs,
+                                 const BlockPlan& plan);
 
 /// True when bs.bpattern_rows is exactly the transpose of bs.bpattern --
 /// the consistency invariant the numeric drivers rely on, revalidated by

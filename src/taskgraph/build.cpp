@@ -123,19 +123,30 @@ void add_eforest_column_rules(TaskGraph& g, const graph::Forest& t, int nb,
   });
 }
 
-/// Block-granularity least-necessary rule: each UpdateBlock feeds the
-/// single task consuming its target block directly; updates into the same
-/// block from different sources stay unordered (additive gemms commute).
-void add_eforest_block_rules(TaskGraph& g, rt::Team& team) {
-  // Each task id's succ list is owned by the lane scanning it; consumers
-  // are shared across lanes (atomic indegree).
+/// Block-granularity eforest rule, the per-block form of rules 4 and 5:
+/// UpdateBlock(i, k, j) feeds the update into the same block from the
+/// nearest ancestor of k that has one (climbing below min(i, j)), and
+/// otherwise the block's consumer.  Each UpdateBlock writes only the
+/// structural rows of L_ik, whose writers form eforest chains, so updates
+/// from independent subtrees touch disjoint rows and stay unordered, while
+/// every row's writers run in ascending source order.
+void add_eforest_block_rules(TaskGraph& g, const graph::Forest& t,
+                             rt::Team& team) {
+  // Each task id's succ list is owned by the lane scanning it; targets are
+  // shared across lanes (atomic indegree).
   team.parallel_for(g.size(), g.size(), [&](int ib, int ie, int) {
     for (int id = ib; id < ie; ++id) {
-      const Task& t = g.tasks.task(id);
-      if (t.kind != TaskKind::kUpdateBlock) continue;
-      int consumer = consumer_id(g.tasks, t);
-      assert(consumer != -1 && "pairwise closure violated: consumer missing");
-      if (consumer != -1) add_edge_atomic_indegree(g, id, consumer);
+      const Task& u = g.tasks.task(id);
+      if (u.kind != TaskKind::kUpdateBlock) continue;
+      int next = -1;
+      for (int a = t.parent(u.k); a != graph::kNone && a < std::min(u.i, u.j);
+           a = t.parent(a)) {
+        next = g.tasks.update_block_id(u.i, a, u.j);
+        if (next != -1) break;
+      }
+      if (next == -1) next = consumer_id(g.tasks, u);
+      assert(next != -1 && "pairwise closure violated: consumer missing");
+      if (next != -1) add_edge_atomic_indegree(g, id, next);
     }
   });
 }
@@ -296,7 +307,7 @@ TaskGraph build_task_graph(const symbolic::BlockStructure& bs, GraphKind kind,
   } else if (granularity == Granularity::kColumn) {
     add_eforest_column_rules(g, bs.beforest, nb, team);
   } else {
-    add_eforest_block_rules(g, team);
+    add_eforest_block_rules(g, bs.beforest, team);
   }
 
   if (granularity == Granularity::kBlock) {

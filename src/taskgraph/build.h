@@ -28,11 +28,14 @@
 //     F(i) -> U(i, k)                      for every update task      (rule 3)
 //     U(i, k) -> U(i', k)  iff i' = parent(i) in T(B)                 (rule 4)
 //     U(i, k) -> F(k)      iff k  = parent(i) in T(B)                 (rule 5)
-//   Updates whose sources lie in independent subtrees are unordered: their
-//   pivot-candidate row blocks are disjoint (Theorem 4 + ref. [8]), so they
-//   commute.  Updates from an earlier tree never chain into F(k) at all --
-//   they write rows outside k's panel, and their consumers U(t, k) are
-//   reached through rule 4.
+//   Updates whose sources lie in independent subtrees are unordered: each
+//   Update(k, j) writes only the structural rows of panel k in column j
+//   (symbolic::ColumnPlan::row_runs), and Theorem 2 row by row makes the
+//   writers of every row an eforest chain (checked at analysis,
+//   symbolic::row_writer_chain_violations), so unordered updates touch
+//   disjoint rows.  Updates from an earlier tree never chain into F(k) at
+//   all -- they write rows outside k's panel, and their consumers U(t, k)
+//   are reached through rule 4.
 //
 // Block granularity (2-D decomposition; the paper's first future-work item,
 // realized later by S+ 2.0) -- the operand edges are common to all kinds:
@@ -42,16 +45,21 @@
 // now an individual block (i, j) and its consumer FD(j) when i == j, FL(i,
 // j) when i > j, CU(i, j) when i < j:
 //
-//   kEforest: UB(i, k, j) -> consumer(i, j) directly.  Updates into the
-//   same block from different sources are unordered (additive gemms
-//   commute); the consumer edge is the least necessary ordering at this
-//   granularity -- the Theorem-4 chain collapses because a block has
-//   exactly one consumer.
+//   kEforest: rules 4 and 5 per target block --
+//     UB(i, k, j) -> UB(i, a, j)   a = the nearest ancestor of k in T(B)
+//                                  below min(i, j) with an update into
+//                                  block (i, j);
+//     UB(i, k, j) -> consumer(i, j) when there is no such ancestor.
+//   Like Update(k, j) in 1-D, an UpdateBlock writes only the structural
+//   rows of L_ik, so updates from independent subtrees touch disjoint rows
+//   of the block and stay unordered, while the writers of every row form
+//   one ascending chain: the summation order is the sequential one, the
+//   2-D driver takes no lock, and its threaded factors are reproducible.
 //
 //   kSStar / kSStarProgramOrder: the S* chain rule verbatim -- updates into
 //   each block chained by ascending source, chain tail -> consumer.  This
-//   serializes the additive gemms per block (deterministic summation order,
-//   lock-free execution), the same trade S* makes in 1-D.
+//   serializes the additive gemms per block, the same trade S* makes in
+//   1-D.
 #pragma once
 
 #include "symbolic/blocks.h"

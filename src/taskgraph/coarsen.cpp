@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "blas/tunables.h"
 #include "taskgraph/analysis.h"
@@ -166,8 +165,8 @@ CoarseGraph coarsen_task_graph(const TaskGraph& g,
   const int ng = static_cast<int>(cg.members.size());
   cg.num_groups = ng;
 
-  // Coarse edges: the original edges under contraction, plus the
-  // determinism chains.  All must run forward in group id (acyclicity).
+  // Coarse edges: the original edges under contraction.  All must run
+  // forward in group id (acyclicity).
   std::vector<long> edges;
   edges.reserve(static_cast<std::size_t>(g.num_edges()) / 2 + 16);
   const auto add_edge = [&](int a, int b) {
@@ -179,49 +178,6 @@ CoarseGraph coarsen_task_graph(const TaskGraph& g,
   };
   for (int u = 0; u < nt; ++u) {
     for (int v : g.succ[u]) add_edge(cg.group_of[u], cg.group_of[v]);
-  }
-
-  // Writer chains in ascending source-stage order, so the coarse schedule
-  // reproduces the sequential summation/interchange order exactly.  Group
-  // ids are monotone in stage, so consecutive-distinct-group chaining per
-  // target is enough (a target's writer groups form a monotone sequence).
-  if (g.granularity() == Granularity::kColumn) {
-    if (!bs.lockfree_safe) {
-      // Update(k, j) writes only column j; Factor(j) is the column's final
-      // writer in sequential order (every update source k < j).
-      std::vector<int> last(nb, -1);
-      for (int k = 0; k < nb; ++k) {
-        const auto [b, e] = g.tasks.update_range(k);
-        for (int id = b; id < e; ++id) {
-          const int gid = cg.group_of[id];
-          int& lw = last[g.tasks.task(id).j];
-          if (lw != -1 && lw != gid) add_edge(lw, gid);
-          lw = gid;
-        }
-      }
-      for (int j = 0; j < nb; ++j) {
-        const int gf = cg.group_of[g.tasks.factor_id(j)];
-        if (last[j] != -1 && last[j] != gf) add_edge(last[j], gf);
-      }
-    }
-  } else {
-    // UpdateBlock(i, k, j) writes block (i, j); its consumer (the block's
-    // final writer) already carries a structural edge from every updater,
-    // so only the updaters themselves need chaining.
-    std::unordered_map<long, int> last;
-    for (int k = 0; k < nb; ++k) {
-      const auto [b, e] = g.tasks.update_range(k);
-      for (int id = b; id < e; ++id) {
-        const Task& t = g.tasks.task(id);
-        const int gid = cg.group_of[id];
-        const auto [it, fresh] =
-            last.try_emplace(static_cast<long>(t.i) * nb + t.j, gid);
-        if (!fresh) {
-          if (it->second != gid) add_edge(it->second, gid);
-          it->second = gid;
-        }
-      }
-    }
   }
 
   std::sort(edges.begin(), edges.end());

@@ -31,15 +31,12 @@
 //
 // Determinism (the bitwise-identity contract).  Contraction only ADDS
 // ordering, so any coarse schedule is a legal schedule of the original
-// graph.  To pin the result to the phased sequential reference exactly,
-// the builder also chains the writers of each shared target in ascending
-// source-stage order -- per target block at block granularity (additive
-// gemms into one block do not commute in floating point), per target
-// column at column granularity only when the structure is not
-// lockfree-safe (disjoint footprints need no order).  Writer stages are
-// ascending, group ids monotone in stage, so the chains keep every edge
-// forward.  With them, coarsened threaded execution reproduces
-// ExecutionMode::kSequential bit for bit at any thread count.
+// graph, and the original graph already orders every pair of writers of
+// one entry in sequential order: 1-D updates write only their structural
+// rows, whose writers form eforest chains, and 2-D updates into one block
+// are chained in ascending source (taskgraph/build.h).  So coarsened
+// threaded execution reproduces ExecutionMode::kSequential bit for bit at
+// any thread count, exactly as uncoarsened execution does.
 #pragma once
 
 #include <vector>

@@ -102,12 +102,14 @@ TEST(BlockMatrix, PanelRowsInColumnCoverPanel) {
   BlockMatrix bm(f.an.blocks);
   for (int k = 0; k < bm.num_block_columns(); ++k) {
     for (int j : f.an.blocks.u_blocks(k)) {
-      std::vector<int> rows = bm.panel_rows_in_column(k, j);
-      EXPECT_EQ(static_cast<int>(rows.size()), bm.panel_height(k));
-      // All within the column buffer and strictly increasing within blocks.
-      for (int r : rows) {
-        EXPECT_GE(r, 0);
+      // Every panel row lands inside the column buffer, strictly
+      // increasing (row blocks are sorted in both columns).
+      int prev = -1;
+      for (int p = 0; p < bm.panel_height(k); ++p) {
+        const int r = bm.panel_row_in_column(k, j, p);
+        EXPECT_GT(r, prev);
         EXPECT_LT(r, bm.column_height(j));
+        prev = r;
       }
     }
   }

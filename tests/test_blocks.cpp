@@ -95,11 +95,10 @@ TEST(BlockEforest, TopologicalAndFlagsConsistent) {
     EXPECT_TRUE(bs.beforest.is_topological());
     // The pairwise-closed pattern is NOT a George-Ng structure, so the
     // Section 2 theorems need not hold at block level; what must hold is
-    // the pairwise closure (kernel requirement) and the faithful
-    // lockfree_safe flag (executor requirement).
+    // the pairwise closure (kernel requirement) and, row by row, eforest
+    // chains of writers (the lock-free executor's requirement).
     EXPECT_TRUE(block_closure_holds(bs.bpattern)) << describe(a);
-    EXPECT_EQ(bs.lockfree_safe,
-              graph::verify_candidate_disjointness(bs.bpattern, bs.beforest))
+    EXPECT_EQ(row_writer_chain_violations(bs, build_block_plan(abar, bs)), 0)
         << describe(a);
   }
 }

@@ -270,17 +270,28 @@ TEST(Coarsen, BitIdenticalToSequentialAcrossSweepLayoutsAndThreads) {
     }
   }
   for (const auto& [name, a] : test::production_matrices()) {
-    const Analysis an = analyze(a);
-    NumericOptions refopt;
-    refopt.mode = ExecutionMode::kSequential;
-    const Factorization ref(an, a, refopt);
-    NumericOptions nopt;
-    nopt.mode = ExecutionMode::kThreaded;
-    nopt.threads = 4;
-    nopt.coarsen = true;
-    const Factorization co(an, a, nopt);
-    EXPECT_TRUE(co.coarsen_stats().ran) << name;
-    expect_same_factorization(ref, co, name + ", threads 4");
+    for (Layout layout : {Layout::k1D, Layout::k2D}) {
+      Options aopt;
+      aopt.layout = layout;
+      const Analysis an = analyze(a, aopt);
+      NumericOptions refopt;
+      refopt.mode = ExecutionMode::kSequential;
+      const Factorization ref(an, a, refopt);
+      // The uncoarsened arm: the fine graphs alone must pin the bits too.
+      for (bool coarsen : {true, false}) {
+        const std::string what = name +
+                                 (layout == Layout::k2D ? ", 2D" : ", 1D") +
+                                 ", threads 4" +
+                                 (coarsen ? "" : ", uncoarsened");
+        NumericOptions nopt;
+        nopt.mode = ExecutionMode::kThreaded;
+        nopt.threads = 4;
+        nopt.coarsen = coarsen;
+        const Factorization co(an, a, nopt);
+        EXPECT_EQ(co.coarsen_stats().ran, coarsen) << what;
+        expect_same_factorization(ref, co, what);
+      }
+    }
   }
 }
 

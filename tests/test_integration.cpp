@@ -61,14 +61,14 @@ TEST(Integration, ExecutionModesAgree) {
 }
 
 TEST(Integration, ThreadedWithoutColumnLocks) {
-  // The disjointness theory says column locks are unnecessary.
+  // The disjointness theory says column locks are unnecessary, and the
+  // drivers take none.
   for (const CscMatrix& a : test::small_matrices()) {
     std::vector<double> b = test::random_vector(a.rows(), 13);
     Options opt;
     SparseLU lu(opt);
     lu.numeric_options().mode = ExecutionMode::kThreaded;
     lu.numeric_options().threads = 8;
-    lu.numeric_options().use_column_locks = false;
     lu.factorize(a);
     EXPECT_LT(relative_residual(a, lu.solve(b), b), 1e-10);
   }

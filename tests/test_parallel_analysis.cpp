@@ -100,7 +100,8 @@ void expect_same_analysis(const Analysis& s, const Analysis& p,
   EXPECT_EQ(s.blocks.extra_blocks_from_closure,
             p.blocks.extra_blocks_from_closure)
       << what;
-  EXPECT_EQ(s.blocks.lockfree_safe, p.blocks.lockfree_safe) << what;
+  EXPECT_EQ(s.block_plan.summary.row_runs, p.block_plan.summary.row_runs)
+      << what;
   expect_same_graph(s.graph, p.graph, what + " [column graph]");
   expect_same_graph(s.block_graph, p.block_graph, what + " [block graph]");
   EXPECT_EQ(s.costs.flops, p.costs.flops) << what;

@@ -4,11 +4,12 @@
 //
 // The load-bearing assertions:
 //   * RaceChecker reports ZERO races on the paper's eforest graph across
-//     many matrices and >= 20 fuzz seeds (locked and, where the analysis
-//     proves disjointness, lock-free) -- Theorem 4, validated at runtime;
+//     many matrices and >= 20 fuzz seeds, with no lock anywhere -- Theorem
+//     4, validated at runtime on row footprints;
 //   * removing a single rule-4 edge U(i,k) -> U(i',k) whose endpoint
 //     footprints overlap makes the checker fire -- the harness detects the
-//     bug class it exists for.
+//     bug class it exists for (tests/test_row_runs.cpp adds the widened-run
+//     control).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -57,25 +58,6 @@ TEST(RaceChecker, ReadReadDoesNotConflict) {
   EXPECT_TRUE(rc.check(succ).empty());
 }
 
-TEST(RaceChecker, LockedWritesSameLockCommuteDifferentLocksRace) {
-  std::vector<std::vector<int>> succ = {{}, {}};
-  rt::RaceChecker rc(2);
-  rc.locked_write(0, 5, /*lock=*/9);
-  rc.locked_write(1, 5, /*lock=*/9);
-  EXPECT_TRUE(rc.check(succ).empty());
-
-  rc.reset(2);
-  rc.locked_write(0, 5, /*lock=*/9);
-  rc.locked_write(1, 5, /*lock=*/8);
-  EXPECT_EQ(rc.check(succ).size(), 1u);
-
-  // A locked write still conflicts with an unlocked read of the resource.
-  rc.reset(2);
-  rc.locked_write(0, 5, /*lock=*/9);
-  rc.read(1, 5);
-  EXPECT_EQ(rc.check(succ).size(), 1u);
-}
-
 TEST(RaceChecker, StrongestAccessPerTaskWins) {
   // Task 0 both reads and writes the resource; the write must dominate.
   std::vector<std::vector<int>> succ = {{}, {}};
@@ -119,8 +101,8 @@ TEST(Reachability, ThrowsOnCycle) {
 
 // ---------------------------------------------------------------------------
 // Property test: random matrices x fuzz seeds.  Threaded factorization
-// (locked, and lock-free when the analysis allows it) matches the
-// sequential reference and records zero footprint races.
+// (lock-free, like every run) matches the sequential reference and records
+// zero footprint races.
 
 std::vector<CscMatrix> harness_matrices() {
   std::vector<CscMatrix> out;
@@ -152,13 +134,10 @@ std::vector<CscMatrix> harness_matrices() {
 TEST(RaceHarness, FuzzedThreadedMatchesSequentialWithZeroRaces) {
   const std::vector<CscMatrix> pool = harness_matrices();
   ASSERT_GE(pool.size(), 50u);
-  int lockfree_covered = 0;
   for (std::size_t m = 0; m < pool.size(); ++m) {
     const CscMatrix& a = pool[m];
-    // Minimum-degree (the paper's ordering; bushy forests, locks needed
-    // because amalgamation breaks block-level disjointness) on every
-    // matrix; natural ordering (path-like forests, block disjointness
-    // PROVEN, lock-free honored) on a rotating subset to keep runtime down.
+    // Minimum-degree (the paper's ordering; bushy forests) on most
+    // matrices, natural ordering (path-like forests) on a rotating subset.
     Options aopt;
     if (m % 3 == 0) aopt.ordering = ordering::Method::kNatural;
     Analysis an = analyze(a, aopt);
@@ -179,45 +158,22 @@ TEST(RaceHarness, FuzzedThreadedMatchesSequentialWithZeroRaces) {
       thr.fuzz_seed = seed;
       thr.fuzz_max_delay_us = 5;
       thr.check_races = true;
-
-      // Locked execution (the default, valid for every structure).
-      {
-        Factorization f(an, a, thr);
-        ASSERT_TRUE(f.race_checked());
-        EXPECT_TRUE(f.races().empty())
-            << "matrix " << m << " seed " << seed << ": "
-            << to_string(f.races().front());
-        std::vector<double> x = f.solve(b);
-        for (int i = 0; i < a.rows(); ++i) {
-          EXPECT_NEAR(x[i], xref[i], 1e-8) << "matrix " << m << " seed " << seed;
-        }
-      }
-      // Lock-free execution, honored only when the analysis proved the
-      // unordered footprints disjoint -- exactly what the checker verifies.
-      if (an.blocks.lockfree_safe) {
-        thr.use_column_locks = false;
-        Factorization f(an, a, thr);
-        ASSERT_TRUE(f.race_checked());
-        EXPECT_TRUE(f.races().empty())
-            << "matrix " << m << " seed " << seed << " (lock-free): "
-            << to_string(f.races().front());
-        std::vector<double> x = f.solve(b);
-        for (int i = 0; i < a.rows(); ++i) {
-          EXPECT_NEAR(x[i], xref[i], 1e-8)
-              << "matrix " << m << " seed " << seed << " (lock-free)";
-        }
-        ++lockfree_covered;
+      Factorization f(an, a, thr);
+      ASSERT_TRUE(f.race_checked());
+      EXPECT_TRUE(f.races().empty())
+          << "matrix " << m << " seed " << seed << ": "
+          << to_string(f.races().front());
+      std::vector<double> x = f.solve(b);
+      for (int i = 0; i < a.rows(); ++i) {
+        EXPECT_NEAR(x[i], xref[i], 1e-8) << "matrix " << m << " seed " << seed;
       }
     }
   }
-  // The lock-free arm must actually have been exercised.
-  EXPECT_GT(lockfree_covered, 0);
 }
 
 // The acceptance gate: >= 20 fuzz seeds on the paper-graph factorization,
-// zero races on every one -- once with the paper's minimum-degree ordering
-// (locked updates), once with natural ordering where block-level
-// disjointness is proven and the execution is genuinely lock-free.
+// zero races on every one -- once with the paper's minimum-degree ordering,
+// once with natural ordering; both lock-free.
 TEST(RaceHarness, TwentyFuzzSeedsZeroRacesOnEforestGraph) {
   gen::StencilOptions g;
   g.seed = 42;
@@ -225,7 +181,6 @@ TEST(RaceHarness, TwentyFuzzSeedsZeroRacesOnEforestGraph) {
   const CscMatrix a = gen::grid2d(8, 8, g);
   const std::vector<double> b = test::random_vector(a.rows(), 99);
 
-  bool lockfree_arm = false;
   for (ordering::Method method :
        {ordering::Method::kMinimumDegreeAtA, ordering::Method::kNatural}) {
     Options aopt;
@@ -239,16 +194,13 @@ TEST(RaceHarness, TwentyFuzzSeedsZeroRacesOnEforestGraph) {
       opt.fuzz_seed = seed;
       opt.fuzz_max_delay_us = 10;
       opt.check_races = true;
-      opt.use_column_locks = !an.blocks.lockfree_safe;
       Factorization f(an, a, opt);
       ASSERT_TRUE(f.race_checked());
       EXPECT_TRUE(f.races().empty())
           << "seed " << seed << ": " << to_string(f.races().front());
       EXPECT_LT(relative_residual(a, f.solve(b), b), 1e-9) << "seed " << seed;
     }
-    if (an.blocks.lockfree_safe) lockfree_arm = true;
   }
-  EXPECT_TRUE(lockfree_arm);  // natural ordering must prove disjointness here
 }
 
 // The same gate on the unfuzzed work-stealing schedule: 20 repeats of real
@@ -262,7 +214,6 @@ TEST(RaceHarness, TwentyWorkStealingRunsZeroRacesOnEforestGraph) {
   const CscMatrix a = gen::grid2d(8, 8, g);
   const std::vector<double> b = test::random_vector(a.rows(), 99);
 
-  bool lockfree_arm = false;
   for (ordering::Method method :
        {ordering::Method::kMinimumDegreeAtA, ordering::Method::kNatural}) {
     Options aopt;
@@ -273,16 +224,13 @@ TEST(RaceHarness, TwentyWorkStealingRunsZeroRacesOnEforestGraph) {
       opt.mode = ExecutionMode::kThreaded;
       opt.threads = 4;
       opt.check_races = true;
-      opt.use_column_locks = !an.blocks.lockfree_safe;
       Factorization f(an, a, opt);
       ASSERT_TRUE(f.race_checked());
       EXPECT_TRUE(f.races().empty())
           << "rep " << rep << ": " << to_string(f.races().front());
       EXPECT_LT(relative_residual(a, f.solve(b), b), 1e-9) << "rep " << rep;
     }
-    if (an.blocks.lockfree_safe) lockfree_arm = true;
   }
-  EXPECT_TRUE(lockfree_arm);
 }
 
 // ---------------------------------------------------------------------------
@@ -290,10 +238,18 @@ TEST(RaceHarness, TwentyWorkStealingRunsZeroRacesOnEforestGraph) {
 // U(i,k) -> U(i',k) chain edge whose endpoint write footprints overlap and
 // the two updates become unordered-yet-conflicting.
 
-/// Write footprint of Update(k, j): row blocks {k} + l_blocks(k), column j.
+/// Write footprint of Update(k, j) in column j, as global rows: the
+/// diagonal rows of block k plus the structural rows of panel k.
 std::vector<int> update_write_rows(const Analysis& an, int k) {
-  std::vector<int> rows = an.blocks.l_blocks(k);
-  rows.push_back(k);
+  const symbolic::SupernodePartition& part = an.blocks.part;
+  const symbolic::ColumnPlan& cp = an.block_plan.columns[k];
+  std::vector<int> rows;
+  for (int r = part.first(k); r < part.end(k); ++r) rows.push_back(r);
+  for (const symbolic::RowRun& run : cp.row_runs) {
+    const int g0 = part.first(cp.l_list[run.block]) + run.src -
+                   cp.l_offset[run.block];
+    for (int r = g0; r < g0 + run.rows; ++r) rows.push_back(r);
+  }
   return rows;
 }
 
@@ -311,12 +267,9 @@ bool write_rows_overlap(const Analysis& an, int k1, int k2) {
 TEST(RaceHarness, CheckerFiresOnBrokenDependenceGraph) {
   bool fired = false;
   for (const CscMatrix& a : harness_matrices()) {
-    // Natural ordering preserves path-like eforests on the banded/grid
-    // matrices in the pool, which is what makes lockfree_safe attainable.
     Options aopt;
     aopt.ordering = ordering::Method::kNatural;
     Analysis an = analyze(a, aopt);
-    if (!an.blocks.lockfree_safe) continue;  // need the lock-free run
 
     // Find a U(i,k) -> U(i',k) edge between updates into the same target
     // column whose write footprints overlap.
@@ -344,7 +297,6 @@ TEST(RaceHarness, CheckerFiresOnBrokenDependenceGraph) {
     NumericOptions opt;
     opt.mode = ExecutionMode::kGraphSequential;  // deterministic; footprints
     opt.check_races = true;                      // are what matters here
-    opt.use_column_locks = false;
     Factorization f(broken, a, opt);
     ASSERT_TRUE(f.race_checked());
     ASSERT_FALSE(f.races().empty());

@@ -33,11 +33,12 @@ struct Arm {
   int threads;
   Layout layout;
   bool scale_and_permute;
+  bool coarsen = false;
 
   std::string name() const {
     return std::string(mode == ExecutionMode::kThreaded ? "threaded" : "seq") +
            (layout == Layout::k2D ? "/2d" : "/1d") +
-           (scale_and_permute ? "/scaled" : "");
+           (scale_and_permute ? "/scaled" : "") + (coarsen ? "/coarsened" : "");
   }
   Options options() const {
     Options o;
@@ -45,16 +46,13 @@ struct Arm {
     o.scale_and_permute = scale_and_permute;
     return o;
   }
-  /// The 2-D threaded schedule sums concurrent block updates in completion
-  /// order, so two FRESH runs already differ in their last bits; coarsening
-  /// chains same-target writers in sequential order and makes it
-  /// deterministic (taskgraph/coarsen.h).  The 1-D threaded schedule is
-  /// deterministic as is and runs uncoarsened.
+  /// Both layouts' threaded schedules are deterministic coarsened or not:
+  /// the graph orders every pair of writers of one entry.
   NumericOptions numeric() const {
     NumericOptions n;
     n.mode = mode;
     n.threads = threads;
-    n.coarsen = mode == ExecutionMode::kThreaded && layout == Layout::k2D;
+    n.coarsen = coarsen;
     return n;
   }
 };
@@ -65,6 +63,11 @@ std::vector<Arm> arms(ExecutionMode mode, int threads,
   std::vector<Arm> out;
   for (Layout layout : layouts) {
     for (bool scale : {false, true}) out.push_back({mode, threads, layout, scale});
+    // The 2-D threaded arm also runs coarsened, the mode its gate used
+    // while uncoarsened 2-D threaded factors were not reproducible.
+    if (mode == ExecutionMode::kThreaded && layout == Layout::k2D) {
+      out.push_back({mode, threads, layout, false, true});
+    }
   }
   return out;
 }

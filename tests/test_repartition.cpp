@@ -232,12 +232,9 @@ TEST(Repartition, BlockingAutoBitIdenticalAcrossSweepLayoutsAndThreads) {
       if (m % 5 == 0) base.perturb_pivots = true;
       if (m % 5 == 1) base.pivot_threshold = 0.5;
       if (m % 6 == 0) base.lazy_updates = true;
-      // 2-D threaded additive updates into one block are pinned to the
-      // sequential order only by coarsening's writer chains (the fine block
-      // graph orders each updater against the block's final writer, not
-      // against its peers) -- that is the pre-existing determinism contract
-      // this gate inherits, so 2-D always runs coarsened here.  1-D rotates.
-      base.coarsen = layout == Layout::k2D || m % 2 == 0;
+      // Coarsening rotates in both layouts: the fine graphs already order
+      // every pair of writers of one entry.
+      base.coarsen = m % 2 == 0;
       base.storage = m % 2 == 0 ? StorageMode::kArena : StorageMode::kVectors;
 
       const Analysis an = analyze(a, aopt);
@@ -270,30 +267,34 @@ TEST(Repartition, BlockingAutoBitIdenticalAcrossSweepLayoutsAndThreads) {
     }
   }
   for (const auto& [name, a] : test::production_matrices()) {
-    const Analysis an = analyze(a);
-    NumericOptions refopt;
-    refopt.mode = ExecutionMode::kSequential;
-    refopt.blocking = BlockingMode::kOff;
-    const Factorization ref(an, a, refopt);
-    for (bool coarsen : {false, true}) {
-      const std::string what =
-          name + ", threads 4" + (coarsen ? ", coarsened" : "");
-      NumericOptions nopt;
-      nopt.mode = ExecutionMode::kThreaded;
-      nopt.threads = 4;
-      nopt.blocking = BlockingMode::kAuto;
-      nopt.coarsen = coarsen;
-      const Factorization co(an, a, nopt);
-      EXPECT_TRUE(co.blocking_stats().ran) << what;
-      expect_same_factorization(ref, co, what);
+    for (Layout layout : {Layout::k1D, Layout::k2D}) {
+      Options aopt;
+      aopt.layout = layout;
+      const Analysis an = analyze(a, aopt);
+      NumericOptions refopt;
+      refopt.mode = ExecutionMode::kSequential;
+      refopt.blocking = BlockingMode::kOff;
+      const Factorization ref(an, a, refopt);
+      for (bool coarsen : {false, true}) {
+        const std::string what = name +
+                                 (layout == Layout::k2D ? ", 2D" : ", 1D") +
+                                 ", threads 4" + (coarsen ? ", coarsened" : "");
+        NumericOptions nopt;
+        nopt.mode = ExecutionMode::kThreaded;
+        nopt.threads = 4;
+        nopt.blocking = BlockingMode::kAuto;
+        nopt.coarsen = coarsen;
+        const Factorization co(an, a, nopt);
+        EXPECT_TRUE(co.blocking_stats().ran) << what;
+        expect_same_factorization(ref, co, what);
+      }
     }
   }
 }
 
 // Auto-vs-off at a FIXED mode and schedule (one worker, deterministic
 // executor order): the routed 2-D path must replay gemm's kAuto decisions
-// exactly even where the threaded schedule itself differs from the phased
-// sequential one (the uncoarsened 2-D case the gate above excludes).
+// exactly on the uncoarsened 2-D graph's own topological order.
 TEST(Repartition, UncoarsenedTwoDAutoMatchesOffAtOneThread) {
   const std::vector<CscMatrix> pool = sweep_matrices();
   for (std::size_t m = 0; m < pool.size(); m += 2) {

@@ -57,7 +57,6 @@ NumericOptions numeric_for_seed(std::uint64_t seed) {
   n.mode = kModes[seed % 3];
   n.threads = 2 + static_cast<int>(seed % 3);
   n.lazy_updates = (seed / 3) % 2;
-  n.use_column_locks = (seed / 6) % 2;
   n.pivot_threshold = ((seed / 12) % 2) ? 1.0 : 0.25;
   return n;
 }

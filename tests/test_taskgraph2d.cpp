@@ -101,9 +101,15 @@ TEST(TaskGraph2D, EdgeRules) {
           EXPECT_EQ(to.k, from.k);
           break;
         case TaskKind::kUpdateBlock:
-          // Feeds the consumer of block (i, j) at a later stage.
+          // Feeds the next update into block (i, j) from an ancestor
+          // source (the per-block rule 4), or the block's consumer at a
+          // later stage.
           EXPECT_GT(to.k, from.k);
-          if (from.i == from.j) {
+          if (to.kind == TaskKind::kUpdateBlock) {
+            EXPECT_EQ(to.i, from.i);
+            EXPECT_EQ(to.j, from.j);
+            EXPECT_TRUE(bs.beforest.is_ancestor(to.k, from.k));
+          } else if (from.i == from.j) {
             EXPECT_EQ(to.kind, TaskKind::kFactorDiag);
             EXPECT_EQ(to.k, from.i);
           } else if (from.i > from.j) {
