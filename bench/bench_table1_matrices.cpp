@@ -42,7 +42,7 @@ void register_benchmarks() {
 [[maybe_unused]] const bool registered = (register_benchmarks(), true);
 
 void print_table() {
-  Options opt;  // the paper pipeline: mindeg(AtA) + postorder
+  const Options opt = paper_options();
   std::printf("\nTable 1: benchmark matrices (synthetic stand-ins; see DESIGN.md)\n");
   print_rule(86);
   std::printf("%-10s %-22s %7s %8s %8s %9s %11s\n", "Matrix", "Domain", "order",

@@ -14,7 +14,7 @@ namespace {
 
 void BM_FactorizeSequential(benchmark::State& state, const std::string& name) {
   NamedMatrix nm = make_named_matrix(name);
-  Analysis an = analyze(nm.a);
+  Analysis an = analyze(nm.a, paper_options());
   for (auto _ : state) {
     Factorization f(an, nm.a);
     benchmark::DoNotOptimize(f.zero_pivots());
@@ -33,8 +33,7 @@ void register_benchmarks() {
 [[maybe_unused]] const bool registered = (register_benchmarks(), true);
 
 void print_table() {
-  Options opt;  // defaults = the paper's method
-  SuiteAnalyses suite = analyze_suite(opt);
+  SuiteAnalyses suite = analyze_suite(paper_options());
   std::printf("\nTable 2: numeric factorization time (simulated Origin 2000 "
               "seconds)\n");
   print_rule(78);

@@ -17,7 +17,7 @@ namespace {
 
 void BM_SupernodePartition(benchmark::State& state) {
   NamedMatrix nm = make_named_matrix("saylr4");
-  Analysis an = analyze(nm.a);
+  Analysis an = analyze(nm.a, paper_options());
   for (auto _ : state) {
     auto part = symbolic::find_supernodes(an.symbolic.abar);
     benchmark::DoNotOptimize(part.count());
@@ -26,7 +26,8 @@ void BM_SupernodePartition(benchmark::State& state) {
 BENCHMARK(BM_SupernodePartition)->Unit(benchmark::kMillisecond);
 
 void print_table() {
-  Options with_post, without_post;
+  const Options with_post = paper_options();
+  Options without_post = paper_options();
   without_post.postorder = false;
   std::printf("\nTable 3: supernode counts without/with postordering\n");
   print_rule(78);

@@ -113,6 +113,7 @@ int main(int argc, char** argv) {
 
   // Figure 4: both task dependence graphs over the analyzed structure.
   plu::Options opt;
+  opt.ordering = plu::ordering::Method::kMinimumDegreeAtA;  // the paper's
   for (auto kind : {plu::taskgraph::GraphKind::kSStar,
                     plu::taskgraph::GraphKind::kEforest}) {
     opt.task_graph = kind;

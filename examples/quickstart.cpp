@@ -16,9 +16,10 @@ int main() {
   plu::CscMatrix a = plu::gen::grid2d(30, 30, stencil);
   std::printf("matrix: %s\n", plu::describe(a).c_str());
 
-  // Default options = the paper's method: minimum degree on A^T A, static
-  // symbolic factorization, eforest postordering, supernode amalgamation,
-  // the eforest task dependence graph.
+  // Default options = the paper's method (static symbolic factorization,
+  // eforest postordering, supernode amalgamation, the eforest task
+  // dependence graph) with the auto ordering, which picks minimum degree on
+  // A^T A for this 2-D grid and nested dissection for 3-D meshes.
   plu::SparseLU lu;
   lu.factorize(a);
 

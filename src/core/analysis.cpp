@@ -96,7 +96,8 @@ Analysis analyze_structure(const Pattern& a, const Options& opt) {
   const auto t_start = std::chrono::steady_clock::now();
   auto last = t_start;
 
-  // (1) Fill-reducing column ordering (minimum degree on A^T A by default);
+  // (1) Fill-reducing column ordering (kAuto by default: nested dissection
+  // or minimum degree on A^T A);
   // applied to rows as well under symmetric_ordering so an existing
   // diagonal matching survives.  The team is handed to parallel engines
   // (AMD); a single-lane team inlines every fan-out, so the permutation is

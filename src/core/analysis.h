@@ -58,7 +58,11 @@ struct AnalysisTimings {
 };
 
 struct Options {
-  ordering::Method ordering = ordering::Method::kMinimumDegreeAtA;
+  /// Fill-reducing ordering.  kAuto (ordering/engine.h: select_method)
+  /// runs nested dissection on regular 3-D-stencil-like patterns and guarded
+  /// minimum degree on everything else; the paper's own choice is
+  /// kMinimumDegreeAtA, which the reproduction benches pin.
+  ordering::Method ordering = ordering::Method::kAuto;
   /// With ordering == kAuto: break the policy call with an exact
   /// Cholesky-fill probe of the pick vs its runner-up (ordering::Controls).
   /// Costs two extra orderings; deterministic either way.

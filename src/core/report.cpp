@@ -6,17 +6,15 @@
 
 namespace plu {
 
-namespace {
-
-/// One-line rendering of the ordering decision, shared by both reports.
-std::string render_ordering(const ordering::Decision& d) {
+std::string to_string(const ordering::Decision& d) {
   std::ostringstream os;
   os << "ordering:    " << ordering::to_string(d.chosen);
   if (d.requested != d.chosen) {
     os << " (requested " << ordering::to_string(d.requested) << ")";
   }
   if (!d.engine.empty()) os << ", engine " << d.engine;
-  os << "; n=" << d.features.n << ", skew " << d.features.degree_skew
+  os << "; n=" << d.features.n << ", avg degree " << d.features.avg_degree
+     << ", skew " << d.features.degree_skew
      << ", band " << d.features.bandwidth_ratio;
   if (d.dry_run) {
     os << "; dry-run fill " << d.dry_run_fill_chosen << " vs "
@@ -24,6 +22,8 @@ std::string render_ordering(const ordering::Decision& d) {
   }
   return os.str();
 }
+
+namespace {
 
 /// One-line rendering of the blocking-plan summary, shared by both reports.
 std::string render_blocking_plan(const symbolic::BlockPlanSummary& s) {
@@ -86,7 +86,7 @@ std::string to_string(const AnalysisReport& r) {
   std::ostringstream os;
   os << "matrix:      n=" << r.n << ", nnz=" << r.nnz
      << (r.mc64_scaled ? " (MC64-scaled)" : "") << '\n';
-  os << render_ordering(r.ordering) << '\n';
+  os << to_string(r.ordering) << '\n';
   os << "symbolic:    |Abar|=" << r.nnz_abar << " (" << r.fill_ratio
      << "x fill), " << r.diag_blocks << " diagonal block(s)\n";
   os << "supernodes:  " << r.supernodes.count << " (exact "
@@ -111,7 +111,7 @@ std::string to_string(const AnalysisReport& r) {
 
 std::string to_string(const FactorizationReport& r) {
   std::ostringstream os;
-  os << render_ordering(r.ordering) << '\n';
+  os << to_string(r.ordering) << '\n';
   os << "numeric:     " << r.driver << " driver, status "
      << to_string(r.status);
   if (!factor_usable(r.status)) {

@@ -90,6 +90,11 @@ std::string to_string(const FactorizationReport& r);
 /// rendering behind plu_solve --verbose.
 std::string to_string(const AnalysisTimings& t);
 
+/// The `ordering:` line of both reports: the method that ran (and the one
+/// requested, when kAuto resolved it), the engine, every structural feature
+/// the policy reads, and the dry-run fills when one ran.
+std::string to_string(const ordering::Decision& d);
+
 std::ostream& operator<<(std::ostream& os, const AnalysisReport& r);
 std::ostream& operator<<(std::ostream& os, const FactorizationReport& r);
 

@@ -102,37 +102,28 @@ StructuralFeatures compute_features(const Pattern& a) {
 }
 
 Method select_method(const StructuralFeatures& f) {
-  // Small orders: exact minimum degree is both the best-fill and the
-  // cheapest option -- the quotient graph never grows enough to hurt.
-  if (f.n <= 256) return Method::kMinimumDegreeAtA;
-  // Hub-skewed degree profiles (power-law / circuit rails): exact degree
-  // updates rescan the hub element per round; AMD's supervariables collapse
-  // the hub cliques instead.
-  if (f.degree_skew >= 8.0 && f.max_degree >= 64) return Method::kAmdAtA;
-  // Thin bands (bandwidth under 1% of n): RCM keeps the band, bounding fill
-  // at O(n * band) for an O(nnz) ordering -- and the band profile feeds long
-  // supernodes.  Row-major meshes fail this (band ~ n^(1/2) or n^(2/3))
-  // and fall through to nested dissection below.
-  if (f.bandwidth_ratio <= 0.01 && f.density <= 0.01) return Method::kRcmAtA;
-  // Large mesh-like graphs (moderate, even degrees): nested dissection for
-  // the bushy, balanced eforests the task graph parallelizes over.
-  if (f.n >= 4096 && f.degree_skew < 4.0) return Method::kNestedDissectionAtA;
-  return Method::kAmdAtA;
+  // Regular 3-D-stencil-like patterns -- degree near the 7-point (or denser,
+  // multi-field) stencil's, and no column far above the average: nested
+  // dissection's separators beat minimum degree's fill there, at a fraction
+  // of its ordering time.  Everything else -- small orders, 2-D meshes and
+  // thinned grids (average degree under the bar), random and hub-heavy
+  // profiles (skewed degrees) -- keeps guarded exact minimum degree, whose
+  // hub guard routes hub-heavy graphs to AMD internally.  DESIGN.md section
+  // 15 has the measurements behind the three thresholds.
+  constexpr int kSmallOrder = 256;
+  constexpr double kMinMeshDegree = 5.5;
+  constexpr double kMaxMeshSkew = 1.2;
+  if (f.n > kSmallOrder && f.avg_degree >= kMinMeshDegree &&
+      f.degree_skew <= kMaxMeshSkew) {
+    return Method::kNestedDissectionAtA;
+  }
+  return Method::kMinimumDegreeAtA;
 }
 
 Method runner_up(Method chosen) {
-  switch (chosen) {
-    case Method::kMinimumDegreeAtA:
-      return Method::kAmdAtA;
-    case Method::kAmdAtA:
-      return Method::kMinimumDegreeAtA;
-    case Method::kRcmAtA:
-      return Method::kMinimumDegreeAtA;
-    case Method::kNestedDissectionAtA:
-      return Method::kAmdAtA;
-    default:
-      return Method::kMinimumDegreeAtA;
-  }
+  return chosen == Method::kNestedDissectionAtA
+             ? Method::kMinimumDegreeAtA
+             : Method::kNestedDissectionAtA;
 }
 
 long cholesky_fill(const Pattern& g, const Permutation& p) {

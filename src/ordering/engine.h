@@ -3,8 +3,8 @@
 // SPRAL's shape (SNIPPETS.md snippet 1): every fill-reducing ordering sits
 // behind one interface feeding the rest of the analysis, so the pipeline
 // never cares WHICH engine ran -- only the policy does.  The policy picks by
-// cheap structural features of A (order, density, degree skew, bandwidth
-// estimate), optionally breaking close calls with a quick symbolic dry-run
+// cheap structural features of A (order, average degree, degree skew),
+// optionally breaking close calls with a quick symbolic dry-run
 // (an exact Cholesky fill count on the permuted A^T A graph, self-contained
 // here because the ordering tier links BELOW the symbolic tier).  The
 // decision -- requested vs chosen method, the features, dry-run fill -- is
@@ -38,14 +38,15 @@ const OrderingEngine& engine_for(Method m);
 /// O(nnz) structural features of the INPUT pattern A, the policy's evidence.
 StructuralFeatures compute_features(const Pattern& a);
 
-/// The feature-driven policy behind Method::kAuto.  Returns a concrete
-/// method: exact minimum degree for small orders, AMD for hub-skewed degree
-/// profiles (where exact degree updates degenerate), RCM for thin bands
-/// (bounded fill at O(nnz) ordering cost), nested dissection for large
-/// mesh-like graphs (bushy eforests), AMD otherwise.
+/// The feature-driven policy behind Method::kAuto (the library default).
+/// Returns one of two methods: nested dissection for regular
+/// 3-D-stencil-like patterns (n > 256, average degree >= 5.5, degree skew
+/// <= 1.2), guarded exact minimum degree for everything else.
 Method select_method(const StructuralFeatures& f);
 
-/// The policy's runner-up for `chosen` -- the dry-run's comparison candidate.
+/// The policy's runner-up for `chosen` -- the dry-run's comparison
+/// candidate: minimum degree for nested dissection, nested dissection for
+/// anything else.
 Method runner_up(Method chosen);
 
 /// Exact Cholesky fill of the symmetric graph `g` under ordering `p`:

@@ -3,8 +3,9 @@
 // All methods operate on the A^T A pattern, matching the paper's choice
 // ("we use the minimum degree algorithm on A^T A").  Natural and RCM exist
 // for the A4 ordering ablation; kAmdAtA is the supervariable engine for
-// hub-heavy patterns (amd.h); kAuto lets the feature-driven policy
-// (engine.h) pick, recording its decision for the reports.
+// hub-heavy patterns (amd.h); kAuto, the library default, lets the
+// feature-driven policy (engine.h) pick minimum degree or nested
+// dissection, recording its decision for the reports.
 #pragma once
 
 #include <string>
@@ -24,7 +25,7 @@ enum class Method {
   kAmdAtA,                // approximate minimum degree with supervariables
   kRcmAtA,                // reverse Cuthill-McKee on A^T A
   kNestedDissectionAtA,   // recursive bisection on A^T A (bushy forests)
-  kAuto,                  // feature-driven policy picks one of the above
+  kAuto,                  // feature-driven policy picks MD or ND
 };
 
 /// Cheap structural features of the input pattern A (computed in one O(nnz)

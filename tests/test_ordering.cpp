@@ -6,6 +6,7 @@
 // md_reference.h (run under ASan+UBSan by CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -527,20 +528,84 @@ TEST(MinimumDegreeEquivalence, HandBuiltGraphsReachEveryDegreeCase) {
 // --- Policy engine ----------------------------------------------------------
 
 TEST(OrderingPolicy, FeatureDrivenSelection) {
-  // Small order: exact minimum degree.
-  EXPECT_EQ(select_method(compute_features(gen::grid2d(6, 6, {}).pattern())),
+  const auto pick = [](const CscMatrix& a) {
+    return select_method(compute_features(a.pattern()));
+  };
+  // Small orders: exact minimum degree, 3-D or not.
+  EXPECT_EQ(pick(gen::grid2d(6, 6, {})), Method::kMinimumDegreeAtA);
+  EXPECT_EQ(pick(gen::grid3d(6, 6, 6, {})), Method::kMinimumDegreeAtA);
+  // Hub-skewed degree profile: minimum degree (its hub guard reaches AMD).
+  EXPECT_EQ(pick(gen::power_law(4000, 4.0, 2.0, 0.6, 0.8, 11)),
             Method::kMinimumDegreeAtA);
-  // Hub-skewed degree profile: AMD.
-  EXPECT_EQ(select_method(compute_features(
-                gen::power_law(4000, 4.0, 2.0, 0.6, 0.8, 11).pattern())),
-            Method::kAmdAtA);
-  // Thin band at scale: RCM.
-  EXPECT_EQ(select_method(compute_features(
-                gen::banded(8000, {-1, 1}, 1.0, 0.7, 12).pattern())),
-            Method::kRcmAtA);
-  // Large mesh (moderate degrees, bandwidth ~ sqrt(n)): nested dissection.
-  EXPECT_EQ(select_method(compute_features(gen::grid2d(70, 70, {}).pattern())),
+  // Thin band at scale: minimum degree.
+  EXPECT_EQ(pick(gen::banded(8000, {-1, 1}, 1.0, 0.7, 12)),
+            Method::kMinimumDegreeAtA);
+  // 2-D mesh (average degree under 5): minimum degree.
+  EXPECT_EQ(pick(gen::grid2d(70, 70, {})), Method::kMinimumDegreeAtA);
+  // 3-D stencils, whole and with a tenth of the couplings dropped, and a
+  // multi-field 3-D stencil: nested dissection.
+  EXPECT_EQ(pick(gen::grid3d(14, 14, 14, {})), Method::kNestedDissectionAtA);
+  gen::StencilOptions g;
+  g.drop_probability = 0.1;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    g.seed = seed;
+    EXPECT_EQ(pick(gen::grid3d(14, 14, 14, g)), Method::kNestedDissectionAtA)
+        << "grid3d 14^3 drop 0.1, seed " << seed;
+  }
+  EXPECT_EQ(pick(gen::multiphysics3d(8, 8, 4, 4, {})),
             Method::kNestedDissectionAtA);
+  // Thinned 3-D grids lose the stencil's regular degrees: minimum degree.
+  g.drop_probability = 0.3;
+  EXPECT_EQ(pick(gen::grid3d(14, 14, 14, g)), Method::kMinimumDegreeAtA);
+  // The dry run's comparison candidate is the other of the two engines.
+  EXPECT_EQ(runner_up(Method::kMinimumDegreeAtA),
+            Method::kNestedDissectionAtA);
+  EXPECT_EQ(runner_up(Method::kNestedDissectionAtA),
+            Method::kMinimumDegreeAtA);
+}
+
+// The policy's fill gate: on the Table-1 suite and the production shapes,
+// auto's LU fill is within 10% of the better of minimum degree and nested
+// dissection (so never meaningfully worse than the old MD default either).
+TEST(OrderingPolicy, AutoFillGate) {
+  std::vector<std::pair<std::string, CscMatrix>> cases;
+  for (NamedMatrix& nm : make_benchmark_suite()) {
+    cases.emplace_back(nm.name, std::move(nm.a));
+  }
+  {
+    gen::StencilOptions g;
+    g.drop_probability = 0.1;
+    g.seed = 14;
+    cases.emplace_back("grid3d-14 drop 0.1", gen::grid3d(14, 14, 14, g));
+  }
+  {
+    std::vector<CscMatrix> domains;
+    for (int d = 0; d < 4; ++d) {
+      gen::StencilOptions g;
+      g.seed = 400 + d;
+      domains.push_back(gen::multiphysics3d(8, 8, 4, 4, g));
+    }
+    cases.emplace_back("multiphys forest4", gen::block_diag(domains));
+  }
+  cases.emplace_back("power_law(1500)",
+                     gen::power_law(1500, 4.0, 2.0, 0.6, 0.8, 15));
+  cases.emplace_back("random_sparse(1000)",
+                     gen::random_sparse(1000, 3.0, 0.5, 0.7, 16));
+  const auto fill = [](const CscMatrix& a, Method m) {
+    Options opt;
+    opt.ordering = m;
+    return analyze(a, opt).fill_ratio();
+  };
+  for (const auto& [name, a] : cases) {
+    const Analysis automatic = analyze(a);  // the default: kAuto
+    ASSERT_EQ(automatic.ordering_decision.requested, Method::kAuto) << name;
+    const double md = fill(a, Method::kMinimumDegreeAtA);
+    const double nd = fill(a, Method::kNestedDissectionAtA);
+    EXPECT_LE(automatic.fill_ratio(), 1.10 * std::min(md, nd))
+        << name << ": auto picked "
+        << to_string(automatic.ordering_decision.chosen) << ", MD " << md
+        << ", ND " << nd;
+  }
 }
 
 TEST(OrderingPolicy, AutoDecisionRecordedInReports) {

@@ -3,7 +3,8 @@
 // The parallel analyze is REQUIRED to be bit-identical to the sequential
 // one: same fill, same supernodes, same task graph (edge ordering included),
 // same schedule priorities.  These tests enforce that over a 50-matrix
-// property sweep at 1, 2, 4 and 8 threads, with the work gates zeroed so
+// property sweep and two nested-dissection mesh shapes at 1, 2, 4 and 8
+// threads, with the work gates zeroed so
 // every loop actually takes its parallel code path -- which is also what
 // makes this file a real TSan target (it carries the `sanitize` ctest
 // label).
@@ -13,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analysis.h"
@@ -135,6 +138,42 @@ TEST(ParallelAnalysis, BitIdenticalAcrossThreadCountsAndSweep) {
       expect_same_analysis(seq, par,
                            "matrix " + std::to_string(m) + ", threads " +
                                std::to_string(threads));
+    }
+  }
+}
+
+// The sweep's matrices are small enough that the default ordering (kAuto)
+// always runs minimum degree on them.  These two mesh shapes route to nested
+// dissection under default options, so the same gate covers that path.
+TEST(ParallelAnalysis, DefaultOrderingBitIdenticalOnMeshShapes) {
+  std::vector<std::pair<std::string, CscMatrix>> shapes;
+  {
+    gen::StencilOptions g;
+    g.drop_probability = 0.1;
+    g.seed = 23;
+    shapes.emplace_back("grid3d-14 drop 0.1", gen::grid3d(14, 14, 14, g));
+  }
+  {
+    std::vector<CscMatrix> domains;
+    for (int d = 0; d < 4; ++d) {
+      gen::StencilOptions g;
+      g.seed = 230 + d;
+      domains.push_back(gen::multiphysics3d(8, 8, 4, 4, g));
+    }
+    shapes.emplace_back("multiphys forest4", gen::block_diag(domains));
+  }
+  for (const auto& [name, a] : shapes) {
+    const Analysis seq = analyze(a);
+    ASSERT_FALSE(seq.timings.parallel);
+    EXPECT_EQ(seq.ordering_decision.chosen,
+              ordering::Method::kNestedDissectionAtA)
+        << name;
+    for (int threads : {1, 2, 4, 8}) {
+      Options popt;
+      force_parallel(popt, threads);
+      const Analysis par = analyze(a, popt);
+      expect_same_analysis(seq, par,
+                           name + ", threads " + std::to_string(threads));
     }
   }
 }

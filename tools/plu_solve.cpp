@@ -12,9 +12,9 @@
 //                                               multiphysics3d, powerlaw)
 //     --rhs FILE            right-hand side (default: all ones)
 //     --ordering METHOD     auto | md (alias mindeg) | amd | nd | rcm |
-//                           natural                            (default md;
-//                           auto picks by structural features, decision in
-//                           the report)
+//                           natural                          (default auto:
+//                           nd on 3-D-mesh-like patterns, md otherwise;
+//                           decision in the report)
 //     --ordering-dry-run    with --ordering auto: compare the policy pick
 //                           against its runner-up by exact Cholesky fill
 //     --no-postorder        disable eforest postordering
@@ -44,8 +44,9 @@
 //     --refine              iterative refinement on the solution
 //     --simulate P          also print the simulated makespan on P processors
 //     --stats               print extended analysis statistics
-//     --verbose             per-phase analysis timing breakdown, plus the
-//                           numeric factorization and solve wall times
+//     --verbose             the ordering decision, per-phase analysis
+//                           timing breakdown, plus the numeric
+//                           factorization and solve wall times
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -252,6 +253,7 @@ int main(int argc, char** argv) {
                 an.fill_ratio(), an.blocks.num_blocks(), an.graph.size(),
                 an.diag_block_sizes.size(), an.scaled() ? ", MC64-scaled" : "");
     if (verbose) {
+      std::printf("%s\n", plu::to_string(an.ordering_decision).c_str());
       std::printf("%s\n", plu::to_string(an.timings).c_str());
       std::printf("factorize:   %g ms wall\n", factor_s * 1e3);
     }
