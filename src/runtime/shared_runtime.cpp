@@ -4,6 +4,11 @@
 #include <chrono>
 #include <utility>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 namespace plu::rt {
 
 namespace {
@@ -25,6 +30,40 @@ std::uint64_t mix_seed(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return (x ^ (x >> 31)) | 1;
+}
+
+/// One distinct CPU per worker from the calling thread's affinity set,
+/// starting at the CPU it runs on; empty (no pinning) when the set is
+/// smaller than the pool or cannot be read.
+std::vector<int> worker_cpus(int workers) {
+  std::vector<int> cpus;
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return {};
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
+  }
+  if (workers > static_cast<int>(cpus.size())) return {};
+  const auto here = std::find(cpus.begin(), cpus.end(), sched_getcpu());
+  if (here != cpus.end()) std::rotate(cpus.begin(), here, cpus.end());
+  cpus.resize(workers);
+#else
+  (void)workers;
+#endif
+  return cpus;
+}
+
+/// Best effort: a CPU that cannot be claimed leaves the thread unpinned.
+void pin_current_thread(int cpu) {
+#if defined(__linux__)
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+#else
+  (void)cpu;
+#endif
 }
 
 }  // namespace
@@ -51,10 +90,12 @@ SharedRuntime::SharedRuntime(int threads, int max_graphs)
   free_slots_.reserve(max_graphs_);
   for (int s = max_graphs_ - 1; s >= 0; --s) free_slots_.push_back(s);
   const int w = std::max(1, threads);
+  const std::vector<int> cpus = worker_cpus(w);
   workers_.reserve(w);
   for (int t = 0; t < w; ++t) {
     workers_.push_back(std::make_unique<Worker>(
         t, 0x9E3779B97F4A7C15ull ^ (static_cast<std::uint64_t>(t) + 1)));
+    if (!cpus.empty()) workers_.back()->cpu = cpus[t];
   }
   for (int t = 0; t < w; ++t) {
     workers_[t]->thread = std::thread([this, t] { worker_loop(t); });
@@ -164,6 +205,7 @@ void SharedRuntime::wake_workers() {
 
 void SharedRuntime::worker_loop(int tid) {
   Worker& me = *workers_[tid];
+  if (me.cpu >= 0) pin_current_thread(me.cpu);
   for (;;) {
     std::int64_t item = me.deque.pop();
     if (item < 0) item = steal(me);

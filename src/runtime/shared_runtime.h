@@ -45,6 +45,16 @@
 // frees the slot).  Dereferencing a popped item is therefore always safe:
 // the item itself holds the graph live.
 //
+// Placement.  A pool with no more workers than the constructing thread's
+// allowed CPUs pins each worker to a distinct one of them, starting at the
+// CPU the constructor runs on (so small pools of different processes do
+// not all crowd the first CPUs).  Workers park between graphs, and an
+// unpinned worker is placed afresh at every wake-up: on a virtualized
+// 4-CPU host the kernel at times stacked most workers on one CPU for a
+// whole run, and with one CPU also running another busy process the
+// solver-service benchmark's median latency went from ~9 to 20-31 ms
+// unpinned, against 9-11 ms pinned.  Larger pools are left to the OS.
+//
 // Cancellation and errors keep the dag_executor.h contract: a cancelled
 // token makes queued tasks drain unrun, a throwing task cancels its OWN
 // graph only (other graphs are untouched) and the exception is rethrown on
@@ -129,6 +139,9 @@ class SharedRuntime {
 
   /// `threads` workers (min 1); at most `max_graphs` DAGs in flight --
   /// further submits block until a slot frees (admission backpressure).
+  /// When the pool fits the CPUs the constructing thread may run on, each
+  /// worker is pinned to its own one of them (Linux; elsewhere, and for
+  /// larger pools, the OS places the workers).
   explicit SharedRuntime(int threads, int max_graphs = 256);
 
   /// Waits for every submitted graph to finish, then stops the workers.
@@ -153,6 +166,7 @@ class SharedRuntime {
   struct alignas(64) Worker {
     Worker(int id_, std::uint64_t seed) : id(id_), rng_state(seed) {}
     const int id;
+    int cpu = -1;  // the CPU this worker pins itself to; -1 = not pinned
     WorkStealDeque deque;
     std::uint64_t rng_state;
     std::vector<int> ready;  // scratch for newly released successors

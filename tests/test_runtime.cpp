@@ -1,5 +1,5 @@
 // Runtime: the work-stealing deque, DAG execution ordering, cancellation
-// and fuzzing guarantees, and the multi-DAG pool.
+// and fuzzing guarantees, and the multi-DAG pool and its worker placement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,11 +7,18 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "core/analysis.h"
 #include "runtime/dag_executor.h"
@@ -704,6 +711,57 @@ TEST(SharedRuntime, FuzzedAndPlainGraphsShareOnePool) {
   }
   EXPECT_EQ(pool.graphs_completed(), 2 * kRounds);
 }
+
+#if defined(__linux__)
+/// The calling thread's affinity set, ascending.
+std::vector<int> thread_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  std::vector<int> cpus;
+  if (pthread_getaffinity_np(pthread_self(), sizeof(set), &set) != 0) {
+    return cpus;
+  }
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &set)) cpus.push_back(c);
+  }
+  return cpus;
+}
+
+TEST(SharedRuntime, WorkersPinnedToDistinctAllowedCpusWhenThePoolFits) {
+  // A pool no larger than the constructing thread's CPU set pins each
+  // worker to its own CPU of that set; a larger pool keeps the whole set.
+  const std::vector<int> allowed = thread_cpus();
+  ASSERT_FALSE(allowed.empty());
+  const auto worker_masks = [](SharedRuntime& pool) {
+    std::mutex mu;
+    std::map<std::thread::id, std::vector<int>> masks;
+    const std::vector<std::vector<int>> succ(64);  // independent tasks
+    const std::vector<int> indeg(64, 0);
+    ExecOptions eopt;
+    eopt.shared = &pool;
+    execute_dag(succ, indeg, 0, [&](int) {
+      std::vector<int> mask = thread_cpus();
+      std::lock_guard<std::mutex> lock(mu);
+      masks[std::this_thread::get_id()] = std::move(mask);
+    }, eopt);
+    return masks;
+  };
+  SharedRuntime fits(std::min(static_cast<int>(allowed.size()), 4));
+  std::set<int> taken;
+  for (const auto& [id, mask] : worker_masks(fits)) {
+    ASSERT_EQ(mask.size(), 1u);
+    EXPECT_TRUE(std::binary_search(allowed.begin(), allowed.end(), mask[0]));
+    EXPECT_TRUE(taken.insert(mask[0]).second)
+        << "two workers pinned to CPU " << mask[0];
+  }
+  if (allowed.size() <= 16) {
+    SharedRuntime larger(static_cast<int>(allowed.size()) + 1);
+    for (const auto& [id, mask] : worker_masks(larger)) {
+      EXPECT_EQ(mask, allowed);
+    }
+  }
+}
+#endif
 
 TEST(ExecuteSequential, UsesTopologicalOrder) {
   CscMatrix a = test::small_matrices()[1];
