@@ -1,21 +1,20 @@
-// Ablation A2 (PR 10 edition): structure-aware blocking auto vs off.
+// Kernel routing and the threaded bitwise contract.
 //
 // The paper's point about supernodes is that they enable BLAS-3 in the
-// numeric factorization; earlier editions of this bench compared blocked
-// kernels against the scalar reference.  The structure-aware blocking tier
-// (DESIGN.md section 16) goes further: the analysis now builds a per-panel
-// tile plan, and the numeric drivers use it to hoist the gemm router's
-// density scan, route each tile from MEASURED density, and fuse adjacent
-// same-decision tiles into single gemm calls.  This bench measures the full
-// numeric factorization wall clock with NumericOptions::blocking = kAuto
-// against kOff on every suite matrix at 1 and 4 threads (plus 8 off-smoke),
-// and VERIFIES the headline contract inline: the factors of both arms are
-// compared column buffer by column buffer with memcmp -- any mismatch is a
-// correctness bug, printed loudly and recorded in the JSON artifact.
+// numeric factorization.  Every update runs the structural row runs of its
+// source panel (symbolic::ColumnPlan::row_runs), and each run is routed to
+// the packed or the direct gemm engine by the same predicates gemm's auto
+// router uses (blas/level3.h).  This bench times the numeric factorization
+// sequentially (ExecutionMode::kSequential, the right-looking baseline)
+// against the 4-thread task graph (kThreaded) on every suite matrix, and
+// VERIFIES the contract inline: the factors of both runs are compared
+// column buffer by column buffer with memcmp -- any mismatch is a
+// correctness bug, printed loudly, recorded in the JSON artifact, and
+// turned into a nonzero exit.
 //
-// Every cell appends one JSON-lines record (--json FILE, the BENCH_pr10
-// artifact) with the runtime routing counters, so CI can see how many tile
-// runs, fused gemms and elided scans the plan actually produced.
+// It also prints the routing counters per matrix -- row runs dispatched to
+// the packed and to the direct engine -- the data behind the question
+// whether the packed engine pays on the shapes the drivers route to it.
 //
 // Flags: --smoke (small sizes + 1 rep, the CI gate), --json FILE.
 #include <cstdio>
@@ -46,10 +45,8 @@ std::vector<Case> make_cases(bool smoke) {
       cases.push_back({nm.name, std::move(nm.a)});
     }
   }
-  // The generated shapes are the interesting ones for blocking: the
-  // multiphysics stencil interleaves dense cliques with sparse coupling
-  // blocks (mixed-density panels, the tile splitter's target) and the
-  // power-law graph is all tiny supernodes (the DAG-bound merge's target).
+  // The multiphysics stencil interleaves dense cliques with sparse
+  // coupling blocks; the power-law graph is all tiny supernodes.
   {
     gen::StencilOptions g;
     g.seed = 101;
@@ -87,83 +84,66 @@ bool same_factors(const Factorization& x, const Factorization& y) {
 
 void run(bool smoke) {
   const int reps = smoke ? 1 : 2;
-  std::vector<int> thread_counts = {1, 4};
-  if (!smoke) thread_counts.push_back(8);
+  constexpr int kThreads = 4;
 
-  std::printf("%-14s %8s %8s %12s %12s %8s %9s %6s\n", "matrix", "n",
-              "threads", "auto (s)", "off (s)", "speedup", "tile-runs",
-              "bitEQ");
-  print_rule(84);
+  std::printf("%-14s %8s %10s %10s %8s %9s %9s %6s\n", "matrix", "n",
+              "seq (s)", "4t (s)", "speedup", "packed", "direct", "bitEQ");
+  print_rule(80);
   int mismatches = 0;
   for (Case& c : make_cases(smoke)) {
     const Analysis an = analyze(c.a);
-    for (int threads : thread_counts) {
-      NumericOptions nopt;
-      if (threads > 1) {
-        nopt.mode = ExecutionMode::kThreaded;
-        nopt.threads = threads;
-        nopt.coarsen = true;  // exercise the DAG-aware tiny merge too
-      }
-      auto arm_opts = [&](BlockingMode mode) {
-        NumericOptions o = nopt;
-        o.blocking = mode;
-        return o;
-      };
-      const double secs_auto = min_of_n_seconds(reps, [&] {
-        Factorization f(an, c.a, arm_opts(BlockingMode::kAuto));
-      });
-      const double secs_off = min_of_n_seconds(reps, [&] {
-        Factorization f(an, c.a, arm_opts(BlockingMode::kOff));
-      });
-      // One final run of each arm, kept alive for the bitwise comparison
-      // and the routing counters.
-      Factorization fa(an, c.a, arm_opts(BlockingMode::kAuto));
-      Factorization fo(an, c.a, arm_opts(BlockingMode::kOff));
-      const bool bit_equal = same_factors(fa, fo);
-      if (!bit_equal) {
-        ++mismatches;
-        std::printf("ERROR: %s at %d thread(s): blocking=auto factors "
-                    "differ from blocking=off\n",
-                    c.name.c_str(), threads);
-      }
-      const symbolic::BlockingStats& bt = fa.blocking_stats();
-      std::printf("%-14s %8d %8d %12.4f %12.4f %8.2f %9ld %6s\n",
-                  c.name.c_str(), c.a.rows(), threads, secs_auto, secs_off,
-                  secs_off / secs_auto, bt.tile_runs,
-                  bit_equal ? "yes" : "NO");
-      for (int arm = 0; arm < 2; ++arm) {
-        const bool is_auto = arm == 0;
-        const symbolic::BlockingStats& s =
-            is_auto ? fa.blocking_stats() : fo.blocking_stats();
-        JsonRecord rec;
-        rec.field("bench", "ablation_kernels")
-            .field("matrix", c.name)
-            .field("n", c.a.rows())
-            .field("nnz", c.a.nnz())
-            .field("threads", threads)
-            .field("blocking", is_auto ? "auto" : "off")
-            .field("seconds", is_auto ? secs_auto : secs_off)
-            .field("tile_runs", s.tile_runs)
-            .field("gemms_fused", s.gemms_fused)
-            .field("routed_packed", s.routed_packed)
-            .field("routed_direct", s.routed_direct)
-            .field("scans_elided", s.scans_elided)
-            .field("bitwise_equal", bit_equal ? 1 : 0)
-            .field("reps", reps);
-        json_append(rec);
-      }
+    NumericOptions seq;
+    seq.mode = ExecutionMode::kSequential;
+    NumericOptions thr;
+    thr.mode = ExecutionMode::kThreaded;
+    thr.threads = kThreads;
+    const double secs_seq =
+        min_of_n_seconds(reps, [&] { Factorization f(an, c.a, seq); });
+    const double secs_thr =
+        min_of_n_seconds(reps, [&] { Factorization f(an, c.a, thr); });
+    // One final run of each, kept alive for the bitwise comparison and the
+    // routing counters.
+    Factorization fs(an, c.a, seq);
+    Factorization ft(an, c.a, thr);
+    const bool bit_equal = same_factors(fs, ft);
+    if (!bit_equal) {
+      ++mismatches;
+      std::printf("ERROR: %s: %d-thread factors differ from sequential\n",
+                  c.name.c_str(), kThreads);
     }
+    // The routing depends on the values only, so both runs count the same.
+    const symbolic::BlockingStats& bt = ft.blocking_stats();
+    std::printf("%-14s %8d %10.4f %10.4f %8.2f %9ld %9ld %6s\n",
+                c.name.c_str(), c.a.rows(), secs_seq, secs_thr,
+                secs_seq / secs_thr, bt.routed_packed, bt.routed_direct,
+                bit_equal ? "yes" : "NO");
+    JsonRecord rec;
+    rec.field("bench", "ablation_kernels")
+        .field("matrix", c.name)
+        .field("n", c.a.rows())
+        .field("nnz", c.a.nnz())
+        .field("threads", kThreads)
+        .field("seq_seconds", secs_seq)
+        .field("threaded_seconds", secs_thr)
+        .field("tile_runs", bt.tile_runs)
+        .field("gemms_fused", bt.gemms_fused)
+        .field("routed_packed", bt.routed_packed)
+        .field("routed_direct", bt.routed_direct)
+        .field("scans_elided", bt.scans_elided)
+        .field("bitwise_equal", bit_equal ? 1 : 0)
+        .field("reps", reps);
+    json_append(rec);
   }
-  print_rule(84);
+  print_rule(80);
   if (mismatches > 0) {
-    std::printf("FAILED: %d blocking arm(s) produced different factors\n",
+    std::printf("FAILED: %d matrix(es) with threaded factors different from "
+                "sequential\n",
                 mismatches);
     std::exit(1);
   }
   std::printf(
-      "blocking=auto routes each tile from measured density with the scan\n"
-      "hoisted per update and adjacent same-decision tiles fused into one\n"
-      "gemm; factors are verified bitwise identical to blocking=off above.\n");
+      "packed/direct: row runs routed to each gemm engine; threaded factors\n"
+      "are verified bitwise identical to the sequential ones above.\n");
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // Matrices (full mode):
 //   forest-102k     100 decoupled 3-D multi-physics domains -> 102,400 rows
 //                   over >= 100 independent eforest trees (the headline
-//                   >= 1e5-row case, and the coarsening stress shape: tens
+//                   >= 1e5-row case, and the scheduling stress shape: tens
 //                   of thousands of sub-millisecond leaf tasks);
 //   multiphys-8k    ONE coupled 3-D multi-physics domain, 14x14x10 grid x 4
 //                   unknowns per point;
@@ -19,10 +19,10 @@
 // parallel ordering tier).  The >= 1e5-row scale is carried by the forest,
 // which is exactly the shape the paper's eforest parallelism targets.
 //
-// For each matrix the sweep times the threaded numeric factorization over
-// threads {1,2,4,8} x coarsening {off,on} x block storage {vectors,arena}
-// with the warmup + min-of-N protocol (bench_common.h), analysis done ONCE
-// per matrix and reused by every configuration.  Two refactorization
+// For each matrix the sweep times the threaded numeric factorization at
+// threads {1,2,4,8} with the warmup + min-of-N protocol (bench_common.h),
+// analysis done ONCE per matrix and reused by every thread count.  Two
+// refactorization
 // records (same pattern, perturbed values -- the Newton / time-stepping
 // workload: a fresh Factorization on the shared analysis, and the in-place
 // path of one reused SparseLU) and machine-model scaling records
@@ -49,7 +49,6 @@
 
 #include "bench_common.h"
 #include "matrix/generators.h"
-#include "taskgraph/coarsen.h"
 
 namespace plu::bench {
 namespace {
@@ -102,57 +101,41 @@ void run(bool smoke) {
               cores < 8 ? " (wall-clock scaling limited; simulated records "
                           "carry the machine-model scaling)"
                         : "");
-  std::printf("%-15s %8s %3s %8s %8s  %10s %8s %9s\n", "matrix", "n", "P",
-              "coarsen", "storage", "factor(s)", "vs 1t", "fused");
+  std::printf("%-15s %8s %3s  %10s %8s\n", "matrix", "n", "P", "factor(s)",
+              "vs 1t");
   for (Case& c : make_cases(smoke)) {
     const Analysis an = analyze(c.a, aopt);
-    // Baseline seconds at 1 thread per (coarsen, storage) cell, for the
-    // within-configuration speedup column.
-    double base[2][2] = {{0.0, 0.0}, {0.0, 0.0}};
+    double base = 0.0;  // 1-thread seconds, for the speedup column
     for (int threads : {1, 2, 4, 8}) {
-      for (int co = 0; co <= 1; ++co) {
-        for (int ar = 0; ar <= 1; ++ar) {
-          NumericOptions nopt;
-          nopt.mode = ExecutionMode::kThreaded;
-          nopt.threads = threads;
-          nopt.coarsen = co != 0;
-          nopt.storage = ar != 0 ? StorageMode::kArena : StorageMode::kVectors;
-          taskgraph::CoarsenStats cs;
-          std::size_t storage_bytes = 0;
-          const double secs = min_of_n_seconds(reps, [&] {
-            Factorization f(an, c.a, nopt);
-            cs = f.coarsen_stats();
-            storage_bytes = f.blocks().storage_bytes();
-          });
-          if (threads == 1) base[co][ar] = secs;
-          const double speedup = base[co][ar] / secs;
-          // One core cannot scale: record null (NaN -> null in bench_json)
-          // instead of timer noise dressed up as a speedup.
-          const double speedup_record =
-              cores > 1 ? speedup : std::numeric_limits<double>::quiet_NaN();
-          std::printf("%-15s %8d %3d %8s %8s  %10.4f %8.2f %9d\n",
-                      c.name.c_str(), c.a.rows(), threads,
-                      co ? "on" : "off", ar ? "arena" : "vectors", secs,
-                      speedup, cs.fused_groups);
-          JsonRecord rec;
-          rec.field("bench", "scaling_modern")
-              .field("matrix", c.name)
-              .field("n", c.a.rows())
-              .field("nnz", c.a.nnz())
-              .field("cores", cores)
-              .field("threads", threads)
-              .field("coarsen", co)
-              .field("storage", ar ? "arena" : "vectors")
-              .field("reps", reps)
-              .field("wall_seconds", secs)
-              .field("wall_speedup_vs_1t", speedup_record)
-              .field("tasks_before", cs.tasks_before)
-              .field("tasks_after", cs.tasks_after)
-              .field("fused_groups", cs.fused_groups)
-              .field("storage_mb", storage_bytes / 1e6);
-          json_append(rec);
-        }
-      }
+      NumericOptions nopt;
+      nopt.mode = ExecutionMode::kThreaded;
+      nopt.threads = threads;
+      std::size_t storage_bytes = 0;
+      const double secs = min_of_n_seconds(reps, [&] {
+        Factorization f(an, c.a, nopt);
+        storage_bytes = f.blocks().storage_bytes();
+      });
+      if (threads == 1) base = secs;
+      const double speedup = base / secs;
+      // One core cannot scale: record null (NaN -> null in bench_json)
+      // instead of timer noise dressed up as a speedup.
+      const double speedup_record =
+          cores > 1 ? speedup : std::numeric_limits<double>::quiet_NaN();
+      std::printf("%-15s %8d %3d  %10.4f %8.2f\n", c.name.c_str(), c.a.rows(),
+                  threads, secs, speedup);
+      JsonRecord rec;
+      rec.field("bench", "scaling_modern")
+          .field("matrix", c.name)
+          .field("n", c.a.rows())
+          .field("nnz", c.a.nnz())
+          .field("cores", cores)
+          .field("threads", threads)
+          .field("reps", reps)
+          .field("wall_seconds", secs)
+          .field("wall_speedup_vs_1t", speedup_record)
+          .field("tasks", an.graph.size())
+          .field("storage_mb", storage_bytes / 1e6);
+      json_append(rec);
     }
     // Refactorization with perturbed values: the pattern is copied
     // verbatim, so the SAME analysis is reused -- the Newton-loop workload.
@@ -161,11 +144,9 @@ void run(bool smoke) {
       NumericOptions nopt;
       nopt.mode = ExecutionMode::kThreaded;
       nopt.threads = 8;
-      nopt.coarsen = true;
       const double secs =
           min_of_n_seconds(reps, [&] { Factorization f(an, a2, nopt); });
-      std::printf("%-15s %8d   refactor (perturbed values, 8t, coarsen) "
-                  "%10.4f\n",
+      std::printf("%-15s %8d   refactor (perturbed values, 8t) %10.4f\n",
                   c.name.c_str(), c.a.rows(), secs);
       JsonRecord rec;
       rec.field("bench", "scaling_modern_refactor")
@@ -184,8 +165,7 @@ void run(bool smoke) {
       lu.numeric_options() = nopt;
       const double inplace_secs =
           min_of_n_seconds(reps, [&] { lu.factorize(a2); });
-      std::printf("%-15s %8d   refactor in place (SparseLU, 8t, coarsen) "
-                  "%10.4f\n",
+      std::printf("%-15s %8d   refactor in place (SparseLU, 8t) %10.4f\n",
                   c.name.c_str(), c.a.rows(), inplace_secs);
       JsonRecord inplace;
       inplace.field("bench", "scaling_modern_refactor_inplace")
@@ -199,63 +179,22 @@ void run(bool smoke) {
     }
     // Machine-model scaling (Origin-2000 costs, critical-path list
     // scheduling): the platform-independent record of how this matrix's
-    // DAG scales to P processors, for the ORIGINAL task graph and for the
-    // coarsened one (subtree fusion at each P's adaptive threshold, group
-    // costs/priorities from the coarse graph) -- the artifact's evidence
-    // that coarsening preserves the scaling while shrinking the task count.
+    // DAG scales to P processors.
     const double sim1 = simulated_seconds(an, 1);
     for (int p : {1, 2, 4, 8}) {
-      for (int co = 0; co <= 1; ++co) {
-        double simp;
-        int tasks;
-        if (co == 0) {
-          simp = simulated_seconds(an, p);
-          tasks = an.graph.size();
-        } else {
-          taskgraph::CoarsenOptions copt;
-          copt.threads = p;
-          const taskgraph::CoarseGraph cg =
-              taskgraph::coarsen_task_graph(an.graph, an.blocks, copt);
-          if (!cg.coarsened) continue;
-          // A group's shipped payload: outputs of members with at least one
-          // consumer OUTSIDE the group (interior edges never leave the
-          // processor that runs the fused task).  Still conservative -- the
-          // simulator charges the WHOLE payload on every cross-processor
-          // edge, where a real consumer fetches only its own slice -- so on
-          // message-bound coupled domains the coarse records UNDERSTATE
-          // coarsening; shared-memory wall clock (the records above, on a
-          // multi-core host) is the ground truth for the real runtime.
-          std::vector<double> out_bytes(cg.num_groups, 0.0);
-          for (int id = 0; id < an.graph.size(); ++id) {
-            const int gid = cg.group_of[id];
-            for (int s : an.graph.succ[id]) {
-              if (cg.group_of[s] != gid) {
-                out_bytes[gid] += an.costs.output_bytes[id];
-                break;
-              }
-            }
-          }
-          rt::MachineModel m = rt::MachineModel::origin2000(p);
-          simp = rt::simulate_dag(cg.succ, cg.indegree, cg.flops, out_bytes,
-                                  m, cg.priorities)
-                     .makespan;
-          tasks = cg.num_groups;
-        }
-        std::printf("%-15s %8d %3d simulated %8s %10.4f  speedup %5.2f "
-                    "(%d tasks)\n",
-                    c.name.c_str(), c.a.rows(), p, co ? "coarse" : "fine",
-                    simp, sim1 / simp, tasks);
-        JsonRecord rec;
-        rec.field("bench", "scaling_modern_sim")
-            .field("matrix", c.name)
-            .field("n", c.a.rows())
-            .field("p", p)
-            .field("coarsen", co)
-            .field("tasks", tasks)
-            .field("sim_seconds", simp)
-            .field("sim_speedup", sim1 / simp);
-        json_append(rec);
-      }
+      const double simp = simulated_seconds(an, p);
+      std::printf("%-15s %8d %3d simulated %10.4f  speedup %5.2f (%d tasks)\n",
+                  c.name.c_str(), c.a.rows(), p, simp, sim1 / simp,
+                  an.graph.size());
+      JsonRecord rec;
+      rec.field("bench", "scaling_modern_sim")
+          .field("matrix", c.name)
+          .field("n", c.a.rows())
+          .field("p", p)
+          .field("tasks", an.graph.size())
+          .field("sim_seconds", simp)
+          .field("sim_speedup", sim1 / simp);
+      json_append(rec);
     }
   }
 }

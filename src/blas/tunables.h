@@ -1,10 +1,8 @@
-// Kernel-routing and blocking tunables, deduplicated from blas/level3.cpp
-// and core/kernels.cpp (where they drifted as independent magic numbers)
-// plus the structure-aware blocking tier (symbolic/repartition.h,
-// DESIGN.md section 16).  Everything here is a POLICY constant: changing a
-// value moves work between engines or reshapes tiles/tasks, but never
-// changes a computed factor bit (the routing contract in level3.h and the
-// writer chains in taskgraph/coarsen.h are what guarantee that).
+// Kernel-routing tunables, deduplicated from blas/level3.cpp and
+// core/kernels.cpp (where they drifted as independent magic numbers).
+// Everything here is a POLICY constant: changing a value moves work
+// between engines, but never changes a computed factor bit (the routing
+// contract in level3.h guarantees that).
 #pragma once
 
 namespace plu::blas::tunables {
@@ -42,35 +40,10 @@ inline constexpr int kGetrfNb = 32;
 // amortize packing (m*n*k >= kPackThreshold flops-ish volume) AND op(B)
 // carries at most kPackMaxZeroFrac numeric zeros (the direct engine's
 // per-column zero skipping wins on sparser operands).  level3.cpp's auto
-// router and the plan-driven tiled updates (core/driver.cpp) consult the
+// router and the row-run updates (core/driver.cpp) consult the
 // SAME two constants -- that shared definition is what makes the hinted
 // path's decisions provably identical to the unhinted ones.
 inline constexpr double kPackThreshold = 32768.0;
 inline constexpr double kPackMaxZeroFrac = 1.0 / 16.0;
-
-// ---- structure-aware blocking tier (symbolic/repartition.h) ------------
-// An L row block whose structural fill (|Abar entries| / area) is at least
-// kDenseTileMinFill is predicted dense (packed-engine material); a block
-// with no Abar entries at all is a predicted zero tile (closure padding);
-// everything between is a sparse tile.  Predictions drive tiling, the
-// report and the cost model -- the numeric router re-measures, because
-// partial-pivoting row swaps can move numeric zeros across block
-// boundaries regardless of structure.
-inline constexpr double kDenseTileMinFill = 0.9;
-
-// Scheduling floor for density-scaled task costs (taskgraph/costs.h):
-// a structurally near-empty panel still pays bookkeeping, so its
-// effective flops never drop below this fraction of the nominal count.
-inline constexpr double kMinDensityScale = 1.0 / 16.0;
-
-// ---- DAG-aware tiny-supernode merging (taskgraph/coarsen.cpp) ----------
-// A stage whose supernode is at most kTinyStageWidth columns wide counts
-// as tiny.  When the task count exceeds threads * target_tasks_per_thread
-// * kDagBoundTaskFactor, the DAG itself -- not flops -- is the bottleneck,
-// and whole subtrees of tiny stages fuse even when their subtree flops
-// exceed the adaptive threshold, up to kTinyMergeFlopFactor times it.
-inline constexpr int kTinyStageWidth = 8;
-inline constexpr int kDagBoundTaskFactor = 4;
-inline constexpr double kTinyMergeFlopFactor = 8.0;
 
 }  // namespace plu::blas::tunables

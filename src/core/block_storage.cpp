@@ -25,9 +25,7 @@ std::size_t align_up(std::size_t doubles) {
 
 }  // namespace
 
-const char* to_string(StorageMode m) {
-  return m == StorageMode::kVectors ? "vectors" : "arena";
-}
+const char* to_string(StorageMode) { return "arena"; }
 
 void BlockMatrix::SlabUnmap::operator()(double* p) const {
   if (p != nullptr) munmap(reinterpret_cast<char*>(p) - lead, bytes);
@@ -69,26 +67,15 @@ std::size_t BlockMatrix::describe_column(int j) {
   return static_cast<std::size_t>(off) * bs.part.width(j);
 }
 
-BlockMatrix::BlockMatrix(const symbolic::BlockStructure& bs, StorageMode mode,
+BlockMatrix::BlockMatrix(const symbolic::BlockStructure& bs, StorageMode,
                          int init_threads)
-    : bs_(&bs), mode_(mode) {
+    : bs_(&bs) {
   const int nb = bs.num_blocks();
   blocks_.resize(nb);
   offsets_.resize(nb);
   diag_pos_.assign(nb, -1);
   col_ptr_.assign(nb, nullptr);
   col_doubles_.assign(nb, 0);
-
-  if (mode_ == StorageMode::kVectors) {
-    data_.resize(nb);
-    for (int j = 0; j < nb; ++j) {
-      const std::size_t len = describe_column(j);
-      data_[j].assign(len, 0.0);
-      col_ptr_[j] = data_[j].data();
-      col_doubles_[j] = len;
-    }
-    return;
-  }
 
   // One sizing pass over the symbolic structure, then one aligned slab with
   // every column base on a 64-byte boundary.
@@ -214,15 +201,10 @@ std::vector<std::uint64_t> scatter_slots(const symbolic::BlockStructure& bs,
 }
 
 void BlockMatrix::set_zero() {
-  if (mode_ == StorageMode::kArena) {
-    std::fill(arena_.get(), arena_.get() + arena_doubles_, 0.0);
-    return;
-  }
-  for (std::vector<double>& d : data_) std::fill(d.begin(), d.end(), 0.0);
+  std::fill(arena_.get(), arena_.get() + arena_doubles_, 0.0);
 }
 
 std::size_t BlockMatrix::storage_bytes() const {
-  if (mode_ == StorageMode::kVectors) return stored_doubles() * sizeof(double);
   return arena_doubles_ * sizeof(double);
 }
 

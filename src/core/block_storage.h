@@ -7,24 +7,15 @@
 // L blocks -- is a contiguous tail of block column k's buffer, directly
 // usable as a getrf operand.
 //
-// Storage backing (StorageMode):
-//
-//   kArena (default): ONE contiguous 64-byte-aligned slab sized exactly
-//   from the symbolic block structure, with every column buffer starting
-//   on a 64-byte boundary inside it.  The slab is its own anonymous mapping
-//   with a guard page at each end (BlockMatrix::allocate_slab).  One allocation instead of one per
-//   block column, set_zero() as a single contiguous fill (the fill
-//   Factorization::refactor runs before reloading the same slab), and
-//   pages first-touched by the worker threads that will own each column
-//   range (`init_threads`), so on NUMA machines the column data lands near
-//   its consumers.
-//
-//   kVectors: the original per-column std::vector<std::vector<double>>
-//   layout, kept as the storage-ablation baseline
-//   (bench_scaling_modern.cpp measures one against the other).
-//
-// Values are identical under both modes -- only placement differs -- so
-// factorizations are bitwise equal across modes.
+// Storage backing: ONE contiguous 64-byte-aligned slab sized exactly from
+// the symbolic block structure, with every column buffer starting on a
+// 64-byte boundary inside it.  The slab is its own anonymous mapping with a
+// guard page at each end (BlockMatrix::allocate_slab).  One allocation
+// instead of one per block column, set_zero() as a single contiguous fill
+// (the fill Factorization::refactor runs before reloading the same slab),
+// and pages first-touched by the worker threads that will own each column
+// range (`init_threads`), so on NUMA machines the column data lands near
+// its consumers.
 //
 // Explicit zeros inside blocks are stored and computed on, exactly as in
 // S*/S+ ("even if some operations will involve zero elements").
@@ -51,9 +42,10 @@
 
 namespace plu {
 
+/// The block storage backing.  The arena is the only one; the enum stays
+/// so the constructor keeps its signature for callers that name it.
 enum class StorageMode {
-  kArena,    // one contiguous 64-byte-aligned arena (default)
-  kVectors,  // per-column vectors (ablation baseline)
+  kArena,  // one contiguous 64-byte-aligned arena
 };
 
 const char* to_string(StorageMode m);
@@ -72,9 +64,9 @@ std::vector<std::uint64_t> scatter_slots(const symbolic::BlockStructure& bs,
 class BlockMatrix {
  public:
   /// Allocates zeroed storage for the block structure.  `bs` must outlive
-  /// the BlockMatrix.  With `init_threads` > 1 under kArena, the initial
-  /// zeroing fans out over that many threads, each touching a contiguous
-  /// range of columns first (NUMA first-touch placement).
+  /// the BlockMatrix.  With `init_threads` > 1 the initial zeroing fans
+  /// out over that many threads, each touching a contiguous range of
+  /// columns first (NUMA first-touch placement).
   explicit BlockMatrix(const symbolic::BlockStructure& bs,
                        StorageMode mode = StorageMode::kArena,
                        int init_threads = 1);
@@ -87,11 +79,9 @@ class BlockMatrix {
   const symbolic::BlockStructure& structure() const { return *bs_; }
   int num_block_columns() const { return bs_->num_blocks(); }
 
-  StorageMode storage_mode() const { return mode_; }
-
   /// Bytes of block storage held (arena capacity incl. alignment
-  /// padding, or the summed vector sizes) -- the peak numeric footprint
-  /// surfaced in FactorizationReport.
+  /// padding) -- the peak numeric footprint surfaced in
+  /// FactorizationReport.
   std::size_t storage_bytes() const;
 
   /// Zeroes the storage, then scatters a CSC matrix (already permuted to
@@ -113,8 +103,8 @@ class BlockMatrix {
                  const std::vector<double>& row_scale,
                  const std::vector<double>& col_scale);
 
-  /// Resets all values to zero (for refactorization on the same structure).
-  /// Under kArena this is one contiguous fill of the slab.
+  /// Resets all values to zero (for refactorization on the same structure):
+  /// one contiguous fill of the slab.
   void set_zero();
 
   /// Dense view of block (i, j); block must be structurally present.
@@ -181,14 +171,12 @@ class BlockMatrix {
   std::size_t describe_column(int j);
 
   const symbolic::BlockStructure* bs_;
-  StorageMode mode_ = StorageMode::kArena;
 
-  Slab arena_;  // kArena backing
+  Slab arena_;
   std::size_t arena_doubles_ = 0;
 
   std::vector<double*> col_ptr_;            // base pointer per block column
   std::vector<std::size_t> col_doubles_;    // buffer length per block column
-  std::vector<std::vector<double>> data_;   // kVectors backing
   std::vector<std::vector<int>> blocks_;    // sorted row-block ids
   std::vector<std::vector<int>> offsets_;   // per column: offset per block + total
   std::vector<int> diag_pos_;               // position of diagonal block in blocks_[j]

@@ -46,7 +46,6 @@ class RunState {
 
   void finish() {
     run_.lazy_skipped = lazy_skipped_.load();
-    run_.blocking.ran = run_.plan != nullptr;
     run_.blocking.tile_runs = tile_runs_.load();
     run_.blocking.gemms_fused = gemms_fused_.load();
     run_.blocking.routed_packed = routed_packed_.load();
@@ -325,14 +324,12 @@ class Run1D : public RunState {
     kernels::schur_update_rows(l, ukj, colj, packed.data(),
                                static_cast<int>(packed.size()),
                                blas::GemmEngine::kPacked);
-    if (run_.plan != nullptr) {
-      if (scans_wanted > 1) count_scans_elided(scans_wanted - 1);
-      count_row_runs(blas::use_blocked_kernels() ? blas::GemmEngine::kDirect
-                                                 : blas::GemmEngine::kAuto,
-                     static_cast<long>(direct.size()), merged);
-      count_row_runs(blas::GemmEngine::kPacked,
-                     static_cast<long>(packed.size()), 0);
-    }
+    if (scans_wanted > 1) count_scans_elided(scans_wanted - 1);
+    count_row_runs(blas::use_blocked_kernels() ? blas::GemmEngine::kDirect
+                                               : blas::GemmEngine::kAuto,
+                   static_cast<long>(direct.size()), merged);
+    count_row_runs(blas::GemmEngine::kPacked,
+                   static_cast<long>(packed.size()), 0);
   }
 
   /// Update(k, j) reads the diagonal block and the structural rows of
@@ -456,7 +453,7 @@ class Run2D : public RunState {
     }
     kernels::schur_update_rows(lik, ukj, run_.blocks.block(i, j), rows.data(),
                                static_cast<int>(rows.size()), eng);
-    if (run_.plan != nullptr) count_row_runs(eng, 1, 0);
+    count_row_runs(eng, 1, 0);
   }
 
   const bool lazy_;
@@ -524,30 +521,8 @@ void execute(NumericRun& run, const NumericOptions& opt,
       eopt.shared = opt.shared_runtime;
       eopt.request_priority = opt.request_priority;
       eopt.fuzz = opt.fuzz_schedule ? &fuzz : nullptr;
-      taskgraph::CoarseGraph cg;
-      if (opt.coarsen) {
-        taskgraph::CoarsenOptions copt;
-        copt.threads = opt.threads;
-        copt.threshold_flops = opt.coarsen_threshold_flops;
-        copt.plan = run.plan;
-        cg = taskgraph::coarsen_task_graph(run.graph, run.an.blocks, copt);
-        run.coarsen = cg.stats(run.graph);
-      }
-      rt::ExecutionReport rep;
-      if (cg.coarsened) {
-        // A fused group runs its member tasks in sequential right-looking
-        // order; `guarded` keeps the per-task cancellation drain, so a
-        // breakdown inside a group skips the group's remaining members just
-        // as the executor skips the remaining groups.
-        const auto run_group = [&](int gid) {
-          for (int id : cg.members[gid]) guarded(id);
-        };
-        eopt.priorities = &cg.priorities;
-        rep = rt::execute_dag(cg.succ, cg.indegree, opt.threads, run_group,
-                              eopt);
-      } else {
-        rep = rt::execute_task_graph(run.graph, opt.threads, polled, eopt);
-      }
+      const rt::ExecutionReport rep =
+          rt::execute_task_graph(run.graph, opt.threads, polled, eopt);
       if (!rep.completed && !rep.cancelled) {
         throw std::logic_error("Factorization: threaded execution incomplete");
       }

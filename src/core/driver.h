@@ -17,7 +17,6 @@
 #include "core/block_storage.h"
 #include "core/status.h"
 #include "runtime/race_checker.h"
-#include "taskgraph/coarsen.h"
 
 namespace plu {
 
@@ -42,12 +41,6 @@ struct NumericRun {
   /// Factorization constructor to sqrt(eps) * max|A| when
   /// NumericOptions::perturb_pivots is on.
   double perturb_magnitude = 0.0;
-  /// Structure-aware blocking plan (symbolic/repartition.h) when
-  /// NumericOptions::blocking is kAuto, else nullptr.  The drivers read
-  /// the row runs from Analysis::block_plan either way; this pointer only
-  /// turns on the routing counters and the coarsener's use of the plan, so
-  /// it never changes factor bits (DESIGN.md section 16).
-  const symbolic::BlockPlan* plan = nullptr;
 
   // Outputs.
   int zero_pivots = 0;
@@ -62,10 +55,7 @@ struct NumericRun {
   int failed_column = -1;
   /// Perturbation log: global columns whose pivot was bumped (sorted).
   std::vector<int> perturbed_columns{};
-  /// Task-graph coarsening summary (ran == false when coarsening was off,
-  /// not applicable, or the mode was not threaded).
-  taskgraph::CoarsenStats coarsen{};
-  /// Tile-routing counters (ran == false when no plan drove the run).
+  /// Row-run routing counters.
   symbolic::BlockingStats blocking{};
 };
 

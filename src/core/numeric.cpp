@@ -17,10 +17,6 @@
 
 namespace plu {
 
-const char* to_string(BlockingMode m) {
-  return m == BlockingMode::kAuto ? "auto" : "off";
-}
-
 const char* Factorization::driver_name() const {
   return NumericDriver::driver_for(layout_).name();
 }
@@ -66,19 +62,13 @@ Scan scan(blas::ConstMatrixView a) {
 Factorization::Factorization(const Analysis& analysis, const CscMatrix& a,
                              const NumericOptions& opt)
     : analysis_(&analysis),
-      blocks_(analysis.blocks, opt.storage,
+      blocks_(analysis.blocks, StorageMode::kArena,
               opt.mode == ExecutionMode::kThreaded ? opt.threads : 1),
       layout_(analysis.options.layout) {
   run(a, opt);
 }
 
 void Factorization::refactor(const CscMatrix& a, const NumericOptions& opt) {
-  status_ = FactorStatus::kCancelled;
-  if (opt.storage != blocks_.storage_mode()) {
-    throw std::invalid_argument(
-        "Factorization::refactor: storage mode differs from the allocated "
-        "one");
-  }
   blocks_.set_zero();
   run(a, opt);
 }
@@ -142,9 +132,6 @@ void Factorization::run(const CscMatrix& a, const NumericOptions& opt) {
   NumericRun run{analysis, blocks_, ipiv_, graph, checker.get(),
                  factored_blocks_};
   run.perturb_magnitude = perturb_magnitude_;
-  if (opt.blocking == BlockingMode::kAuto && analysis.block_plan.built) {
-    run.plan = &analysis.block_plan;
-  }
   NumericDriver::driver_for(layout_).factorize(run, opt);
   zero_pivots_ = run.zero_pivots;
   lazy_skipped_ = run.lazy_skipped;
@@ -152,7 +139,6 @@ void Factorization::run(const CscMatrix& a, const NumericOptions& opt) {
       std::isfinite(run.min_pivot) ? run.min_pivot / matrix_scale : 0.0;
   failed_column_ = run.failed_column;
   perturbed_columns_ = std::move(run.perturbed_columns);
-  coarsen_stats_ = run.coarsen;
   blocking_stats_ = run.blocking;
   // One scan of the factors: pivot growth, plus overflow the factor tasks
   // could not see (in the 1-D layout the U blocks above a panel are only

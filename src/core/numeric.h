@@ -51,7 +51,6 @@
 #include "core/status.h"
 #include "runtime/dag_executor.h"
 #include "runtime/race_checker.h"
-#include "taskgraph/coarsen.h"
 
 namespace plu {
 
@@ -60,17 +59,6 @@ enum class ExecutionMode {
   kGraphSequential,  // single thread, tasks in a topological order of the graph
   kThreaded,         // DAG executor on a thread pool
 };
-
-/// Structure-aware blocking (symbolic/repartition.h).  The 1-D updates
-/// run the plan's row runs under both modes (there is one Schur path).
-/// kAuto additionally counts the row-run routing for the report, routes
-/// 2-D UpdateBlocks with the hoisted predicates, and hands the coarsener
-/// density-effective weights plus the DAG-aware tiny-merge.  Factors are
-/// BITWISE identical to kOff at every thread count (the routing contract
-/// in blas/level3.h); kOff is the ablation baseline.
-enum class BlockingMode { kAuto, kOff };
-
-const char* to_string(BlockingMode m);
 
 struct NumericOptions {
   ExecutionMode mode = ExecutionMode::kSequential;
@@ -123,28 +111,6 @@ struct NumericOptions {
   std::uint64_t fuzz_seed = 1;
   /// Maximum injected pre-task delay (microseconds) when fuzzing.
   int fuzz_max_delay_us = 50;
-  /// DAG task coarsening (taskgraph/coarsen.h): before threaded execution,
-  /// collapse whole low-weight eforest subtrees into single fused tasks
-  /// running the sequential kernel loop for that subtree, so scheduling
-  /// overhead is paid per subtree instead of per kernel call.  Honored by
-  /// kThreaded (including the fuzzed and shared-runtime paths); silently
-  /// falls back to the uncoarsened graph when not applicable (non-eforest
-  /// graph kind, unordered labels, no flop annotations) -- check
-  /// Factorization::coarsen_stats().ran.  Coarsened or not, the threaded
-  /// result is BITWISE identical to ExecutionMode::kSequential at any
-  /// thread count (the graph orders every pair of writers of an entry).
-  bool coarsen = false;
-  /// Explicit fusion threshold in flops; <= 0 selects the adaptive one
-  /// (min(total/(threads * 48), half the critical path)).
-  double coarsen_threshold_flops = 0.0;
-  /// Block storage backing (core/block_storage.h): one contiguous 64-byte
-  /// aligned arena (default) or the per-column vector layout kept as the
-  /// storage-ablation baseline.  Values are bitwise identical either way.
-  StorageMode storage = StorageMode::kArena;
-  /// Structure-aware blocking plan consumption (see BlockingMode).  kAuto
-  /// is the default and bitwise-safe; kOff is the `--blocking off`
-  /// ablation arm.
-  BlockingMode blocking = BlockingMode::kAuto;
   /// Static pivot perturbation (the SuperLU_DIST recovery for the static
   /// symbolic factorization): a pivot with |p| < sqrt(eps) * max|A| is
   /// bumped to that magnitude (sign preserved) instead of stopping the run
@@ -176,9 +142,8 @@ class Factorization {
   /// Factorizes new values in place: same analysis, same block storage
   /// (references to blocks() stay valid), every per-run result reset.  `a`
   /// may carry a sub-pattern of the analyzed one; an entry outside the block
-  /// pattern throws std::invalid_argument.  opt.storage must equal
-  /// blocks().storage_mode() (std::invalid_argument otherwise).  After any
-  /// throw the status is kCancelled: the factors are unusable.
+  /// pattern throws std::invalid_argument.  After any throw the status is
+  /// kCancelled: the factors are unusable.
   void refactor(const CscMatrix& a, const NumericOptions& opt = {});
 
   const Analysis& analysis() const { return *analysis_; }
@@ -267,14 +232,7 @@ class Factorization {
   /// In-place variant over multiple right-hand sides is deliberately not
   /// offered; loop solve() instead (problem sizes here make it moot).
 
-  /// Task-graph coarsening summary of the run (CoarsenStats::ran is false
-  /// when NumericOptions::coarsen was off or not applicable).
-  const taskgraph::CoarsenStats& coarsen_stats() const {
-    return coarsen_stats_;
-  }
-
-  /// Tile-routing counters of the run (BlockingStats::ran is false when
-  /// NumericOptions::blocking was kOff or the analysis built no plan).
+  /// Row-run routing counters of the run (symbolic/repartition.h).
   const symbolic::BlockingStats& blocking_stats() const {
     return blocking_stats_;
   }
@@ -304,7 +262,6 @@ class Factorization {
   std::vector<int> perturbed_columns_;
   double perturb_magnitude_ = 0.0;
   double growth_factor_ = 0.0;
-  taskgraph::CoarsenStats coarsen_stats_;
   symbolic::BlockingStats blocking_stats_;
 };
 

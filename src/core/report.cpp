@@ -23,21 +23,6 @@ std::string to_string(const ordering::Decision& d) {
   return os.str();
 }
 
-namespace {
-
-/// One-line rendering of the blocking-plan summary, shared by both reports.
-std::string render_blocking_plan(const symbolic::BlockPlanSummary& s) {
-  std::ostringstream os;
-  os << s.panel_blocks << " L block(s) -> " << s.predicted_tiles
-     << " tile(s) (" << s.split_tiles << " split, " << s.mixed_columns
-     << " mixed column(s)), " << 100.0 * s.dense_area_frac
-     << "% dense-tile area, " << s.dense_blocks << " dense / " << s.zero_blocks
-     << " zero block(s)";
-  return os.str();
-}
-
-}  // namespace
-
 AnalysisReport report(const Analysis& an) {
   AnalysisReport r;
   r.n = an.n;
@@ -73,9 +58,6 @@ FactorizationReport report(const Factorization& f) {
   r.lazy_skipped_updates = f.lazy_skipped_updates();
   r.stored_doubles = f.blocks().stored_doubles();
   r.storage_bytes = f.blocks().storage_bytes();
-  r.storage_mode = to_string(f.blocks().storage_mode());
-  r.coarsen = f.coarsen_stats();
-  r.blocking_plan = f.analysis().block_plan.summary;
   r.blocking = f.blocking_stats();
   r.analysis_timings = f.analysis().timings;
   r.ordering = f.analysis().ordering_decision;
@@ -97,15 +79,13 @@ std::string to_string(const AnalysisReport& r) {
      << " leaves, height " << r.beforest.height << ", max branching "
      << r.beforest.max_branching << '\n';
   if (r.blocking.built) {
-    os << "row runs:    " << r.blocking.row_runs << " structural run(s), "
+    os << "row runs:    " << r.blocking.row_runs << " structural run(s) in "
+       << r.blocking.panel_blocks << " L block(s), "
        << r.blocking.rows_skipped << " L row(s) skipped by the updates\n";
   }
   os << "task graph:  " << r.graph_kind << ", " << r.graph.tasks << " tasks, "
      << r.graph.edges << " edges, " << r.graph.total_flops / 1e9
      << " Gflop total, max parallelism " << r.graph.max_parallelism();
-  if (r.blocking.built) {
-    os << "\nblocking:    " << render_blocking_plan(r.blocking);
-  }
   return os.str();
 }
 
@@ -122,28 +102,11 @@ std::string to_string(const FactorizationReport& r) {
      << " lazy-skipped update(s), min pivot ratio " << r.min_pivot_ratio
      << ", growth factor " << r.growth_factor << ", "
      << 8.0 * r.stored_doubles / 1e6 << " MB factor values ("
-     << r.storage_bytes / 1e6 << " MB peak " << r.storage_mode << " storage)";
-  if (r.coarsen.ran) {
-    os << "\ncoarsening:  " << r.coarsen.tasks_before << " -> "
-       << r.coarsen.tasks_after << " task(s), " << r.coarsen.edges_before
-       << " -> " << r.coarsen.edges_after << " edge(s); "
-       << r.coarsen.fused_groups << " fused group(s) absorbing "
-       << r.coarsen.fused_tasks << " task(s), threshold "
-       << r.coarsen.threshold_flops / 1e6 << " Mflop";
-    if (r.coarsen.dag_bound) {
-      os << "; dag-bound, tiny-merged " << r.coarsen.tiny_merged_stages
-         << " stage(s)";
-    }
-  }
-  if (r.blocking.ran) {
-    os << "\nblocking:    auto: " << r.blocking.tile_runs << " tile run(s) ("
-       << r.blocking.gemms_fused << " gemm(s) fused), routed "
-       << r.blocking.routed_packed << " packed / " << r.blocking.routed_direct
-       << " direct, " << r.blocking.scans_elided << " scan(s) elided; plan "
-       << render_blocking_plan(r.blocking_plan);
-  } else {
-    os << "\nblocking:    off (per-block routing)";
-  }
+     << r.storage_bytes / 1e6 << " MB peak storage)";
+  os << "\nblocking:    " << r.blocking.tile_runs << " row run(s) ("
+     << r.blocking.gemms_fused << " fused), routed "
+     << r.blocking.routed_packed << " packed / " << r.blocking.routed_direct
+     << " direct, " << r.blocking.scans_elided << " scan(s) elided";
   if (!r.perturbed_columns.empty()) {
     os << "\nperturbed:   " << r.perturbed_columns.size()
        << " pivot(s) bumped to " << r.perturbation_magnitude << " at column(s)";

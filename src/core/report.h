@@ -34,8 +34,8 @@ struct AnalysisReport {
   // Task graph.
   std::string graph_kind;
   taskgraph::GraphStats graph;
-  // Structure-aware blocking plan summary (symbolic/repartition.h):
-  // predicted tile split, dense coverage, closure padding.
+  // Block plan summary (symbolic/repartition.h): L blocks and the
+  // structural row runs the updates write.
   symbolic::BlockPlanSummary blocking;
   // Per-phase wall-clock breakdown of the analyze run.
   AnalysisTimings timings;
@@ -58,18 +58,10 @@ struct FactorizationReport {
   double perturbation_magnitude = 0.0;
   std::vector<int> perturbed_columns;
   std::size_t stored_doubles = 0;
-  /// Peak block-storage footprint in bytes (arena / segment capacity
-  /// including alignment padding; vector sums in kVectors mode) and the
-  /// storage mode that produced it.
+  /// Peak block-storage footprint in bytes (arena capacity including
+  /// alignment padding).
   std::size_t storage_bytes = 0;
-  std::string storage_mode;
-  /// Task-graph coarsening summary (ran == false when coarsening was off or
-  /// not applicable): node/edge counts before and after contraction.
-  taskgraph::CoarsenStats coarsen;
-  /// Structure-aware blocking: the analysis plan summary plus the run's
-  /// tile-routing counters (BlockingStats::ran == false when the plan was
-  /// off or absent).
-  symbolic::BlockPlanSummary blocking_plan;
+  /// The run's row-run routing counters (Factorization::blocking_stats()).
   symbolic::BlockingStats blocking;
   /// Analyze-phase breakdown of the analysis this factorization ran on, so
   /// analyze-vs-factorize cost is visible without a profiler.

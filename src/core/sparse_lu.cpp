@@ -46,9 +46,8 @@ bool SparseLU::pattern_matches(const CscMatrix& a) const {
 void SparseLU::factorize(const CscMatrix& a) {
   if (!pattern_matches(a)) analyze(a);
   parallel_solver_.reset();  // bound to the factorization it was built from
-  if (factorization_ &&
-      factorization_->blocks().storage_mode() == numeric_options_.storage) {
-    // Same pattern, same storage: new values into the same slab.
+  if (factorization_) {
+    // Same pattern: new values into the same slab.
     try {
       factorization_->refactor(a, numeric_options_);
     } catch (...) {
@@ -57,7 +56,6 @@ void SparseLU::factorize(const CscMatrix& a) {
       throw;
     }
   } else {
-    factorization_.reset();  // free the old slab before allocating the new
     factorization_ =
         std::make_unique<Factorization>(*analysis_, a, numeric_options_);
   }

@@ -46,12 +46,11 @@ class SparseLU {
   void analyze(const CscMatrix& a);
 
   /// Numeric factorization; runs analyze() first when the pattern differs
-  /// from the analyzed one.  On the analyzed pattern with unchanged
-  /// NumericOptions::storage this refactorizes IN PLACE
-  /// (Factorization::refactor): references to factorization() and its
-  /// storage stay valid and their values are replaced.  Otherwise the old
-  /// factorization is freed before the new one allocates, so at most one
-  /// block slab is alive.  If the factorization throws, factorized()
+  /// from the analyzed one.  On the analyzed pattern this refactorizes IN
+  /// PLACE (Factorization::refactor): references to factorization() and
+  /// its storage stay valid and their values are replaced.  A new pattern
+  /// frees the old factorization (analyze()) before the new one allocates,
+  /// so at most one block slab is alive.  If the factorization throws, factorized()
   /// becomes false: half-written factors are never solved with.
   void factorize(const CscMatrix& a);
 

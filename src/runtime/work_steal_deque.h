@@ -101,15 +101,6 @@ class WorkStealDeque {
     return v;
   }
 
-  /// Racy hint: the item a steal() would currently take (kEmpty if the
-  /// deque looks empty).  The value may be stale by the time a steal lands.
-  T peek_top() const {
-    const std::int64_t t = top_.load(std::memory_order_acquire);
-    const std::int64_t b = bottom_.load(std::memory_order_acquire);
-    if (t >= b) return kEmpty;
-    return ring_.load(std::memory_order_acquire)->get(t);
-  }
-
   /// Racy size hint (owner or monitor).
   std::int64_t size_hint() const {
     return bottom_.load(std::memory_order_relaxed) -

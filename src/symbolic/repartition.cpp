@@ -1,10 +1,7 @@
 #include "symbolic/repartition.h"
 
-#include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
-#include "blas/tunables.h"
 #include "graph/eforest.h"
 
 namespace plu::symbolic {
@@ -13,8 +10,8 @@ namespace {
 
 // Fills plan.columns[k] from Abar's entries in block column k.  Because the
 // row partition is the column partition, part.supernode_of(row) IS the row
-// block, so one sweep over the supernode's Abar columns buckets every entry.
-// `mark` (one slot per scalar row, never equal to k on entry) flags the
+// block, so one sweep over the supernode's Abar columns finds every
+// structural L row.  `mark` (one slot per scalar row, never equal to k on entry) flags the
 // structural rows of the panel.
 void build_column_plan(const Pattern& abar, const BlockStructure& bs, int k,
                        ColumnPlan& cp, std::vector<int>& mark) {
@@ -26,17 +23,10 @@ void build_column_plan(const Pattern& abar, const BlockStructure& bs, int k,
     cp.l_offset[t + 1] = cp.l_offset[t] + part.width(cp.l_list[t]);
   }
   cp.panel_rows = cp.l_offset[nb];
-  const int wk = part.width(k);
 
-  std::vector<long> cnt(nb, 0);
   for (int j = part.first(k); j < part.end(k); ++j) {
     for (const int* it = abar.col_begin(j); it != abar.col_end(j); ++it) {
-      const int s = part.supernode_of(*it);
-      if (s <= k) continue;  // diagonal or U part
-      const auto pos = std::lower_bound(cp.l_list.begin(), cp.l_list.end(), s);
-      assert(pos != cp.l_list.end() && *pos == s);
-      ++cnt[pos - cp.l_list.begin()];
-      mark[*it] = k;
+      if (part.supernode_of(*it) > k) mark[*it] = k;  // an L-part row
     }
   }
 
@@ -60,31 +50,6 @@ void build_column_plan(const Pattern& abar, const BlockStructure& bs, int k,
     }
   }
   cp.run_ptr[nb] = static_cast<int>(cp.row_runs.size());
-
-  cp.l_density.resize(nb);
-  cp.tile_class.resize(nb);
-  long total = 0;
-  for (int t = 0; t < nb; ++t) {
-    const double area =
-        static_cast<double>(part.width(cp.l_list[t])) * wk;
-    cp.l_density[t] = cnt[t] / area;
-    total += cnt[t];
-    cp.tile_class[t] = static_cast<unsigned char>(
-        cnt[t] == 0 ? TileClass::kZero
-        : cp.l_density[t] >= blas::tunables::kDenseTileMinFill
-            ? TileClass::kDense
-            : TileClass::kSparse);
-  }
-  cp.panel_density =
-      cp.panel_rows > 0
-          ? total / (static_cast<double>(cp.panel_rows) * wk)
-          : 0.0;
-  cp.predicted_tiles = 0;
-  for (int t = 0; t < nb; ++t) {
-    if (t == 0 || cp.tile_class[t] != cp.tile_class[t - 1]) {
-      ++cp.predicted_tiles;
-    }
-  }
 }
 
 // Sequential summary reduction over the filled columns (identical whether
@@ -93,35 +58,12 @@ void reduce_summary(const BlockStructure& bs, BlockPlan& plan) {
   BlockPlanSummary& s = plan.summary;
   s = BlockPlanSummary{};
   s.built = true;
-  s.tiny_width_cap = blas::tunables::kTinyStageWidth;
-  double dense_area = 0.0;
-  double total_area = 0.0;
   for (int k = 0; k < bs.num_blocks(); ++k) {
     const ColumnPlan& cp = plan.columns[k];
-    const int nb = static_cast<int>(cp.l_list.size());
-    s.panel_blocks += nb;
-    s.predicted_tiles += cp.predicted_tiles;
-    if (cp.predicted_tiles > 1) s.split_tiles += cp.predicted_tiles - 1;
-    bool mixed = false;
-    const int wk = bs.part.width(k);
-    for (int t = 0; t < nb; ++t) {
-      const double area =
-          static_cast<double>(bs.part.width(cp.l_list[t])) * wk;
-      total_area += area;
-      const TileClass tc = static_cast<TileClass>(cp.tile_class[t]);
-      if (tc == TileClass::kDense) {
-        ++s.dense_blocks;
-        dense_area += area;
-      } else if (tc == TileClass::kZero) {
-        ++s.zero_blocks;
-      }
-      mixed |= cp.tile_class[t] != cp.tile_class[0];
-    }
-    if (mixed) ++s.mixed_columns;
+    s.panel_blocks += static_cast<long>(cp.l_list.size());
     s.row_runs += static_cast<long>(cp.row_runs.size());
     s.rows_skipped += cp.panel_rows - cp.structural_rows;
   }
-  s.dense_area_frac = total_area > 0.0 ? dense_area / total_area : 0.0;
 }
 
 // Shared tail of both builders: the lock-freedom invariant is not a

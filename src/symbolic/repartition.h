@@ -1,34 +1,20 @@
-// Structure-aware block repartitioning (DESIGN.md section 16).
+// The block plan (DESIGN.md section 16): per-panel structure the numeric
+// drivers' hot loops read, built once between symbolic analysis and
+// numeric factorization.  For every block column it records
 //
-// The supernode partition cuts Abar into blocks sized for the SYMBOLIC
-// machinery (shared row structure), not for the numeric kernels: a block
-// column's L panel routinely interleaves dense cliques, sparse fringe
-// blocks and all-zero closure padding, yet blas/level3.cpp used to make one
-// whole-operation density guess per gemm.  The BlockPlan built here scans
-// every block's fill pattern once, between symbolic analysis and numeric
-// factorization, and records
-//
-//   * per-L-block structural density and a TileClass prediction (dense
-//     tile / sparse remainder / closure-zero padding), splitting each
-//     mixed-density panel into maximal runs of like-classed tiles;
-//   * cached l_blocks lists and panel-local row offsets, so the numeric
-//     drivers' hot loops stop re-deriving them from the Pattern;
+//   * cached l_blocks lists and panel-local row offsets, so the drivers
+//     stop re-deriving them from the Pattern;
 //   * the structural row runs of every panel -- the only rows an update
 //     writes -- checked so that each row's writers form an eforest chain
 //     (row_writer_chain_violations), which is what lets every update run
 //     without a lock;
-//   * aggregate statistics for the report, the coarsening cost model
-//     (taskgraph/costs.h) and the DAG-aware tiny-supernode merge
-//     (taskgraph/coarsen.cpp).
+//   * aggregate row-run counts for the report.
 //
-// BITWISE CONTRACT: the plan carries PREDICTIONS and cached structure only.
-// Partial-pivoting row swaps move numeric zeros across block boundaries at
-// runtime, so no structural class here may force a numeric decision; the
-// drivers re-measure density with the same predicates gemm's auto router
-// uses (blas/level3.h), elide redundant scans and skip structurally zero
-// rows -- transformations proven to keep the factors bit-identical
-// (DESIGN.md section 16).  Structural rows are exact, not predictions: the
-// static structure bounds the fill under every pivot sequence.
+// Structural rows are exact: the static structure bounds the fill under
+// every pivot sequence, so a row outside every run stays zero.  Which gemm
+// engine a run takes is decided at runtime from the same predicates gemm's
+// auto router uses (blas/level3.h), so the factors are bitwise those of a
+// whole-block gemm (DESIGN.md section 16).
 #pragma once
 
 #include <vector>
@@ -38,13 +24,6 @@
 #include "symbolic/blocks.h"
 
 namespace plu::symbolic {
-
-/// Structural density class of one L row block (a "tile").
-enum class TileClass : unsigned char {
-  kZero = 0,    // no Abar entry at all: block-closure padding
-  kSparse = 1,  // fill below tunables::kDenseTileMinFill
-  kDense = 2,   // fill >= tunables::kDenseTileMinFill: microkernel material
-};
 
 /// One run of structural L rows of a panel: rows [src, src + rows) of the
 /// L part (panel-local, diagonal excluded, like ColumnPlan::l_offset), all
@@ -66,15 +45,6 @@ struct ColumnPlan {
   std::vector<int> l_offset;
   /// Total L rows below the diagonal block.
   int panel_rows = 0;
-  /// Structural fill of each L block: |Abar entries| / (rows * cols).
-  std::vector<double> l_density;
-  /// Structural fill of the whole L panel.
-  double panel_density = 0.0;
-  /// TileClass per L block (stored as unsigned char, same order as l_list).
-  std::vector<unsigned char> tile_class;
-  /// Number of maximal runs of equal TileClass -- the tile count the panel
-  /// splits into.
-  int predicted_tiles = 0;
   /// The structural L rows: a row is structural when some column of the
   /// supernode holds an Abar entry in it.  Every other L row of the panel
   /// stays exactly zero under any pivoting (the static structure bounds
@@ -88,35 +58,24 @@ struct ColumnPlan {
   int structural_rows = 0;
 };
 
-/// Whole-plan aggregates (surfaced as the report's "blocking:" line).
+/// Whole-plan aggregates (surfaced as the report's "row runs:" line).
 struct BlockPlanSummary {
   bool built = false;
-  long panel_blocks = 0;     // total L blocks over all block columns
-  long dense_blocks = 0;     // blocks predicted dense
-  long zero_blocks = 0;      // closure-padding blocks (no Abar entry)
-  long predicted_tiles = 0;  // sum of ColumnPlan::predicted_tiles
-  long split_tiles = 0;      // extra tiles from splitting (runs - 1 summed)
-  long mixed_columns = 0;    // columns holding more than one TileClass
-  double dense_area_frac = 0.0;  // dense-block area / total L panel area
+  long panel_blocks = 0;  // total L blocks over all block columns
   long row_runs = 0;      // structural row runs over all panels
   long rows_skipped = 0;  // L panel rows outside every run (never written)
-  /// Width cap below which a supernode counts as "tiny" for the DAG-aware
-  /// merge (tunables::kTinyStageWidth, recorded so report and coarsener
-  /// agree on the policy that produced the plan).
-  int tiny_width_cap = 0;
 };
 
-/// The structure-aware blocking plan for one analysis.
+/// The block plan for one analysis.
 struct BlockPlan {
   bool built = false;
   BlockPlanSummary summary;
   std::vector<ColumnPlan> columns;  // one per block column
 };
 
-/// Runtime routing counters the numeric drivers fill when a plan is active
-/// (Factorization::blocking_stats(), the report's runtime "blocking:" line).
+/// Runtime routing counters the numeric drivers fill on every run
+/// (Factorization::blocking_stats(), the report's "blocking:" line).
 struct BlockingStats {
-  bool ran = false;        // a plan drove the numeric phase
   long tile_runs = 0;      // row runs dispatched, after fusion (1 per 2-D UB)
   long gemms_fused = 0;    // row runs merged into an adjacent one
   long routed_packed = 0;  // dispatched runs on the packed engine

@@ -1,11 +1,8 @@
 #include "taskgraph/costs.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "blas/level3.h"
-#include "blas/tunables.h"
-#include "taskgraph/build.h"
 
 namespace plu::taskgraph {
 
@@ -60,18 +57,6 @@ TaskCosts compute_task_costs(const symbolic::BlockStructure& bs,
   // Sequential in-order sum for bitwise identity with the sequential build.
   for (int id = 0; id < tasks.size(); ++id) c.total_flops += c.flops[id];
   return c;
-}
-
-std::vector<double> effective_task_flops(const TaskGraph& g,
-                                         const symbolic::BlockPlan& plan) {
-  std::vector<double> out = g.flops;
-  if (!plan.built) return out;
-  for (int id = 0; id < g.size(); ++id) {
-    const int k = g.tasks.task(id).k;
-    out[id] *= std::max(plan.columns[k].panel_density,
-                        blas::tunables::kMinDensityScale);
-  }
-  return out;
 }
 
 }  // namespace plu::taskgraph

@@ -5,8 +5,8 @@
 
 #include <vector>
 
+#include "runtime/parallel_for.h"
 #include "symbolic/blocks.h"
-#include "symbolic/repartition.h"
 #include "taskgraph/tasks.h"
 
 namespace plu::taskgraph {
@@ -40,16 +40,5 @@ TaskCosts compute_task_costs(const symbolic::BlockStructure& bs,
 /// Rows of the packed panel of block column k: its own width plus the widths
 /// of its L row blocks.
 int panel_rows(const symbolic::BlockStructure& bs, int k);
-
-/// Density-effective per-task flops: each task's nominal flop count scaled
-/// by its source stage's structural panel density (floored at
-/// tunables::kMinDensityScale -- near-empty panels still pay bookkeeping).
-/// The nominal counts charge every stored zero as real work; on closure-
-/// padded structures that overweights sparse subtrees, so the coarsener
-/// (taskgraph/coarsen.cpp) fuses them too timidly.  SCHEDULE-ONLY: these
-/// weights feed subtree sums, thresholds and priorities, never a kernel.
-struct TaskGraph;  // taskgraph/build.h
-std::vector<double> effective_task_flops(const TaskGraph& g,
-                                         const symbolic::BlockPlan& plan);
 
 }  // namespace plu::taskgraph

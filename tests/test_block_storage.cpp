@@ -140,22 +140,7 @@ TEST(BlockMatrix, SetZeroClearsEverything) {
 }
 
 // ---------------------------------------------------------------------------
-// Arena storage (StorageMode::kArena) vs the per-column-vector baseline.
-
-TEST(ArenaStorage, ValuesIdenticalToVectorsMode) {
-  for (const CscMatrix& a : test::small_matrices()) {
-    Fixture f(a);
-    BlockMatrix arena(f.an.blocks, StorageMode::kArena);
-    BlockMatrix vectors(f.an.blocks, StorageMode::kVectors);
-    arena.load(f.permuted);
-    vectors.load(f.permuted);
-    // Bitwise: placement is the ONLY thing the mode changes.
-    EXPECT_LT(blas::max_abs_diff(arena.to_dense().view(),
-                                 vectors.to_dense().view()),
-              1e-300);
-    EXPECT_EQ(arena.stored_doubles(), vectors.stored_doubles());
-  }
-}
+// Arena storage: one aligned slab for all block columns.
 
 TEST(ArenaStorage, ColumnBasesAre64ByteAligned) {
   CscMatrix a = test::small_matrices()[2];
@@ -171,10 +156,8 @@ TEST(ArenaStorage, StorageBytesCoversStoredDoubles) {
   CscMatrix a = test::small_matrices()[1];
   Fixture f(a);
   BlockMatrix arena(f.an.blocks, StorageMode::kArena);
-  BlockMatrix vectors(f.an.blocks, StorageMode::kVectors);
   // Capacity (incl. alignment padding) can only exceed the payload.
   EXPECT_GE(arena.storage_bytes(), 8 * arena.stored_doubles());
-  EXPECT_GE(vectors.storage_bytes(), 8 * vectors.stored_doubles());
   // Padding is bounded: < 64 bytes per block column.
   EXPECT_LT(arena.storage_bytes(),
             8 * arena.stored_doubles() +
@@ -219,7 +202,6 @@ TEST(ArenaStorage, MoveTransfersOwnership) {
 
 TEST(ArenaStorage, ToStringNames) {
   EXPECT_STREQ(to_string(StorageMode::kArena), "arena");
-  EXPECT_STREQ(to_string(StorageMode::kVectors), "vectors");
 }
 
 }  // namespace

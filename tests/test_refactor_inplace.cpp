@@ -33,12 +33,11 @@ struct Arm {
   int threads;
   Layout layout;
   bool scale_and_permute;
-  bool coarsen = false;
 
   std::string name() const {
     return std::string(mode == ExecutionMode::kThreaded ? "threaded" : "seq") +
            (layout == Layout::k2D ? "/2d" : "/1d") +
-           (scale_and_permute ? "/scaled" : "") + (coarsen ? "/coarsened" : "");
+           (scale_and_permute ? "/scaled" : "");
   }
   Options options() const {
     Options o;
@@ -46,13 +45,12 @@ struct Arm {
     o.scale_and_permute = scale_and_permute;
     return o;
   }
-  /// Both layouts' threaded schedules are deterministic coarsened or not:
-  /// the graph orders every pair of writers of one entry.
+  /// Both layouts' threaded schedules are deterministic: the graph orders
+  /// every pair of writers of one entry.
   NumericOptions numeric() const {
     NumericOptions n;
     n.mode = mode;
     n.threads = threads;
-    n.coarsen = coarsen;
     return n;
   }
 };
@@ -63,16 +61,11 @@ std::vector<Arm> arms(ExecutionMode mode, int threads,
   std::vector<Arm> out;
   for (Layout layout : layouts) {
     for (bool scale : {false, true}) out.push_back({mode, threads, layout, scale});
-    // The 2-D threaded arm also runs coarsened, the mode its gate used
-    // while uncoarsened 2-D threaded factors were not reproducible.
-    if (mode == ExecutionMode::kThreaded && layout == Layout::k2D) {
-      out.push_back({mode, threads, layout, false, true});
-    }
   }
   return out;
 }
 
-// Same five matrix classes x ten seeds as the coarsening and race gates.
+// Same five matrix classes x ten seeds as the bitwise and race gates.
 std::vector<CscMatrix> sweep_matrices() {
   std::vector<CscMatrix> out;
   gen::StencilOptions g;
@@ -116,7 +109,6 @@ void expect_same_bits(double a, double b, const std::string& what) {
 void expect_bitwise(const Factorization& fresh, const Factorization& got,
                     const std::string& what) {
   ASSERT_EQ(fresh.status(), got.status()) << what;
-  EXPECT_EQ(fresh.coarsen_stats().ran, got.coarsen_stats().ran) << what;
   EXPECT_EQ(fresh.failed_column(), got.failed_column()) << what;
   EXPECT_EQ(fresh.zero_pivots(), got.zero_pivots()) << what;
   EXPECT_EQ(fresh.perturbed_columns(), got.perturbed_columns()) << what;
@@ -371,36 +363,6 @@ TEST(RefactorInPlace, OutOfPatternEntryThrowsAndLeavesFactorsUnusable) {
   f.refactor(healed);
   Factorization fresh(an, healed);
   expect_bitwise(fresh, f, "after throw");
-}
-
-TEST(RefactorInPlace, StorageModeChangeReallocates) {
-  const CscMatrix a = production_shape("forest12");
-  SparseLU lu;
-  lu.factorize(a);
-  EXPECT_EQ(lu.factorization().blocks().storage_mode(), StorageMode::kArena);
-
-  lu.numeric_options().storage = StorageMode::kVectors;
-  const CscMatrix a1 = gen::perturb_values(a, 0.2, 1);
-  lu.factorize(a1);
-  EXPECT_EQ(lu.factorization().blocks().storage_mode(), StorageMode::kVectors);
-  EXPECT_EQ(lu.analyze_count(), 1);
-  Factorization fresh(lu.analysis(), a1, lu.numeric_options());
-  expect_bitwise(fresh, lu.factorization(), "vectors");
-
-  // The next call refactorizes the new storage in place.
-  const Factorization* addr = &lu.factorization();
-  const CscMatrix a2 = gen::perturb_values(a, 0.2, 2);
-  lu.factorize(a2);
-  EXPECT_EQ(&lu.factorization(), addr);
-  Factorization fresh2(lu.analysis(), a2, lu.numeric_options());
-  expect_bitwise(fresh2, lu.factorization(), "vectors in place");
-
-  // Factorization::refactor itself refuses a storage switch.
-  NumericOptions arena;
-  arena.storage = StorageMode::kArena;
-  Factorization f(lu.analysis(), a2, lu.numeric_options());
-  EXPECT_THROW(f.refactor(a2, arena), std::invalid_argument);
-  EXPECT_FALSE(factor_usable(f.status()));
 }
 
 TEST(RefactorInPlace, OptionDependentResultsDoNotCarryOver) {

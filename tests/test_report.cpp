@@ -64,35 +64,31 @@ TEST(Report, RendersAllSections) {
   }
 }
 
-TEST(Report, BlockingLineFollowsMode) {
+TEST(Report, BlockingLineMatchesRunCounters) {
   CscMatrix a = test::small_matrices()[1];
   Analysis an = analyze(a);
-  // Analysis report: the plan summary renders whenever the plan was built.
+  // Analysis report: the row-run summary renders whenever the plan was
+  // built.
   AnalysisReport ar = report(an);
   EXPECT_TRUE(ar.blocking.built);
-  EXPECT_NE(to_string(ar).find("blocking:"), std::string::npos);
-  EXPECT_NE(to_string(ar).find("tile(s)"), std::string::npos);
+  EXPECT_EQ(ar.blocking.row_runs, an.block_plan.summary.row_runs);
+  EXPECT_NE(to_string(ar).find("row runs:"), std::string::npos);
 
-  // blocking=auto: the runtime line carries the routing counters and they
-  // match Factorization::blocking_stats().
-  NumericOptions auto_opt;
-  auto_opt.blocking = BlockingMode::kAuto;
-  Factorization fa(an, a, auto_opt);
-  FactorizationReport ra = report(fa);
-  EXPECT_TRUE(ra.blocking.ran);
-  EXPECT_EQ(ra.blocking.tile_runs, fa.blocking_stats().tile_runs);
-  EXPECT_EQ(ra.blocking_plan.built, true);
-  std::string sa = to_string(ra);
-  EXPECT_NE(sa.find("blocking:    auto:"), std::string::npos) << sa;
-  EXPECT_NE(sa.find("tile run(s)"), std::string::npos) << sa;
-
-  // blocking=off: the line says so instead of printing zeros as data.
-  NumericOptions off_opt;
-  off_opt.blocking = BlockingMode::kOff;
-  Factorization fo(an, a, off_opt);
-  FactorizationReport ro = report(fo);
-  EXPECT_FALSE(ro.blocking.ran);
-  EXPECT_NE(to_string(ro).find("blocking:    off"), std::string::npos);
+  // The default run: the report's counters are the run's.
+  Factorization f(an, a);
+  FactorizationReport r = report(f);
+  const symbolic::BlockingStats& s = f.blocking_stats();
+  EXPECT_GT(r.blocking.tile_runs, 0);
+  EXPECT_EQ(r.blocking.tile_runs, s.tile_runs);
+  EXPECT_EQ(r.blocking.gemms_fused, s.gemms_fused);
+  EXPECT_EQ(r.blocking.routed_packed, s.routed_packed);
+  EXPECT_EQ(r.blocking.routed_direct, s.routed_direct);
+  EXPECT_EQ(r.blocking.scans_elided, s.scans_elided);
+  const std::string text = to_string(r);
+  EXPECT_NE(text.find("blocking:    " + std::to_string(s.tile_runs) +
+                      " row run(s)"),
+            std::string::npos)
+      << text;
 }
 
 TEST(Ruiz, DrivesRowAndColumnMaximaToOne) {

@@ -37,7 +37,7 @@ namespace {
 
 using Shape = std::pair<std::string, CscMatrix>;
 
-// Same five matrix classes x ten seeds as the coarsening and race gates.
+// Same five matrix classes x ten seeds as the bitwise and race gates.
 std::vector<Shape> sweep_shapes() {
   std::vector<Shape> out;
   gen::StencilOptions g;

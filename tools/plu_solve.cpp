@@ -28,16 +28,6 @@
 //                           (bit-identical to the sequential analysis;
 //                           0 = hardware concurrency)
 //     --lazy                LazyS+ zero-block elision
-//     --coarsen             fuse low-weight task-graph subtrees into single
-//                           tasks before threaded execution (bit-identical
-//                           results; cuts scheduling overhead on many-tree
-//                           matrices)
-//     --blocking MODE       auto | off structure-aware blocking (default
-//                           auto: the analysis tile plan drives per-tile
-//                           gemm routing and run fusion; bit-identical to
-//                           off at every thread count)
-//     --storage MODE        arena | vectors block storage (default arena:
-//                           one contiguous 64-byte-aligned slab)
 //     --perturb             static pivot perturbation (SuperLU_DIST-style):
 //                           tiny pivots are bumped instead of failing; pair
 //                           with --refine to recover accuracy
@@ -79,7 +69,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
                "       [--no-postorder] [--taskgraph eforest|sstar|sstar-po]\n"
                "       [--layout 1d|2d] [--scale] [--pivot-threshold T]\n"
                "       [--threads N] [--analyze-threads N] [--lazy]\n"
-               "       [--coarsen] [--blocking auto|off] [--storage arena|vectors]\n"
                "       [--perturb] [--refine] [--simulate P] [--stats]\n"
                "       [--verbose]\n",
                argv0);
@@ -201,18 +190,6 @@ int main(int argc, char** argv) {
       opt.analysis.threads = std::stoi(next());
     } else if (arg == "--lazy") {
       nopt.lazy_updates = true;
-    } else if (arg == "--coarsen") {
-      nopt.coarsen = true;
-    } else if (arg == "--blocking") {
-      std::string m = next();
-      if (m == "auto") nopt.blocking = plu::BlockingMode::kAuto;
-      else if (m == "off") nopt.blocking = plu::BlockingMode::kOff;
-      else usage(argv[0]);
-    } else if (arg == "--storage") {
-      std::string s = next();
-      if (s == "arena") nopt.storage = plu::StorageMode::kArena;
-      else if (s == "vectors") nopt.storage = plu::StorageMode::kVectors;
-      else usage(argv[0]);
     } else if (arg == "--perturb") {
       nopt.perturb_pivots = true;
     } else if (arg == "--refine") {
@@ -279,23 +256,12 @@ int main(int argc, char** argv) {
       std::printf(", min pivot ratio %.1e", f.min_pivot_ratio());
     }
     std::printf("\n");
-    if (f.coarsen_stats().ran) {
-      const plu::taskgraph::CoarsenStats& cs = f.coarsen_stats();
-      std::printf("coarsening: %d -> %d tasks, %ld -> %ld edges, %d fused "
-                  "group(s) absorbing %ld task(s)\n",
-                  cs.tasks_before, cs.tasks_after, cs.edges_before,
-                  cs.edges_after, cs.fused_groups, cs.fused_tasks);
-    }
-    if (f.blocking_stats().ran) {
-      const plu::symbolic::BlockingStats& bt = f.blocking_stats();
-      std::printf("blocking: %ld tile run(s), %ld gemm(s) fused, routed "
-                  "%ld packed / %ld direct, %ld scan(s) elided\n",
-                  bt.tile_runs, bt.gemms_fused, bt.routed_packed,
-                  bt.routed_direct, bt.scans_elided);
-    }
-    std::printf("storage: %s, %.1f MB peak\n",
-                plu::to_string(f.blocks().storage_mode()),
-                f.blocks().storage_bytes() / 1e6);
+    const plu::symbolic::BlockingStats& bt = f.blocking_stats();
+    std::printf("blocking: %ld row run(s), %ld fused, routed %ld packed / "
+                "%ld direct, %ld scan(s) elided\n",
+                bt.tile_runs, bt.gemms_fused, bt.routed_packed,
+                bt.routed_direct, bt.scans_elided);
+    std::printf("storage: %.1f MB peak\n", f.blocks().storage_bytes() / 1e6);
     if (f.status() == plu::FactorStatus::kPerturbed) {
       std::printf("perturbed: %zu pivot(s) bumped to %.3e (growth %.3e); "
                   "%s\n",
