@@ -2,20 +2,16 @@
 // degree on A^T A; this bench contrasts every engine behind the pluggable
 // ordering interface -- natural, exact MD, AMD, RCM, nested dissection and
 // the feature-driven `auto` policy -- on fill ratio, ordering wall seconds
-// (sequential vs parallel team), and the downstream factor time, over the
-// paper's Table 1 suite plus the modern multiphysics3d / power_law shapes.
+// and the downstream factor time, over the paper's Table 1 suite plus the
+// modern multiphysics3d / power_law shapes.
 //
 // Every cell appends one JSON-lines record (--json FILE, the BENCH_pr9
 // artifact); one extra `ordering_policy` record per matrix captures the
-// auto policy's decision with the symbolic dry-run fills.  Following the
-// honesty rule from bench_scaling_modern: when the host has one core the
-// ordering speedup field is emitted as null (non-finite -> null in
-// bench_json) -- a one-core "speedup" is timer noise, not data.
+// auto policy's decision with the symbolic dry-run fills.
 //
 // Flags: --smoke (small sizes + 1 rep, the CI gate), --json FILE.
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,7 +19,6 @@
 #include "bench_common.h"
 #include "matrix/generators.h"
 #include "ordering/engine.h"
-#include "runtime/parallel_for.h"
 
 namespace plu::bench {
 namespace {
@@ -63,13 +58,11 @@ std::vector<Case> make_cases(bool smoke) {
 void run(bool smoke) {
   const int reps = smoke ? 1 : 2;
   const int cores = static_cast<int>(std::thread::hardware_concurrency());
-  const int threads = cores > 1 ? cores : 4;  // team lanes for the parallel run
-  std::printf("host cores: %d (ordering speedup recorded as null when 1)\n",
-              cores);
-  std::printf("%-14s %8s %-12s %7s %10s %10s %10s  %s\n", "matrix", "n",
-              "method", "fill", "ord-seq(s)", "ord-par(s)", "factor(s)",
-              "chosen");
-  print_rule(96);
+  const int threads = cores > 1 ? cores : 4;  // numeric factorization threads
+  std::printf("host cores: %d\n", cores);
+  std::printf("%-14s %8s %-12s %7s %10s %10s  %s\n", "matrix", "n", "method",
+              "fill", "order(s)", "factor(s)", "chosen");
+  print_rule(85);
   for (Case& c : make_cases(smoke)) {
     for (auto m : {ordering::Method::kNatural,
                    ordering::Method::kMinimumDegreeAtA,
@@ -84,23 +77,10 @@ void run(bool smoke) {
                     c.name.c_str(), c.a.rows(), to_string(m).c_str());
         continue;
       }
-      // Ordering wall clock, sequential then on a team (only engines whose
-      // refresh fans out -- AMD, and MD when the hub guard reroutes --
-      // actually use the lanes; identical results either way).
       ordering::Decision dec;
-      ordering::Controls seq_ctl;
-      const double ord_seq = min_of_n_seconds(reps, [&] {
-        ordering::compute_column_ordering(c.a.pattern(), m, seq_ctl, &dec);
+      const double ord_secs = min_of_n_seconds(reps, [&] {
+        ordering::compute_column_ordering(c.a.pattern(), m, {}, &dec);
       });
-      rt::Team team(threads);
-      ordering::Controls par_ctl;
-      par_ctl.team = &team;
-      const double ord_par = min_of_n_seconds(reps, [&] {
-        ordering::compute_column_ordering(c.a.pattern(), m, par_ctl, nullptr);
-      });
-      const double ord_speedup =
-          cores > 1 ? ord_seq / ord_par
-                    : std::numeric_limits<double>::quiet_NaN();
 
       Options aopt;
       aopt.ordering = m;
@@ -111,9 +91,9 @@ void run(bool smoke) {
       const double factor_secs =
           min_of_n_seconds(reps, [&] { Factorization f(an, c.a, nopt); });
 
-      std::printf("%-14s %8d %-12s %7.1f %10.4f %10.4f %10.4f  %s\n",
+      std::printf("%-14s %8d %-12s %7.1f %10.4f %10.4f  %s\n",
                   c.name.c_str(), c.a.rows(), to_string(m).c_str(),
-                  an.fill_ratio(), ord_seq, ord_par, factor_secs,
+                  an.fill_ratio(), ord_secs, factor_secs,
                   to_string(dec.chosen).c_str());
       JsonRecord rec;
       rec.field("bench", "ablation_ordering")
@@ -124,9 +104,7 @@ void run(bool smoke) {
           .field("chosen", to_string(dec.chosen))
           .field("engine", dec.engine)
           .field("fill_ratio", an.fill_ratio())
-          .field("ordering_seconds_seq", ord_seq)
-          .field("ordering_seconds_par", ord_par)
-          .field("ordering_speedup", ord_speedup)
+          .field("ordering_seconds", ord_secs)
           .field("factor_seconds", factor_secs)
           .field("factor_flops", an.costs.total_flops)
           .field("degree_skew", dec.features.degree_skew)
@@ -164,7 +142,7 @@ void run(bool smoke) {
         .field("max_degree", dec.features.max_degree);
     json_append(rec);
   }
-  print_rule(96);
+  print_rule(85);
   std::printf(
       "Minimum degree / AMD win fill by an order of magnitude over natural;\n"
       "AMD matches exact MD's fill on meshes and is the only tractable\n"

@@ -1,16 +1,7 @@
 // Ablation A3: the two static-symbolic engines (bitset words vs sorted
 // row-merge).  Same output by construction (cross-validated in tests); this
 // bench times them across the suite.
-//
-// Also here (PR 5): the sequential-vs-parallel ANALYZE ablation -- the full
-// symbolic pipeline on 1..8 analysis threads over the seven paper matrices,
-// emitted as `ablation_parallel_analysis` records into the --json artifact
-// (CI collects BENCH_pr5.json from this binary).  The parallel pipeline is
-// bit-identical to the sequential one (tests/test_parallel_analysis.cpp),
-// so only the wall clock is interesting.
 #include "bench_common.h"
-
-#include <chrono>
 
 #include "graph/transversal.h"
 #include "symbolic/static_symbolic.h"
@@ -36,8 +27,7 @@ void BM_Engine(benchmark::State& state, const std::string& name,
 
 void register_benchmarks() {
   for (const char* name : {"orsreg1", "lns3937", "goodwin", "saylr4"}) {
-    for (auto engine : {symbolic::Engine::kBitset, symbolic::Engine::kRowMerge,
-                        symbolic::Engine::kParallelBitset}) {
+    for (auto engine : {symbolic::Engine::kBitset, symbolic::Engine::kRowMerge}) {
       std::string bname = "BM_Symbolic/" + symbolic::to_string(engine) + "/" + name;
       benchmark::RegisterBenchmark(
           bname.c_str(),
@@ -49,71 +39,11 @@ void register_benchmarks() {
 
 [[maybe_unused]] const bool registered = (register_benchmarks(), true);
 
-/// Best-of-reps wall clock of one full analyze() run.
-double analyze_ms(const CscMatrix& a, const Options& opt, int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    auto t0 = std::chrono::steady_clock::now();
-    Analysis an = analyze(a, opt);
-    auto t1 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(an.graph.size());
-    best = std::min(best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  return best;
-}
-
-// The PR 5 ablation: full analysis pipeline, sequential vs 1..8 analysis
-// threads, all seven paper matrices.  Speedups on a single-core host are
-// ~1.0x (the parallel paths run, the hardware does not oversubscribe); the
-// JSON records carry `threads` so multi-core CI can grade the >= 2x target.
-void print_analyze_ablation_table() {
-  const int kReps = 3;
-  std::printf("\nParallel-analysis ablation: full analyze() wall clock, "
-              "sequential vs\nanalysis team of 1..8 threads (best of %d reps; "
-              "bit-identical results)\n", kReps);
-  print_rule(74);
-  std::printf("%-10s %12s", "Matrix", "seq ms");
-  for (int t = 1; t <= 8; t *= 2) std::printf("   T=%d ms", t);
-  std::printf("  speedup\n");
-  print_rule(74);
-  for (const NamedMatrix& nm : make_benchmark_suite()) {
-    Options seq;
-    double seq_ms = analyze_ms(nm.a, seq, kReps);
-    std::printf("%-10s %12.2f", nm.name.c_str(), seq_ms);
-    json_append(JsonRecord()
-                    .field("bench", "ablation_parallel_analysis")
-                    .field("matrix", nm.name)
-                    .field("mode", "sequential")
-                    .field("threads", 1)
-                    .field("analyze_ms", seq_ms)
-                    .field("speedup", 1.0));
-    double best_par = 1e300;
-    for (int t = 1; t <= 8; t *= 2) {
-      Options par;
-      par.analysis.parallel_analyze = true;
-      par.analysis.threads = t;
-      double ms = analyze_ms(nm.a, par, kReps);
-      best_par = std::min(best_par, ms);
-      std::printf(" %8.2f", ms);
-      json_append(JsonRecord()
-                      .field("bench", "ablation_parallel_analysis")
-                      .field("matrix", nm.name)
-                      .field("mode", "parallel")
-                      .field("threads", t)
-                      .field("analyze_ms", ms)
-                      .field("speedup", seq_ms / ms));
-    }
-    std::printf(" %7.2fx\n", seq_ms / best_par);
-  }
-  print_rule(74);
-}
-
 void print_table() {
   std::printf("\nAblation A3: both engines compute identical patterns; see the\n"
               "BM_Symbolic timings above for the speed comparison (the bitset\n"
               "engine wins by a wide margin once fill is heavy, which is why\n"
               "it is the production default).\n");
-  print_analyze_ablation_table();
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace plu::blas {
@@ -27,15 +26,6 @@ class WorkerScratch {
   double* pack_b(std::size_t n) { return b_.grab(n); }
   /// General temporary (materialized transposes, edge tiles).
   double* temp(std::size_t n) { return t_.grab(n); }
-
-  /// Bitset-word buffer (>= n words, uninitialized) for the parallel
-  /// symbolic engine's per-lane candidate-row unions
-  /// (symbolic::Engine::kParallelBitset).  Same high-water-mark policy as
-  /// the double buffers: steady-state analysis allocates nothing per step.
-  std::uint64_t* words(std::size_t n) {
-    if (w_.size() < n) w_.resize(n);
-    return w_.data();
-  }
 
   /// High-water mark across the three double buffers, in doubles
   /// (introspection for tests).
@@ -50,7 +40,6 @@ class WorkerScratch {
   };
 
   Buffer a_, b_, t_;
-  std::vector<std::uint64_t> w_;
 };
 
 /// The calling thread's scratch arena (created on first use, reused for the

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <stdexcept>
-#include <thread>
 
 #include "graph/eforest.h"
 #include "graph/postorder.h"
@@ -77,33 +76,13 @@ Analysis analyze_structure(const Pattern& a, const Options& opt) {
   an.n = a.cols;
   an.nnz_input = a.nnz();
 
-  // Analysis-phase team.  Sequential runs use a single-lane team (every
-  // parallel_for inlines); the parallel pipeline is bit-identical, so the
-  // knob only ever changes timings.
-  int threads = 1;
-  const bool parallel =
-      opt.analysis.parallel_analyze && an.n >= opt.analysis.min_parallel_n;
-  if (parallel) {
-    threads = opt.analysis.threads > 0
-                  ? opt.analysis.threads
-                  : static_cast<int>(std::thread::hardware_concurrency());
-    if (threads < 1) threads = 1;
-  }
-  rt::Team team(threads, opt.analysis.min_step_work);
-  an.timings.threads = team.lanes();
-  an.timings.parallel = parallel && team.lanes() > 1;
-
   const auto t_start = std::chrono::steady_clock::now();
   auto last = t_start;
 
   // (1) Fill-reducing column ordering (kAuto by default: nested dissection
-  // or minimum degree on A^T A);
-  // applied to rows as well under symmetric_ordering so an existing
-  // diagonal matching survives.  The team is handed to parallel engines
-  // (AMD); a single-lane team inlines every fan-out, so the permutation is
-  // identical either way (amd.h documents the determinism contract).
+  // or minimum degree on A^T A); applied to rows as well under
+  // symmetric_ordering so an existing diagonal matching survives.
   ordering::Controls octl;
-  octl.team = &team;
   octl.dry_run = opt.ordering_dry_run;
   Permutation q1 = ordering::compute_column_ordering(a, opt.ordering, octl,
                                                      &an.ordering_decision);
@@ -120,15 +99,9 @@ Analysis analyze_structure(const Pattern& a, const Options& opt) {
   Pattern a2 = a1.permuted(*p1, Permutation(a.cols));
   an.timings.transversal = lap(last);
 
-  // (2) Static symbolic factorization and the LU eforest.  The team engine
-  // only replaces the default bitset engine; an explicit kRowMerge request
-  // stays sequential (it has no parallel twin).
-  symbolic::Engine engine = opt.symbolic_engine;
-  if (an.timings.parallel && engine == symbolic::Engine::kBitset) {
-    engine = symbolic::Engine::kParallelBitset;
-  }
+  // (2) Static symbolic factorization and the LU eforest.
   symbolic::SymbolicResult sym =
-      symbolic::static_symbolic_factorization(a2, engine, team);
+      symbolic::static_symbolic_factorization(a2, opt.symbolic_engine);
   an.timings.symbolic = lap(last);
   graph::Forest ef = graph::lu_eforest(sym.abar);
 
@@ -152,33 +125,30 @@ Analysis analyze_structure(const Pattern& a, const Options& opt) {
   for (int r : an.eforest.roots()) an.diag_block_sizes.push_back(sz[r]);
   an.timings.eforest_postorder = lap(last);
 
-  // (4) L/U supernode partitioning and amalgamation (forest-parallel: one
-  // greedy scan per root-terminated segment).
-  an.exact_partition = symbolic::find_supernodes(an.symbolic.abar, team);
-  an.partition =
-      opt.amalgamate
-          ? symbolic::amalgamate(an.symbolic.abar, an.eforest,
-                                 an.exact_partition, opt.amalgamation, team)
-          : an.exact_partition;
+  // (4) L/U supernode partitioning and amalgamation.
+  an.exact_partition = symbolic::find_supernodes(an.symbolic.abar);
+  an.partition = opt.amalgamate
+                     ? symbolic::amalgamate(an.symbolic.abar, an.eforest,
+                                            an.exact_partition, opt.amalgamation)
+                     : an.exact_partition;
   an.timings.supernodes = lap(last);
 
   // (5) Block structure with block-level closure, block eforest; then the
   // structure-aware blocking plan over the finished blocks (one density
   // sweep of Abar, folded into this phase's timing -- it is block
   // bookkeeping, not a new analysis stage).
-  an.blocks = symbolic::build_block_structure(an.symbolic.abar, an.partition,
-                                              /*apply_closure=*/true, team);
-  an.block_plan = symbolic::build_block_plan(an.symbolic.abar, an.blocks, team);
+  an.blocks = symbolic::build_block_structure(an.symbolic.abar, an.partition);
+  an.block_plan = symbolic::build_block_plan(an.symbolic.abar, an.blocks);
   an.timings.blocks = lap(last);
 
   // (6) Task dependence graph + cost model; the block-granularity graph
   // too when the 2-D numeric layout will run on this analysis.
   an.graph = taskgraph::build_task_graph(an.blocks, opt.task_graph,
-                                         taskgraph::Granularity::kColumn, team);
-  an.costs = taskgraph::compute_task_costs(an.blocks, an.graph.tasks, team);
+                                         taskgraph::Granularity::kColumn);
+  an.costs = taskgraph::compute_task_costs(an.blocks, an.graph.tasks);
   if (opt.layout == Layout::k2D) {
     an.block_graph = taskgraph::build_task_graph(
-        an.blocks, opt.task_graph, taskgraph::Granularity::kBlock, team);
+        an.blocks, opt.task_graph, taskgraph::Granularity::kBlock);
   }
   an.timings.taskgraph = lap(last);
   an.timings.total = seconds_since(t_start);

@@ -21,24 +21,11 @@
 
 namespace plu {
 
-/// Threading knobs for the ANALYSIS pipeline (the numeric phase has its own
-/// NumericOptions::threads).  The parallel pipeline is bit-identical to the
-/// sequential one by construction -- every fanned-out loop is write-disjoint
-/// or commutative, and floating-point totals are summed in sequential order
-/// (DESIGN.md section 11) -- so turning it on changes timings only, never a
-/// single artifact.
+/// Analysis knobs.  The analysis is one sequential path; this struct only
+/// keeps the field perfbench/traced.cpp reads to construct its rt::Team
+/// (runtime/parallel_for.h).  The library does not read it.
 struct AnalysisOptions {
-  /// Run the symbolic pipeline on a worker team.
-  bool parallel_analyze = false;
-  /// Team size; 0 = std::thread::hardware_concurrency().
-  int threads = 0;
-  /// Matrices below this order always analyze sequentially (the per-step
-  /// loops are too small to amortize even a wakeup).
-  int min_parallel_n = 128;
-  /// Per-loop work gate forwarded to rt::Team: loops with less estimated
-  /// work run inline on the caller.  Tests set 0 to force every loop
-  /// through the parallel code paths.
-  long min_step_work = rt::Team::kDefaultMinWork;
+  long min_step_work = 0;
 };
 
 /// Wall-clock seconds per analysis phase, filled by analyze_pattern().
@@ -53,8 +40,6 @@ struct AnalysisTimings {
   double blocks = 0.0;            // block structure + closure + beforest
   double taskgraph = 0.0;         // task graph + cost model
   double total = 0.0;
-  int threads = 1;                // team lanes the analysis ran with
-  bool parallel = false;          // whether the parallel pipeline was taken
 };
 
 struct Options {
@@ -89,7 +74,7 @@ struct Options {
   /// columns only).  Preserves an existing diagonal matching -- which is
   /// the point of scale_and_permute -- at a possible small fill cost.
   bool symmetric_ordering = false;
-  /// Analysis-phase threading (off by default; bit-identical when on).
+  /// Kept for perfbench/traced.cpp; see AnalysisOptions.
   AnalysisOptions analysis;
 };
 

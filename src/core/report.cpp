@@ -127,9 +127,7 @@ std::string to_string(const AnalysisTimings& t) {
     os << "  " << name << std::string(18 - std::string(name).size(), ' ')
        << s * 1e3 << " ms (" << pct << "%)\n";
   };
-  os << "analysis:    " << t.total * 1e3 << " ms total, "
-     << (t.parallel ? "parallel" : "sequential") << " pipeline, "
-     << t.threads << " thread(s)\n";
+  os << "analysis:    " << t.total * 1e3 << " ms total\n";
   line("ordering", t.ordering);
   line("transversal", t.transversal);
   line("symbolic", t.symbolic);

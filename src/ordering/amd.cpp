@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "ordering/degree_lists.h"
-#include "runtime/parallel_for.h"
 
 namespace plu::ordering {
 
@@ -56,23 +55,11 @@ bool hub_heavy(const Pattern& g) {
   return max_deg >= 256 && static_cast<double>(max_deg) >= 8.0 * avg_deg;
 }
 
-Permutation approximate_minimum_degree(const Pattern& symmetric_pattern,
-                                       rt::Team* team) {
+Permutation approximate_minimum_degree(const Pattern& symmetric_pattern) {
   assert(symmetric_pattern.rows == symmetric_pattern.cols);
   const int n = symmetric_pattern.cols;
   if (n == 0) return Permutation(0);
   Pattern g = Pattern::symmetrized(symmetric_pattern);
-
-  // Runs fn(begin, end, lane) over [0, k), fanned out when a team is given.
-  // Every loop body writes only slots owned by its iteration, so chunk
-  // boundaries cannot change any result.
-  auto pfor = [&](long work, int k, auto&& fn) {
-    if (team) {
-      team->parallel_for(work, k, fn);
-    } else if (k > 0) {
-      fn(0, k, 0);
-    }
-  };
 
   // Quotient graph: plain variable-variable edges, element boundary lists,
   // supervariable weights.
@@ -217,74 +204,60 @@ Permutation approximate_minimum_degree(const Pattern& symmetric_pattern,
 
     // Live elements adjacent to any touched variable, in first-touch order.
     rel_elems.clear();
-    long elem_work = 0;
-    long var_work = 0;
     for (int u : touched) {
-      var_work += static_cast<long>(adj[u].size() + elems[u].size());
       for (int e : elems[u]) {
         if (elem_alive[e] && elem_round_mark[e] != round) {
           elem_round_mark[e] = round;
           rel_elems.push_back(e);
-          elem_work += static_cast<long>(elem_vars[e].size());
         }
       }
     }
 
-    // (a) Compact element boundaries and their weighted sizes.  Each
-    // iteration owns exactly one element's lists -- write-disjoint.
-    pfor(elem_work, static_cast<int>(rel_elems.size()),
-         [&](int b, int e, int /*lane*/) {
-           for (int i = b; i < e; ++i) {
-             const int el = rel_elems[i];
-             std::vector<int>& vars = elem_vars[el];
-             std::size_t w = 0;
-             long wsz = 0;
-             for (std::size_t r = 0; r < vars.size(); ++r) {
-               int x = vars[r];
-               if (state[x] == kLive) {
-                 vars[w++] = x;
-                 wsz += weight[x];
-               }
-             }
-             vars.resize(w);
-             elem_wsize[el] = wsz;
-           }
-         });
+    // (a) Compact element boundaries and their weighted sizes.
+    for (int el : rel_elems) {
+      std::vector<int>& vars = elem_vars[el];
+      std::size_t w = 0;
+      long wsz = 0;
+      for (std::size_t r = 0; r < vars.size(); ++r) {
+        int x = vars[r];
+        if (state[x] == kLive) {
+          vars[w++] = x;
+          wsz += weight[x];
+        }
+      }
+      vars.resize(w);
+      elem_wsize[el] = wsz;
+    }
 
     // (b) Per-variable refresh: compact + sort adjacency, approximate
-    // external degree, supervariable hash.  Each iteration owns one
-    // variable's lists and slots -- write-disjoint; weight/state/elem_wsize
-    // are frozen until the barrier.
-    pfor(4 * var_work, static_cast<int>(touched.size()),
-         [&](int b, int e, int /*lane*/) {
-           for (int i = b; i < e; ++i) {
-             const int u = touched[i];
-             std::size_t w = 0;
-             long d = 0;
-             std::uint64_t h = var_hash(u);
-             for (std::size_t r = 0; r < adj[u].size(); ++r) {
-               int x = adj[u][r];
-               if (state[x] != kLive) continue;
-               adj[u][w++] = x;
-               d += weight[x];
-               h += var_hash(x);
-             }
-             adj[u].resize(w);
-             std::sort(adj[u].begin(), adj[u].end());
-             w = 0;
-             for (std::size_t r = 0; r < elems[u].size(); ++r) {
-               int el = elems[u][r];
-               if (!elem_alive[el]) continue;
-               elems[u][w++] = el;
-               d += elem_wsize[el] - weight[u];  // u is always in its elements
-               h += elem_hash(el);
-             }
-             elems[u].resize(w);
-             std::sort(elems[u].begin(), elems[u].end());
-             degree_slot[u] = d;
-             hash_slot[u] = h;
-           }
-         });
+    // external degree, supervariable hash.  weight/state/elem_wsize stay
+    // frozen until (c).
+    for (int u : touched) {
+      std::size_t w = 0;
+      long d = 0;
+      std::uint64_t h = var_hash(u);
+      for (std::size_t r = 0; r < adj[u].size(); ++r) {
+        int x = adj[u][r];
+        if (state[x] != kLive) continue;
+        adj[u][w++] = x;
+        d += weight[x];
+        h += var_hash(x);
+      }
+      adj[u].resize(w);
+      std::sort(adj[u].begin(), adj[u].end());
+      w = 0;
+      for (std::size_t r = 0; r < elems[u].size(); ++r) {
+        int el = elems[u][r];
+        if (!elem_alive[el]) continue;
+        elems[u][w++] = el;
+        d += elem_wsize[el] - weight[u];  // u is always in its elements
+        h += elem_hash(el);
+      }
+      elems[u].resize(w);
+      std::sort(elems[u].begin(), elems[u].end());
+      degree_slot[u] = d;
+      hash_slot[u] = h;
+    }
 
     // (c) Supervariable detection (sequential, ascending): merge u into the
     // smallest earlier variable with identical quotient-graph adjacency.
@@ -336,8 +309,8 @@ Permutation approximate_minimum_degree(const Pattern& symmetric_pattern,
   return Permutation::from_old_positions(std::move(order));
 }
 
-Permutation approximate_minimum_degree_ata(const Pattern& a, rt::Team* team) {
-  return approximate_minimum_degree(Pattern::ata(a), team);
+Permutation approximate_minimum_degree_ata(const Pattern& a) {
+  return approximate_minimum_degree(Pattern::ata(a));
 }
 
 }  // namespace plu::ordering

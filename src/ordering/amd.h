@@ -17,38 +17,22 @@
 //     zero has no live neighbors outside itself and is eliminated on the
 //     spot, no pivot search needed;
 //   - multiple-elimination rounds: every round eliminates an independent set
-//     of minimum-degree pivots before any degree refresh (bushy eforests,
-//     and the substrate the parallel refresh fans out over).
+//     of minimum-degree pivots before any degree refresh (bushy eforests).
 //
-// DETERMINISM: the returned permutation is a pure function of the pattern.
-// The team only parallelizes the per-element boundary compaction and the
-// per-variable degree/hash refresh between rounds -- loops whose iterations
-// write disjoint slots -- while every decision (pivot selection, supervariable
-// merging, mass elimination) runs sequentially over deterministically ordered
-// data.  Orderings are therefore bit-identical for any thread count,
-// the same contract as the parallel analysis pipeline (DESIGN.md section 11),
-// gated by ParallelAmd.* in test_ordering.cpp.
+// The returned permutation is a pure function of the pattern.
 #pragma once
 
 #include "matrix/csc.h"
 #include "matrix/permutation.h"
 
-namespace plu::rt {
-class Team;
-}
-
 namespace plu::ordering {
 
 /// AMD elimination order for a symmetric pattern (symmetrized internally,
 /// diagonal ignored).  Gather form: old_of(k) = variable eliminated k-th.
-/// `team` fans out the inter-round refresh; results are identical with or
-/// without it.
-Permutation approximate_minimum_degree(const Pattern& symmetric_pattern,
-                                       rt::Team* team = nullptr);
+Permutation approximate_minimum_degree(const Pattern& symmetric_pattern);
 
 /// Convenience for unsymmetric LU: AMD on the A^T A pattern.
-Permutation approximate_minimum_degree_ata(const Pattern& a,
-                                           rt::Team* team = nullptr);
+Permutation approximate_minimum_degree_ata(const Pattern& a);
 
 /// True when a symmetric graph's degree profile would send the EXACT
 /// minimum-degree engine quadratic (large order + hub vertices whose degree

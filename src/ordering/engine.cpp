@@ -18,7 +18,7 @@ namespace {
 class NaturalEngine final : public OrderingEngine {
  public:
   std::string name() const override { return "natural"; }
-  Permutation order(const Pattern& g, rt::Team*) const override {
+  Permutation order(const Pattern& g) const override {
     return Permutation(g.cols);
   }
 };
@@ -26,23 +26,23 @@ class NaturalEngine final : public OrderingEngine {
 class MinimumDegreeEngine final : public OrderingEngine {
  public:
   std::string name() const override { return "minimum-degree"; }
-  Permutation order(const Pattern& g, rt::Team* team) const override {
-    return minimum_degree_guarded(g, team);
+  Permutation order(const Pattern& g) const override {
+    return minimum_degree_guarded(g);
   }
 };
 
 class AmdEngine final : public OrderingEngine {
  public:
   std::string name() const override { return "amd"; }
-  Permutation order(const Pattern& g, rt::Team* team) const override {
-    return approximate_minimum_degree(g, team);
+  Permutation order(const Pattern& g) const override {
+    return approximate_minimum_degree(g);
   }
 };
 
 class RcmEngine final : public OrderingEngine {
  public:
   std::string name() const override { return "rcm"; }
-  Permutation order(const Pattern& g, rt::Team*) const override {
+  Permutation order(const Pattern& g) const override {
     return reverse_cuthill_mckee(g);
   }
 };
@@ -50,7 +50,7 @@ class RcmEngine final : public OrderingEngine {
 class NestedDissectionEngine final : public OrderingEngine {
  public:
   std::string name() const override { return "nested-dissection"; }
-  Permutation order(const Pattern& g, rt::Team*) const override {
+  Permutation order(const Pattern& g) const override {
     return nested_dissection(g);
   }
 };

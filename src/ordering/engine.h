@@ -21,14 +21,12 @@
 namespace plu::ordering {
 
 /// One fill-reducing ordering engine.  `order` receives the SYMMETRIC
-/// adjacency graph to order (the A^T A pattern in the LU pipeline) and an
-/// optional analysis team; engines that parallelize must return bit-identical
-/// permutations for any team size.
+/// adjacency graph to order (the A^T A pattern in the LU pipeline).
 class OrderingEngine {
  public:
   virtual ~OrderingEngine() = default;
   virtual std::string name() const = 0;
-  virtual Permutation order(const Pattern& g, rt::Team* team) const = 0;
+  virtual Permutation order(const Pattern& g) const = 0;
 };
 
 /// The engine implementing a concrete method (never kAuto -- resolve with

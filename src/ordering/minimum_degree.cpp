@@ -225,10 +225,9 @@ Permutation minimum_degree(const Pattern& symmetric_pattern) {
   return Permutation::from_old_positions(std::move(order));
 }
 
-Permutation minimum_degree_guarded(const Pattern& symmetric_pattern,
-                                   rt::Team* team) {
+Permutation minimum_degree_guarded(const Pattern& symmetric_pattern) {
   if (hub_heavy(symmetric_pattern)) {
-    return approximate_minimum_degree(symmetric_pattern, team);
+    return approximate_minimum_degree(symmetric_pattern);
   }
   return minimum_degree(symmetric_pattern);
 }

@@ -26,10 +26,6 @@
 #include "matrix/csc.h"
 #include "matrix/permutation.h"
 
-namespace plu::rt {
-class Team;
-}
-
 namespace plu::ordering {
 
 /// Computes a minimum-degree elimination order for a symmetric pattern
@@ -38,10 +34,9 @@ namespace plu::ordering {
 Permutation minimum_degree(const Pattern& symmetric_pattern);
 
 /// Exact minimum degree with the hub guard: hub-heavy graphs (amd.h) route
-/// to approximate_minimum_degree (which also uses `team`); everything else
-/// runs the exact engine.  The route is a pure function of the pattern.
-Permutation minimum_degree_guarded(const Pattern& symmetric_pattern,
-                                   rt::Team* team = nullptr);
+/// to approximate_minimum_degree; everything else runs the exact engine.
+/// The route is a pure function of the pattern.
+Permutation minimum_degree_guarded(const Pattern& symmetric_pattern);
 
 /// Convenience for unsymmetric LU: guarded minimum degree on A^T A.
 Permutation minimum_degree_ata(const Pattern& a);

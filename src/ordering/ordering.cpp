@@ -23,8 +23,8 @@ Permutation compute_column_ordering(const Pattern& a, Method method,
       // Exact fill probe: run the pick and its runner-up, keep the smaller.
       const Method alt = runner_up(chosen);
       const Pattern g = Pattern::ata(a);
-      Permutation p_chosen = engine_for(chosen).order(g, ctl.team);
-      Permutation p_alt = engine_for(alt).order(g, ctl.team);
+      Permutation p_chosen = engine_for(chosen).order(g);
+      Permutation p_alt = engine_for(alt).order(g);
       d.dry_run = true;
       d.dry_run_fill_chosen = cholesky_fill(g, p_chosen);
       d.dry_run_fill_alternative = cholesky_fill(g, p_alt);
@@ -42,7 +42,7 @@ Permutation compute_column_ordering(const Pattern& a, Method method,
   const OrderingEngine& eng = engine_for(chosen);
   d.engine = eng.name();
   if (chosen == Method::kNatural) return Permutation(a.cols);
-  return eng.order(Pattern::ata(a), ctl.team);
+  return eng.order(Pattern::ata(a));
 }
 
 std::string to_string(Method m) {

@@ -54,11 +54,11 @@ struct Decision {
   long dry_run_fill_alternative = 0;
 };
 
-/// Knobs for the ordering dispatch.  The team only affects wall clock, never
-/// the permutation (parallel engines are bit-deterministic across team
-/// sizes); the dry-run changes WHICH engine kAuto runs but is itself
-/// deterministic.
+/// Knobs for the ordering dispatch.  The dry-run changes WHICH engine kAuto
+/// runs but is itself deterministic.
 struct Controls {
+  /// Not read; kept because perfbench/traced.cpp sets it
+  /// (runtime/parallel_for.h).
   rt::Team* team = nullptr;
   /// Break kAuto policy calls with an exact Cholesky-fill probe of the pick
   /// vs its runner-up.  Costs two extra orderings; gated by dry_run_max_n.
@@ -69,8 +69,8 @@ struct Controls {
 /// Column permutation for LU on `a` per the chosen method.
 Permutation compute_column_ordering(const Pattern& a, Method method);
 
-/// Full-control variant: threads the analysis team into parallel engines and
-/// reports the decision (either output may be defaulted/null).
+/// Full-control variant: applies the controls and reports the decision
+/// (`decision` may be null).
 Permutation compute_column_ordering(const Pattern& a, Method method,
                                     const Controls& ctl, Decision* decision);
 

@@ -1,161 +1,18 @@
-// Fork-join worker team for the parallel ANALYSIS tier.
+// rt::Team: an empty type kept for perfbench/traced.cpp.
 //
-// The numeric phase already runs on the work-stealing DAG runtime
-// (runtime/dag_executor.h); the symbolic pipeline needs something much
-// simpler: a sequence of data-parallel loops -- candidate-row unions inside
-// one elimination step, per-column structure scans, per-tree supernode
-// construction -- separated by barriers, where every loop's result must be
-// BIT-IDENTICAL to the sequential pipeline (core/analysis.h documents the
-// determinism contract; DESIGN.md section 11 explains why it holds).
-//
-// Team is that substrate: a fixed set of worker threads plus the calling
-// thread, executing one parallel_for at a time with a static contiguous
-// split of the index range.  Determinism does not come from the split --
-// every loop the analysis runs is either write-disjoint (each lane owns the
-// slots it writes) or commutative (bitset ORs, atomic counter bumps) -- but
-// the static split keeps the write-disjoint arguments trivially checkable.
-//
-// Every parallel_for takes a WORK estimate; loops below the team's
-// min_work threshold run inline on the caller, so the thousands of tiny
-// elimination steps of a small matrix never pay the wake/barrier cost.
-// Tests force min_work = 0 to drive every step through the parallel code
-// paths on small inputs (that is what the TSan determinism gate runs).
-//
-// Header-only on purpose: the symbolic and taskgraph tiers sit BELOW the
-// runtime library in the link order (plu_runtime depends on plu_taskgraph),
-// so they can include this header without creating a library cycle.
+// The analysis is one sequential path (DESIGN.md section 11).  The traced
+// benchmark replay still constructs `plu::rt::Team team(1, min_work)` and
+// passes it to the analysis steps, so the type and the one-line
+// forwarding overloads that take it stay until the next benchmark change
+// deletes them (ROADMAP, perfbench upkeep).  Nothing in the library reads
+// it.
 #pragma once
-
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace plu::rt {
 
-/// OR `v` into `*p` atomically (relaxed: the analysis loops synchronize via
-/// the barrier at the end of each parallel_for, and OR is commutative, so
-/// ordering between lanes within a loop is irrelevant to the result).
-inline void atomic_or_u64(std::uint64_t* p, std::uint64_t v) {
-  if (v) std::atomic_ref<std::uint64_t>(*p).fetch_or(v, std::memory_order_relaxed);
-}
-
-/// Increment an int slot atomically (indegree counters built concurrently).
-inline void atomic_add_int(int* p, int v) {
-  std::atomic_ref<int>(*p).fetch_add(v, std::memory_order_relaxed);
-}
-
 class Team {
  public:
-  /// Default per-loop work gate (abstract "word operations"): below this,
-  /// parallel_for runs inline on the caller.
-  static constexpr long kDefaultMinWork = 1 << 12;
-
-  explicit Team(int threads, long min_work = kDefaultMinWork)
-      : min_work_(min_work) {
-    const int lanes = threads < 1 ? 1 : threads;
-    workers_.reserve(lanes - 1);
-    for (int lane = 1; lane < lanes; ++lane) {
-      workers_.emplace_back([this, lane] { worker_loop(lane); });
-    }
-  }
-
-  ~Team() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_start_.notify_all();
-    for (auto& w : workers_) w.join();
-  }
-
-  Team(const Team&) = delete;
-  Team& operator=(const Team&) = delete;
-
-  /// Total lanes including the calling thread.
-  int lanes() const { return static_cast<int>(workers_.size()) + 1; }
-
-  long min_work() const { return min_work_; }
-
-  /// Splits [0, n) into at most lanes() contiguous chunks and runs
-  /// fn(begin, end, lane) on each, the caller taking chunk 0; returns after
-  /// every chunk finished (barrier).  Runs inline (fn(0, n, 0)) when the
-  /// estimated `work` is below min_work, when n < 2, or when the team has a
-  /// single lane.  `fn` must be safe to invoke concurrently from several
-  /// threads on disjoint ranges.
-  template <class Fn>
-  void parallel_for(long work, int n, Fn&& fn) {
-    if (n <= 0) return;
-    const int lanes_total = lanes();
-    if (lanes_total == 1 || n < 2 || work < min_work_) {
-      fn(0, n, 0);
-      return;
-    }
-    const int chunks = n < lanes_total ? n : lanes_total;
-    // Type-erase once per region; chunk bounds are recomputed per lane from
-    // (n, chunks) so the job payload stays three ints + a function pointer.
-    std::function<void(int, int, int)> body = std::ref(fn);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      job_body_ = &body;
-      job_n_ = n;
-      job_chunks_ = chunks;
-      remaining_ = static_cast<int>(workers_.size());
-      ++epoch_;
-    }
-    cv_start_.notify_all();
-    run_chunk(body, n, chunks, 0);
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [this] { return remaining_ == 0; });
-    job_body_ = nullptr;
-  }
-
- private:
-  static void run_chunk(const std::function<void(int, int, int)>& body, int n,
-                        int chunks, int chunk) {
-    if (chunk >= chunks) return;
-    const int b = static_cast<int>(static_cast<long long>(n) * chunk / chunks);
-    const int e =
-        static_cast<int>(static_cast<long long>(n) * (chunk + 1) / chunks);
-    if (b < e) body(b, e, chunk);
-  }
-
-  void worker_loop(int lane) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      const std::function<void(int, int, int)>* body;
-      int n, chunks;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_start_.wait(lock, [&] { return stop_ || epoch_ != seen; });
-        if (stop_) return;
-        seen = epoch_;
-        body = job_body_;
-        n = job_n_;
-        chunks = job_chunks_;
-      }
-      run_chunk(*body, n, chunks, lane);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (--remaining_ == 0) cv_done_.notify_all();
-      }
-    }
-  }
-
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  const std::function<void(int, int, int)>* job_body_ = nullptr;
-  int job_n_ = 0;
-  int job_chunks_ = 0;
-  int remaining_ = 0;
-  std::uint64_t epoch_ = 0;
-  bool stop_ = false;
-  long min_work_;
+  explicit Team(int /*threads*/, long /*min_work*/ = 0) {}
 };
 
 }  // namespace plu::rt

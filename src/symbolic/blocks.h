@@ -56,33 +56,20 @@ BlockStructure build_block_structure(const Pattern& abar,
                                      const SupernodePartition& part,
                                      bool apply_closure = true);
 
-/// Team-parallel variant; bit-identical to the sequential build (the
-/// parallel loops inside block_pattern / pairwise_closure are write-disjoint
-/// or commutative; beforest stays sequential).
-BlockStructure build_block_structure(const Pattern& abar,
-                                     const SupernodePartition& part,
-                                     bool apply_closure, rt::Team& team);
+/// Forwards to the overload above; kept for perfbench/traced.cpp.
+inline BlockStructure build_block_structure(const Pattern& abar,
+                                            const SupernodePartition& part,
+                                            bool apply_closure, rt::Team&) {
+  return build_block_structure(abar, part, apply_closure);
+}
 
 /// Raw (pre-closure) block pattern of abar under the partition.
 Pattern block_pattern(const Pattern& abar, const SupernodePartition& part);
-
-/// Team-parallel variant: block columns are independent (per-lane mark
-/// arrays, owned output slots), so trivially bit-identical.
-Pattern block_pattern(const Pattern& abar, const SupernodePartition& part,
-                      rt::Team& team);
 
 /// Right-looking pairwise closure: one ascending pass adding (i,j) whenever
 /// (i,k) and (k,j) are present with k < min(i,j).  Returns the closed
 /// pattern; `added` (if non-null) receives the number of new blocks.
 Pattern pairwise_closure(const Pattern& bpattern, long* added = nullptr);
-
-/// Team-parallel variant: the ascending k sweep stays sequential; within a
-/// step the per-U-entry column updates are fanned out (column bit-words are
-/// lane-owned, row bit-words shared via commutative atomic ORs; row k and
-/// column k are never written during step k), so the closed pattern is
-/// bit-identical to the sequential pass.
-Pattern pairwise_closure(const Pattern& bpattern, rt::Team& team,
-                         long* added = nullptr);
 
 /// True if the block pattern satisfies the closure property:
 /// (i,k) and (k,j) present with k < i, k < j implies (i,j) present.

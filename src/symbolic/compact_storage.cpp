@@ -48,53 +48,6 @@ CompactStorage CompactStorage::build(const Pattern& abar) {
   return cs;
 }
 
-CompactStorage CompactStorage::build(const Pattern& abar, rt::Team& team) {
-  if (abar.rows != abar.cols) {
-    throw std::invalid_argument("CompactStorage: square pattern required");
-  }
-  const int n = abar.cols;
-  CompactStorage cs;
-  cs.eforest_ = graph::lu_eforest(abar);
-  // Forest::children() builds its cache lazily and is not thread-safe;
-  // warm it before fanning out.
-  if (n > 0) cs.eforest_.children(0);
-  cs.row_first_.assign(n, -1);
-  cs.col_leaves_.assign(n, {});
-
-  Pattern rows = abar.transpose();
-  // Validate sequentially (parallel regions must not throw), then fill the
-  // per-row slots concurrently.
-  for (int i = 0; i < n; ++i) {
-    if (rows.col_size(i) == 0 || rows.col_begin(i)[0] > i) {
-      throw std::invalid_argument("CompactStorage: zero-free diagonal required");
-    }
-  }
-  team.parallel_for(n, n, [&](int ib, int ie, int) {
-    for (int i = ib; i < ie; ++i) cs.row_first_[i] = rows.col_begin(i)[0];
-  });
-  // U column leaves: each column owns its output list; in_col is lane-local.
-  team.parallel_for(abar.nnz(), n, [&](int jb, int je, int) {
-    std::vector<char> in_col(n, 0);
-    for (int j = jb; j < je; ++j) {
-      const int* b = abar.col_begin(j);
-      const int* e = std::lower_bound(b, abar.col_end(j), j);
-      for (const int* it = b; it != e; ++it) in_col[*it] = 1;
-      for (const int* it = b; it != e; ++it) {
-        bool minimal = true;
-        for (int c : cs.eforest_.children(*it)) {
-          if (in_col[c]) {
-            minimal = false;
-            break;
-          }
-        }
-        if (minimal) cs.col_leaves_[j].push_back(*it);
-      }
-      for (const int* it = b; it != e; ++it) in_col[*it] = 0;
-    }
-  });
-  return cs;
-}
-
 Pattern CompactStorage::reconstruct() const {
   const int n = size();
   // Build by rows for L, by columns for U, then merge.

@@ -21,7 +21,6 @@
 
 #include "graph/forest.h"
 #include "matrix/csc.h"
-#include "runtime/parallel_for.h"
 
 namespace plu::symbolic {
 
@@ -30,11 +29,6 @@ class CompactStorage {
   /// Builds from a filled pattern (zero-free diagonal).  The eforest is
   /// computed internally.
   static CompactStorage build(const Pattern& abar);
-
-  /// Team-parallel variant: the per-row first-nonzero scan and the
-  /// per-column leaf extraction are independent (lane-local in_col buffers),
-  /// so the result is bit-identical to the sequential build.
-  static CompactStorage build(const Pattern& abar, rt::Team& team);
 
   /// Expands back to the full CSC pattern (diagonal included).
   Pattern reconstruct() const;

@@ -52,31 +52,6 @@ void build_column_plan(const Pattern& abar, const BlockStructure& bs, int k,
   cp.run_ptr[nb] = static_cast<int>(cp.row_runs.size());
 }
 
-// Sequential summary reduction over the filled columns (identical whether
-// the columns were built sequentially or by a team).
-void reduce_summary(const BlockStructure& bs, BlockPlan& plan) {
-  BlockPlanSummary& s = plan.summary;
-  s = BlockPlanSummary{};
-  s.built = true;
-  for (int k = 0; k < bs.num_blocks(); ++k) {
-    const ColumnPlan& cp = plan.columns[k];
-    s.panel_blocks += static_cast<long>(cp.l_list.size());
-    s.row_runs += static_cast<long>(cp.row_runs.size());
-    s.rows_skipped += cp.panel_rows - cp.structural_rows;
-  }
-}
-
-// Shared tail of both builders: the lock-freedom invariant is not a
-// fallback path, so a structure that breaks it is a bug.
-void finish_plan(const BlockStructure& bs, BlockPlan& plan) {
-  reduce_summary(bs, plan);
-  plan.built = true;
-  if (row_writer_chain_violations(bs, plan) != 0) {
-    throw std::logic_error(
-        "build_block_plan: writers of a row do not form an eforest chain");
-  }
-}
-
 }  // namespace
 
 long row_writer_chain_violations(const BlockStructure& bs,
@@ -117,24 +92,20 @@ BlockPlan build_block_plan(const Pattern& abar, const BlockStructure& bs) {
   for (int k = 0; k < bs.num_blocks(); ++k) {
     build_column_plan(abar, bs, k, plan.columns[k], mark);
   }
-  finish_plan(bs, plan);
-  return plan;
-}
-
-BlockPlan build_block_plan(const Pattern& abar, const BlockStructure& bs,
-                           rt::Team& team) {
-  BlockPlan plan;
-  const int n = bs.num_blocks();
-  plan.columns.resize(n);
-  // Columns are write-disjoint and each reads only its own Abar range, so
-  // the fan-out is trivially bit-identical to the sequential build.
-  team.parallel_for(abar.nnz(), n, [&](int kb, int ke, int) {
-    std::vector<int> mark(abar.rows, -1);
-    for (int k = kb; k < ke; ++k) {
-      build_column_plan(abar, bs, k, plan.columns[k], mark);
-    }
-  });
-  finish_plan(bs, plan);
+  BlockPlanSummary& s = plan.summary;
+  s.built = true;
+  for (const ColumnPlan& cp : plan.columns) {
+    s.panel_blocks += static_cast<long>(cp.l_list.size());
+    s.row_runs += static_cast<long>(cp.row_runs.size());
+    s.rows_skipped += cp.panel_rows - cp.structural_rows;
+  }
+  plan.built = true;
+  // The lock-freedom invariant is not a fallback path, so a structure that
+  // breaks it is a bug.
+  if (row_writer_chain_violations(bs, plan) != 0) {
+    throw std::logic_error(
+        "build_block_plan: writers of a row do not form an eforest chain");
+  }
   return plan;
 }
 

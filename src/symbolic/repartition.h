@@ -90,10 +90,11 @@ struct BlockingStats {
 /// throws std::logic_error when it fails.
 BlockPlan build_block_plan(const Pattern& abar, const BlockStructure& bs);
 
-/// Team-parallel variant; bit-identical to the sequential build (columns
-/// are write-disjoint; the summary reduction stays sequential).
-BlockPlan build_block_plan(const Pattern& abar, const BlockStructure& bs,
-                           rt::Team& team);
+/// Forwards to the overload above; kept for perfbench/traced.cpp.
+inline BlockPlan build_block_plan(const Pattern& abar, const BlockStructure& bs,
+                                  rt::Team&) {
+  return build_block_plan(abar, bs);
+}
 
 /// Theorem 2 row by row: the writers of each scalar row r -- its own
 /// supernode plus every block column whose row runs contain r -- must form

@@ -5,9 +5,7 @@
 #include <cassert>
 #include <cstdint>
 #include <stdexcept>
-#include <thread>
 
-#include "blas/scratch.h"
 #include "graph/transversal.h"
 
 namespace plu::symbolic {
@@ -137,121 +135,6 @@ SymbolicResult run_bitset(const Pattern& a) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel bitset engine
-// ---------------------------------------------------------------------------
-// Same algorithm as run_bitset, with the inner loops of each elimination
-// step fanned out over the team.  Bit-identity with the sequential engine
-// holds by induction over steps k: within a step every shared write is a
-// commutative bitset OR (order across lanes cannot change the resulting
-// words) and every other write is lane-owned, so the bitsets after step k's
-// barrier equal the sequential ones -- hence step k+1 sees identical
-// candidates and unions.
-
-SymbolicResult run_bitset_parallel(const Pattern& a, rt::Team& team) {
-  const int n = a.cols;
-  BitRows rows(n);
-  BitRows cols(n);
-  // Init: lane owns cols.row(j) for its columns (plain writes); rows.row(i)
-  // receives bits from many columns, so those ORs are atomic.
-  team.parallel_for(a.nnz(), n, [&](int jb, int je, int) {
-    for (int j = jb; j < je; ++j) {
-      for (const int* it = a.col_begin(j); it != a.col_end(j); ++it) {
-        rt::atomic_or_u64(rows.row(*it) + (j >> 6), 1ull << (j & 63));
-        cols.row(j)[*it >> 6] |= 1ull << (*it & 63);
-      }
-    }
-  });
-  const int W = rows.words();
-  std::vector<std::uint64_t> u(W);
-  std::vector<int> candidates;
-  for (int k = 0; k < n; ++k) {
-    candidates.clear();
-    const std::uint64_t* ck = cols.row(k);
-    const int w0 = k >> 6;
-    for (int w = w0; w < W; ++w) {
-      std::uint64_t word = ck[w];
-      if (w == w0) word &= ~0ull << (k & 63);
-      while (word) {
-        int b = std::countr_zero(word);
-        word &= word - 1;
-        candidates.push_back((w << 6) + b);
-      }
-    }
-    if (candidates.size() <= 1) continue;
-    const int nc = static_cast<int>(candidates.size());
-    const long step_work = static_cast<long>(nc) * (W - w0);
-    // u = union of candidate tails.  Each lane accumulates its chunk of
-    // candidates into thread-local word scratch, then ORs the partial into
-    // the shared u atomically -- commutative, so deterministic.
-    std::fill(u.begin() + w0, u.end(), 0);
-    team.parallel_for(step_work, nc, [&](int cb, int ce, int) {
-      std::uint64_t* part = blas::worker_scratch().words(W);
-      std::fill(part + w0, part + W, 0);
-      for (int c = cb; c < ce; ++c) {
-        const std::uint64_t* ri = rows.row(candidates[c]);
-        for (int w = w0; w < W; ++w) part[w] |= ri[w];
-      }
-      for (int w = w0; w < W; ++w) rt::atomic_or_u64(&u[w], part[w]);
-    });
-    u[w0] &= ~0ull << (k & 63);
-    // Assignment: each candidate row is owned by exactly one lane (plain
-    // writes); the fill recorded in the column bitsets lands in words shared
-    // across lanes, so those ORs are atomic.
-    team.parallel_for(step_work, nc, [&](int cb, int ce, int) {
-      for (int c = cb; c < ce; ++c) {
-        const int i = candidates[c];
-        std::uint64_t* ri = rows.row(i);
-        for (int w = w0; w < W; ++w) {
-          std::uint64_t nw =
-              (w == w0) ? ((ri[w] & ~(~0ull << (k & 63))) | u[w]) : u[w];
-          std::uint64_t added = nw & ~ri[w];
-          ri[w] = nw;
-          while (added) {
-            int b = std::countr_zero(added);
-            added &= added - 1;
-            rt::atomic_or_u64(cols.row((w << 6) + b) + (i >> 6),
-                              1ull << (i & 63));
-          }
-        }
-      }
-    });
-  }
-  // Extraction: parallel per-column popcounts, sequential prefix sum,
-  // parallel fill of the pre-sized index array (each column owned).
-  Pattern abar(n, n);
-  std::vector<int> counts(n);
-  team.parallel_for(static_cast<long>(n) * W, n, [&](int jb, int je, int) {
-    for (int j = jb; j < je; ++j) {
-      const std::uint64_t* cj = cols.row(j);
-      int c = 0;
-      for (int w = 0; w < W; ++w) c += std::popcount(cj[w]);
-      counts[j] = c;
-    }
-  });
-  long total = 0;
-  for (int j = 0; j < n; ++j) {
-    total += counts[j];
-    abar.ptr[j + 1] = static_cast<int>(total);
-  }
-  abar.idx.resize(total);
-  team.parallel_for(total, n, [&](int jb, int je, int) {
-    for (int j = jb; j < je; ++j) {
-      int* out = abar.idx.data() + abar.ptr[j];
-      const std::uint64_t* cj = cols.row(j);
-      for (int w = 0; w < W; ++w) {
-        std::uint64_t word = cj[w];
-        while (word) {
-          int b = std::countr_zero(word);
-          word &= word - 1;
-          *out++ = (w << 6) + b;
-        }
-      }
-    }
-  });
-  return finalize(std::move(abar));
-}
-
-// ---------------------------------------------------------------------------
 // Row-merge engine
 // ---------------------------------------------------------------------------
 
@@ -323,33 +206,8 @@ SymbolicResult run_rowmerge(const Pattern& a) {
 }  // namespace
 
 SymbolicResult static_symbolic_factorization(const Pattern& a, Engine engine) {
-  if (engine == Engine::kParallelBitset) {
-    ParallelSymbolicOptions opts;
-    int threads = opts.threads > 0
-                      ? opts.threads
-                      : static_cast<int>(std::thread::hardware_concurrency());
-    rt::Team team(threads, opts.min_step_work);
-    return static_symbolic_factorization(a, engine, team);
-  }
   check_input(a);
   return engine == Engine::kBitset ? run_bitset(a) : run_rowmerge(a);
-}
-
-SymbolicResult static_symbolic_factorization(const Pattern& a, Engine engine,
-                                             rt::Team& team) {
-  if (engine != Engine::kParallelBitset) {
-    return static_symbolic_factorization(a, engine);
-  }
-  check_input(a);
-  // A single-lane team gains nothing from the atomic paths; the sequential
-  // engine is the bit-identical fast path.
-  if (team.lanes() == 1) return run_bitset(a);
-  return run_bitset_parallel(a, team);
-}
-
-bool is_symbolic_fixed_point(const Pattern& abar, Engine engine) {
-  SymbolicResult again = static_symbolic_factorization(abar, engine);
-  return again.abar == abar;
 }
 
 bool postorder_commutes_with_symbolic(const Pattern& a, const Pattern& abar,
@@ -364,7 +222,6 @@ std::string to_string(Engine e) {
   switch (e) {
     case Engine::kBitset: return "bitset";
     case Engine::kRowMerge: return "rowmerge";
-    case Engine::kParallelBitset: return "parallel-bitset";
   }
   return "unknown";
 }

@@ -11,23 +11,12 @@
 // approach): some operations touch explicit zeros, but the structure, the
 // task graph and the schedule are all known statically.
 //
-// Three engines:
+// Two engines:
 //   * kBitset    - rows as 64-bit word bitsets; O(sum |R_k| * n/64) words.
 //     The production engine for the problem sizes in the paper (n <= ~10^4).
 //   * kRowMerge  - rows as sorted index vectors updated by set-union.
 //     Independent implementation used to cross-validate the bitset engine
 //     and as the second arm of the A3 ablation bench.
-//   * kParallelBitset - the bitset engine with the inner work of each
-//     elimination step fanned out over an rt::Team (GSoFa-style pivot-row
-//     parallelism): the candidate-row union becomes per-lane partial ORs
-//     into worker scratch (blas/scratch.h) followed by a combine, and the
-//     union assignment is split across candidate rows with atomic ORs into
-//     the shared column bitsets.  Every per-step operation is commutative
-//     or write-disjoint, so the result is BIT-IDENTICAL to kBitset on every
-//     input -- the determinism contract of the parallel analysis tier
-//     (DESIGN.md section 11); tests/test_parallel_analysis.cpp gates it.
-//     Falls back to the sequential engine for single-lane teams, and runs
-//     small steps inline (rt::Team::min_work).
 #pragma once
 
 #include <string>
@@ -37,17 +26,7 @@
 
 namespace plu::symbolic {
 
-enum class Engine { kBitset, kRowMerge, kParallelBitset };
-
-/// Thread-count / gating knobs for Engine::kParallelBitset when the caller
-/// does not provide its own team.
-struct ParallelSymbolicOptions {
-  int threads = 0;  // 0 = std::thread::hardware_concurrency()
-  /// Per-step work gate in words (candidates * tail words); steps below it
-  /// run inline on the calling thread.  Tests set 0 to force every step
-  /// through the parallel paths.
-  long min_step_work = rt::Team::kDefaultMinWork;
-};
+enum class Engine { kBitset, kRowMerge };
 
 struct SymbolicResult {
   Pattern abar;   // filled pattern, diagonal included
@@ -62,25 +41,14 @@ struct SymbolicResult {
 
 /// Runs the static symbolic factorization.  The pattern must be square with
 /// a zero-free (structural) diagonal; throws std::invalid_argument otherwise.
-/// kParallelBitset spins up its own rt::Team sized from
-/// ParallelSymbolicOptions defaults; prefer the team overload when the
-/// caller already owns one.
 SymbolicResult static_symbolic_factorization(const Pattern& a,
                                              Engine engine = Engine::kBitset);
 
-/// Team-aware overload: kParallelBitset fans its per-step work out over
-/// `team`; the sequential engines ignore it.
-SymbolicResult static_symbolic_factorization(const Pattern& a, Engine engine,
-                                             rt::Team& team);
-
-/// True if `abar` is a fixed point of the scheme: re-running the static
-/// symbolic factorization on it adds nothing.  NOTE: the scheme is
-/// sequence-dependent, so a filled pattern is generally NOT a fixed point
-/// (a row that left the candidate pool early keeps a shorter tail than its
-/// one-time peers; a re-run unions them).  Theorem 3 is the *commutation*
-/// property checked by postorder_commutes_with_symbolic(), not a fixed
-/// point.
-bool is_symbolic_fixed_point(const Pattern& abar, Engine engine = Engine::kBitset);
+/// Forwards to the overload above; kept for perfbench/traced.cpp.
+inline SymbolicResult static_symbolic_factorization(const Pattern& a,
+                                                    Engine engine, rt::Team&) {
+  return static_symbolic_factorization(a, engine);
+}
 
 /// Theorem 3, operationally: static symbolic factorization commutes with a
 /// symmetric eforest-postorder permutation, i.e.

@@ -52,6 +52,12 @@ bool columns_share_supernode(const Pattern& abar, int j) {
   return (ej - bj == en - bn) && std::equal(bj, ej, bn);
 }
 
+/// L-structure of column j restricted to rows >= j (includes the diagonal).
+std::pair<const int*, const int*> l_range(const Pattern& abar, int j) {
+  const int* b = std::lower_bound(abar.col_begin(j), abar.col_end(j), j);
+  return {b, abar.col_end(j)};
+}
+
 }  // namespace
 
 SupernodePartition find_supernodes(const Pattern& abar) {
@@ -65,46 +71,18 @@ SupernodePartition find_supernodes(const Pattern& abar) {
   return SupernodePartition(std::move(starts), n);
 }
 
-SupernodePartition find_supernodes(const Pattern& abar, rt::Team& team) {
+SupernodePartition amalgamate(const Pattern& abar, const graph::Forest& eforest,
+                              const SupernodePartition& part,
+                              const AmalgamationOptions& opt) {
   const int n = abar.cols;
-  if (n == 0) return SupernodePartition({0}, 0);
-  // Each column's boundary flag is an owned slot; the collapse into the
-  // starts vector stays sequential (cheap, order-preserving).
-  std::vector<char> boundary(n, 0);
-  boundary[0] = 1;
-  team.parallel_for(abar.nnz(), n - 1, [&](int jb, int je, int) {
-    for (int j = jb; j < je; ++j) {
-      boundary[j + 1] = !columns_share_supernode(abar, j);
-    }
-  });
+  assert(part.num_cols() == n);
+  const int s_end = part.count();
   std::vector<int> starts;
-  for (int j = 0; j < n; ++j) {
-    if (boundary[j]) starts.push_back(j);
-  }
-  return SupernodePartition(std::move(starts), n);
-}
-
-namespace {
-
-/// L-structure of column j restricted to rows >= j (includes the diagonal).
-std::pair<const int*, const int*> l_range(const Pattern& abar, int j) {
-  const int* b = std::lower_bound(abar.col_begin(j), abar.col_end(j), j);
-  return {b, abar.col_end(j)};
-}
-
-/// The greedy merge scan over supernodes [s_begin, s_end), appending group
-/// starts.  The scan state is local to the range: a group started inside it
-/// reads only columns inside it, so disjoint ranges can run concurrently as
-/// long as no merge could cross their boundary.
-void amalgamate_range(const Pattern& abar, const graph::Forest& eforest,
-                      const SupernodePartition& part,
-                      const AmalgamationOptions& opt, int s_begin, int s_end,
-                      std::vector<int>& starts) {
   std::vector<int> cur_union;  // union of L structures of the current group
   std::vector<int> trial;
   long cur_entries = 0;  // true entries in the group's L region
 
-  int s = s_begin;
+  int s = 0;
   while (s < s_end) {
     // Start a new group at supernode s.
     int c0 = part.first(s);
@@ -154,55 +132,6 @@ void amalgamate_range(const Pattern& abar, const graph::Forest& eforest,
       ++t;
     }
     s = t;
-  }
-}
-
-}  // namespace
-
-SupernodePartition amalgamate(const Pattern& abar, const graph::Forest& eforest,
-                              const SupernodePartition& part,
-                              const AmalgamationOptions& opt) {
-  const int n = abar.cols;
-  assert(part.num_cols() == n);
-  std::vector<int> starts;
-  amalgamate_range(abar, eforest, part, opt, 0, part.count(), starts);
-  if (starts.empty()) starts.push_back(0);
-  return SupernodePartition(std::move(starts), n);
-}
-
-SupernodePartition amalgamate(const Pattern& abar, const graph::Forest& eforest,
-                              const SupernodePartition& part,
-                              const AmalgamationOptions& opt, rt::Team& team) {
-  const int n = abar.cols;
-  assert(part.num_cols() == n);
-  // Without the parent-child requirement a merge could cross a root
-  // boundary, so the segment split below would not be boundary-safe.
-  if (!opt.require_parent_child || team.lanes() == 1) {
-    return amalgamate(abar, eforest, part, opt);
-  }
-  // Segment the supernode sequence after every supernode whose last column
-  // is an eforest root: the sequential greedy cannot merge across such a
-  // point (the test parent(end(s)-1) == first(s+1) fails when the parent is
-  // kNone), so per-segment scans reproduce it exactly.
-  std::vector<int> seg_starts;  // in supernode indices
-  seg_starts.push_back(0);
-  for (int s = 0; s + 1 < part.count(); ++s) {
-    if (eforest.parent(part.end(s) - 1) == graph::kNone) {
-      seg_starts.push_back(s + 1);
-    }
-  }
-  seg_starts.push_back(part.count());
-  const int nseg = static_cast<int>(seg_starts.size()) - 1;
-  std::vector<std::vector<int>> seg_out(nseg);
-  team.parallel_for(abar.nnz(), nseg, [&](int gb, int ge, int) {
-    for (int g = gb; g < ge; ++g) {
-      amalgamate_range(abar, eforest, part, opt, seg_starts[g],
-                       seg_starts[g + 1], seg_out[g]);
-    }
-  });
-  std::vector<int> starts;
-  for (const auto& seg : seg_out) {
-    starts.insert(starts.end(), seg.begin(), seg.end());
   }
   if (starts.empty()) starts.push_back(0);
   return SupernodePartition(std::move(starts), n);

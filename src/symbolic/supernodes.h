@@ -50,10 +50,10 @@ class SupernodePartition {
 /// supernode iff struct(Lbar_{*,j}) \ {j} == struct(Lbar_{*,j+1}).
 SupernodePartition find_supernodes(const Pattern& abar);
 
-/// Team-parallel variant: the per-column boundary tests are independent
-/// (each writes its own flag), so this is trivially bit-identical to the
-/// sequential version.
-SupernodePartition find_supernodes(const Pattern& abar, rt::Team& team);
+/// Forwards to the overload above; kept for perfbench/traced.cpp.
+inline SupernodePartition find_supernodes(const Pattern& abar, rt::Team&) {
+  return find_supernodes(abar);
+}
 
 struct AmalgamationOptions {
   /// Maximum number of columns in a merged supernode.
@@ -71,17 +71,14 @@ SupernodePartition amalgamate(const Pattern& abar, const graph::Forest& eforest,
                               const SupernodePartition& part,
                               const AmalgamationOptions& opt = {});
 
-/// Forest-parallel variant: splits the supernode sequence at every
-/// supernode whose last column is an eforest root and amalgamates the
-/// segments concurrently.  With require_parent_child the sequential greedy
-/// can never merge across such a split (the merge test needs
-/// parent(last col) == next col, and a root has no parent), and each
-/// segment's scan reads only its own columns, so the result is bit-identical
-/// to the sequential greedy.  Without require_parent_child the split is
-/// unsound and this falls back to the sequential path.
-SupernodePartition amalgamate(const Pattern& abar, const graph::Forest& eforest,
-                              const SupernodePartition& part,
-                              const AmalgamationOptions& opt, rt::Team& team);
+/// Forwards to the overload above; kept for perfbench/traced.cpp.
+inline SupernodePartition amalgamate(const Pattern& abar,
+                                     const graph::Forest& eforest,
+                                     const SupernodePartition& part,
+                                     const AmalgamationOptions& opt,
+                                     rt::Team&) {
+  return amalgamate(abar, eforest, part, opt);
+}
 
 /// Statistics used by Table 3 and the A1 ablation.
 struct SupernodeStats {

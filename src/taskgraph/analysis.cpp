@@ -76,45 +76,6 @@ std::vector<double> bottom_levels(const TaskGraph& g,
   return bl;
 }
 
-std::vector<double> bottom_levels(const TaskGraph& g,
-                                  const std::vector<double>& weights,
-                                  rt::Team& team) {
-  const int n = g.size();
-  std::vector<int> order = topological_order(g);
-  // height[v] = longest edge count from v to a sink; nodes of equal height
-  // are independent (every successor is strictly lower).
-  std::vector<int> height(n, 0);
-  int max_h = 0;
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    int v = *it;
-    for (int s : g.succ[v]) height[v] = std::max(height[v], height[s] + 1);
-    max_h = std::max(max_h, height[v]);
-  }
-  // Bucket by height (counting sort keeps the grouping deterministic, not
-  // that it matters: max over doubles is exact in any order).
-  std::vector<int> bucket_ptr(max_h + 2, 0);
-  for (int v = 0; v < n; ++v) ++bucket_ptr[height[v] + 1];
-  for (int h = 0; h <= max_h; ++h) bucket_ptr[h + 1] += bucket_ptr[h];
-  std::vector<int> by_height(n);
-  {
-    std::vector<int> fill = bucket_ptr;
-    for (int v = 0; v < n; ++v) by_height[fill[height[v]]++] = v;
-  }
-  std::vector<double> bl(n, 0.0);
-  for (int h = 0; h <= max_h; ++h) {
-    const int b = bucket_ptr[h], e = bucket_ptr[h + 1];
-    team.parallel_for(e - b, e - b, [&](int xb, int xe, int) {
-      for (int x = xb; x < xe; ++x) {
-        int v = by_height[b + x];
-        double best = 0.0;
-        for (int s : g.succ[v]) best = std::max(best, bl[s]);
-        bl[v] = weights[v] + best;
-      }
-    });
-  }
-  return bl;
-}
-
 bool reaches(const TaskGraph& g, int u, int v) {
   if (u == v) return true;
   std::vector<char> seen(g.size(), 0);

@@ -32,16 +32,6 @@ CriticalPath critical_path(const TaskGraph& g, const std::vector<double>& weight
 std::vector<double> bottom_levels(const TaskGraph& g,
                                   const std::vector<double>& weights);
 
-/// Team-parallel variant: nodes are grouped by height above the sinks
-/// (computed sequentially), then each height class is swept in parallel --
-/// a node's successors are all strictly lower, so reads see finalized
-/// values and every write is owned.  fp max and one addition are exact, so
-/// the priorities are bit-identical to the sequential reverse-topological
-/// sweep.
-std::vector<double> bottom_levels(const TaskGraph& g,
-                                  const std::vector<double>& weights,
-                                  rt::Team& team);
-
 /// True if every edge of `sub` connects tasks that are also ordered (via a
 /// directed path) in `super`.  The eforest graph must be a subset of the
 /// transitive closure of the S* graph over the same task list.

@@ -21,15 +21,6 @@ void add_edge(TaskGraph& g, int from, int to) {
   ++g.indegree[to];
 }
 
-/// Edge insertion from inside a parallel region where the SOURCE list is
-/// lane-owned but the target's indegree may be bumped by several lanes.
-/// Commutative counter increments keep the final indegree (and the owned
-/// succ ordering) bit-identical to the sequential build.
-void add_edge_atomic_indegree(TaskGraph& g, int from, int to) {
-  g.succ[from].push_back(to);
-  rt::atomic_add_int(&g.indegree[to], 1);
-}
-
 /// The target an update task accumulates into, as a dense key: the block
 /// column at column granularity, the individual block at block granularity.
 long target_key(const Task& t, int nb) {
@@ -74,17 +65,12 @@ void add_sstar_chains(TaskGraph& g, int nb) {
 
 /// The program-order rule, shared by both granularities: each source
 /// stage's update fan-out is a chain (the sequential inner loop of the
-/// reference algorithm).  Stages touch only their own update-id range, so
-/// the fan-out over stages is write-disjoint.
-void add_program_order_chains(TaskGraph& g, int nb, rt::Team& team) {
-  team.parallel_for(g.size(), nb, [&](int kb, int ke, int) {
-    for (int k = kb; k < ke; ++k) {
-      auto [b, e] = g.tasks.update_range(k);
-      for (int id = b; id + 1 < e; ++id) {
-        add_edge(g, id, id + 1);
-      }
-    }
-  });
+/// reference algorithm).
+void add_program_order_chains(TaskGraph& g, int nb) {
+  for (int k = 0; k < nb; ++k) {
+    auto [b, e] = g.tasks.update_range(k);
+    for (int id = b; id + 1 < e; ++id) add_edge(g, id, id + 1);
+  }
 }
 
 /// Column-granularity eforest rules 4 and 5.  On a fully George-Ng-closed
@@ -94,33 +80,25 @@ void add_program_order_chains(TaskGraph& g, int nb, rt::Team& team) {
 /// NEAREST ancestor with an update into k -- the chain skips ancestors
 /// whose blocks in column k are structurally absent (nothing to order
 /// against there).
-void add_eforest_column_rules(TaskGraph& g, const graph::Forest& t, int nb,
-                              rt::Team& team) {
-  // Fanned out over source stages: each stage owns its update ids' succ
-  // lists; the edge TARGETS live in other stages, so their indegrees are
-  // bumped atomically.
-  team.parallel_for(g.size(), nb, [&](int ib, int ie, int) {
-    for (int i = ib; i < ie; ++i) {
-      auto [b, e] = g.tasks.update_range(i);
-      for (int id = b; id < e; ++id) {
-        int k = g.tasks.task(id).j;
-        int a = t.parent(i);
-        // parent(i) <= k always: parent is the first off-diagonal entry of
-        // row i of the block Ubar, and (i, k) is such an entry.
-        while (a != graph::kNone && a < k) {
-          int next = g.tasks.update_id(a, k);
-          if (next != -1) {
-            add_edge_atomic_indegree(g, id, next);
-            break;
-          }
-          a = t.parent(a);
+void add_eforest_column_rules(TaskGraph& g, const graph::Forest& t, int nb) {
+  for (int i = 0; i < nb; ++i) {
+    auto [b, e] = g.tasks.update_range(i);
+    for (int id = b; id < e; ++id) {
+      int k = g.tasks.task(id).j;
+      int a = t.parent(i);
+      // parent(i) <= k always: parent is the first off-diagonal entry of
+      // row i of the block Ubar, and (i, k) is such an entry.
+      while (a != graph::kNone && a < k) {
+        int next = g.tasks.update_id(a, k);
+        if (next != -1) {
+          add_edge(g, id, next);
+          break;
         }
-        if (a == k) {
-          add_edge_atomic_indegree(g, id, g.tasks.factor_id(k));
-        }
+        a = t.parent(a);
       }
+      if (a == k) add_edge(g, id, g.tasks.factor_id(k));
     }
-  });
+  }
 }
 
 /// Block-granularity eforest rule, the per-block form of rules 4 and 5:
@@ -130,48 +108,38 @@ void add_eforest_column_rules(TaskGraph& g, const graph::Forest& t, int nb,
 /// structural rows of L_ik, whose writers form eforest chains, so updates
 /// from independent subtrees touch disjoint rows and stay unordered, while
 /// every row's writers run in ascending source order.
-void add_eforest_block_rules(TaskGraph& g, const graph::Forest& t,
-                             rt::Team& team) {
-  // Each task id's succ list is owned by the lane scanning it; targets are
-  // shared across lanes (atomic indegree).
-  team.parallel_for(g.size(), g.size(), [&](int ib, int ie, int) {
-    for (int id = ib; id < ie; ++id) {
-      const Task& u = g.tasks.task(id);
-      if (u.kind != TaskKind::kUpdateBlock) continue;
-      int next = -1;
-      for (int a = t.parent(u.k); a != graph::kNone && a < std::min(u.i, u.j);
-           a = t.parent(a)) {
-        next = g.tasks.update_block_id(u.i, a, u.j);
-        if (next != -1) break;
-      }
-      if (next == -1) next = consumer_id(g.tasks, u);
-      assert(next != -1 && "pairwise closure violated: consumer missing");
-      if (next != -1) add_edge_atomic_indegree(g, id, next);
+void add_eforest_block_rules(TaskGraph& g, const graph::Forest& t) {
+  for (int id = 0; id < g.size(); ++id) {
+    const Task& u = g.tasks.task(id);
+    if (u.kind != TaskKind::kUpdateBlock) continue;
+    int next = -1;
+    for (int a = t.parent(u.k); a != graph::kNone && a < std::min(u.i, u.j);
+         a = t.parent(a)) {
+      next = g.tasks.update_block_id(u.i, a, u.j);
+      if (next != -1) break;
     }
-  });
+    if (next == -1) next = consumer_id(g.tasks, u);
+    assert(next != -1 && "pairwise closure violated: consumer missing");
+    if (next != -1) add_edge(g, id, next);
+  }
 }
 
 /// Operand edges of the block granularity (present under every GraphKind):
 /// a stage's diagonal factor feeds its triangular solves, which feed each
 /// UpdateBlock they supply.
-void add_block_operand_edges(TaskGraph& g, int nb, rt::Team& team) {
-  // Every edge of this rule stays inside one stage (sources FD/FL/CU and
-  // targets are all stage-k tasks, factor_id(k) == k included), so the
-  // fan-out over stages is entirely write-disjoint -- no atomics needed.
-  team.parallel_for(g.size(), nb, [&](int kb, int ke, int) {
-    for (int k = kb; k < ke; ++k) {
-      auto [b, e] = g.tasks.stage_range(k);
-      for (int id = b; id < e; ++id) {
-        const Task& t = g.tasks.task(id);
-        if (t.kind == TaskKind::kUpdateBlock) {
-          add_edge(g, g.tasks.factor_l_id(t.i, t.k), id);
-          add_edge(g, g.tasks.compute_u_id(t.k, t.j), id);
-        } else {
-          add_edge(g, g.tasks.factor_id(k), id);
-        }
+void add_block_operand_edges(TaskGraph& g, int nb) {
+  for (int k = 0; k < nb; ++k) {
+    auto [b, e] = g.tasks.stage_range(k);
+    for (int id = b; id < e; ++id) {
+      const Task& t = g.tasks.task(id);
+      if (t.kind == TaskKind::kUpdateBlock) {
+        add_edge(g, g.tasks.factor_l_id(t.i, t.k), id);
+        add_edge(g, g.tasks.compute_u_id(t.k, t.j), id);
+      } else {
+        add_edge(g, g.tasks.factor_id(k), id);
       }
     }
-  });
+  }
 }
 
 /// Per-task flop estimates of the column granularity: the same kernel-flop
@@ -180,96 +148,75 @@ void add_block_operand_edges(TaskGraph& g, int nb, rt::Team& team) {
 /// work-stealing executor can weight its critical-path priorities from the
 /// graph alone.
 void annotate_column_costs(TaskGraph& g, const symbolic::BlockStructure& bs,
-                           const std::vector<std::vector<int>>& lblocks,
-                           rt::Team& team) {
+                           const std::vector<std::vector<int>>& lblocks) {
   const auto& part = bs.part;
   const int nb = bs.num_blocks();
   std::vector<int> prows(nb);
-  team.parallel_for(nb, nb, [&](int kb, int ke, int) {
-    for (int k = kb; k < ke; ++k) {
-      int rows = part.width(k);
-      for (int t : lblocks[k]) rows += part.width(t);
-      prows[k] = rows;
-    }
-  });
+  for (int k = 0; k < nb; ++k) {
+    int rows = part.width(k);
+    for (int t : lblocks[k]) rows += part.width(t);
+    prows[k] = rows;
+  }
   g.flops.assign(g.size(), 0.0);
-  team.parallel_for(g.size(), g.size(), [&](int ib, int ie, int) {
-    for (int id = ib; id < ie; ++id) {
-      const Task& t = g.tasks.task(id);
-      const int wk = part.width(t.k);
-      if (t.kind == TaskKind::kFactor) {
-        g.flops[id] = blas::getrf_flops(prows[t.k], wk);
-      } else {
-        const int wj = part.width(t.j);
-        g.flops[id] = blas::trsm_flops(blas::Side::Left, wk, wj) +
-                      blas::gemm_flops(prows[t.k] - wk, wj, wk);
-      }
+  for (int id = 0; id < g.size(); ++id) {
+    const Task& t = g.tasks.task(id);
+    const int wk = part.width(t.k);
+    if (t.kind == TaskKind::kFactor) {
+      g.flops[id] = blas::getrf_flops(prows[t.k], wk);
+    } else {
+      const int wj = part.width(t.j);
+      g.flops[id] = blas::trsm_flops(blas::Side::Left, wk, wj) +
+                    blas::gemm_flops(prows[t.k] - wk, wj, wk);
     }
-  });
-  // Floating-point addition is not associative: total_flops is summed
-  // sequentially in id order so the parallel build stays bit-identical.
-  for (int id = 0; id < g.size(); ++id) g.total_flops += g.flops[id];
+    g.total_flops += g.flops[id];
+  }
 }
 
 /// Per-task flop/byte costs of the block granularity (the column cost
 /// model, which also needs panel footprints, lives in taskgraph/costs.h).
-void annotate_block_costs(TaskGraph& g, const symbolic::BlockStructure& bs,
-                          rt::Team& team) {
+void annotate_block_costs(TaskGraph& g, const symbolic::BlockStructure& bs) {
   const auto& part = bs.part;
   g.flops.assign(g.size(), 0.0);
   g.output_bytes.assign(g.size(), 0.0);
-  team.parallel_for(g.size(), g.size(), [&](int ib, int ie, int) {
-    for (int id = ib; id < ie; ++id) {
-      const Task& t = g.tasks.task(id);
-      const int wi = part.width(t.i);
-      const int wk = part.width(t.k);
-      const int wj = part.width(t.j);
-      switch (t.kind) {
-        case TaskKind::kFactorDiag:
-          g.flops[id] = blas::getrf_flops(wk, wk);
-          g.output_bytes[id] = 8.0 * wk * wk;
-          break;
-        case TaskKind::kFactorL:
-          g.flops[id] = blas::trsm_flops(blas::Side::Right, wi, wk);
-          g.output_bytes[id] = 8.0 * wi * wk;
-          break;
-        case TaskKind::kComputeU:
-          g.flops[id] = blas::trsm_flops(blas::Side::Left, wk, wj);
-          g.output_bytes[id] = 8.0 * wk * wj;
-          break;
-        case TaskKind::kUpdateBlock:
-          g.flops[id] = blas::gemm_flops(wi, wj, wk);
-          g.output_bytes[id] = 8.0 * wi * wj;
-          break;
-        default:
-          break;
-      }
+  for (int id = 0; id < g.size(); ++id) {
+    const Task& t = g.tasks.task(id);
+    const int wi = part.width(t.i);
+    const int wk = part.width(t.k);
+    const int wj = part.width(t.j);
+    switch (t.kind) {
+      case TaskKind::kFactorDiag:
+        g.flops[id] = blas::getrf_flops(wk, wk);
+        g.output_bytes[id] = 8.0 * wk * wk;
+        break;
+      case TaskKind::kFactorL:
+        g.flops[id] = blas::trsm_flops(blas::Side::Right, wi, wk);
+        g.output_bytes[id] = 8.0 * wi * wk;
+        break;
+      case TaskKind::kComputeU:
+        g.flops[id] = blas::trsm_flops(blas::Side::Left, wk, wj);
+        g.output_bytes[id] = 8.0 * wk * wj;
+        break;
+      case TaskKind::kUpdateBlock:
+        g.flops[id] = blas::gemm_flops(wi, wj, wk);
+        g.output_bytes[id] = 8.0 * wi * wj;
+        break;
+      default:
+        break;
     }
-  });
-  // Sequential in-order sum: see annotate_column_costs.
-  for (int id = 0; id < g.size(); ++id) g.total_flops += g.flops[id];
+    g.total_flops += g.flops[id];
+  }
 }
 
 }  // namespace
 
 TaskGraph build_task_graph(const symbolic::BlockStructure& bs, GraphKind kind,
                            Granularity granularity) {
-  // A single-lane team runs every parallel_for inline on this thread, so
-  // the sequential entry point is the same code path minus the fan-out.
-  rt::Team seq(1);
-  return build_task_graph(bs, kind, granularity, seq);
-}
-
-TaskGraph build_task_graph(const symbolic::BlockStructure& bs, GraphKind kind,
-                           Granularity granularity, rt::Team& team) {
   const int nb = bs.num_blocks();
   std::vector<std::vector<int>> lblocks(nb), ublocks(nb);
-  team.parallel_for(bs.bpattern.nnz(), nb, [&](int kb, int ke, int) {
-    for (int k = kb; k < ke; ++k) {
-      lblocks[k] = bs.l_blocks(k);
-      ublocks[k] = bs.u_blocks(k);
-    }
-  });
+  for (int k = 0; k < nb; ++k) {
+    lblocks[k] = bs.l_blocks(k);
+    ublocks[k] = bs.u_blocks(k);
+  }
 
   TaskGraph g;
   g.kind = kind;
@@ -279,41 +226,29 @@ TaskGraph build_task_graph(const symbolic::BlockStructure& bs, GraphKind kind,
   g.succ.assign(g.size(), {});
   g.indegree.assign(g.size(), 0);
 
-  // Each phase below is barrier-delimited, and within a phase indegree
-  // slots are touched either only by their owning stage (plain writes) or
-  // only atomically -- the two modes never mix inside one parallel region.
   if (granularity == Granularity::kColumn) {
-    // Common rule: F(k) -> U(k, j).  succ[factor_id(k)] and the update ids
-    // of stage k are stage-owned, so the fan-out needs no atomics.
-    team.parallel_for(g.size(), nb, [&](int kb, int ke, int) {
-      for (int k = kb; k < ke; ++k) {
-        auto [b, e] = g.tasks.update_range(k);
-        for (int id = b; id < e; ++id) {
-          add_edge(g, g.tasks.factor_id(k), id);
-        }
-      }
-    });
+    // Common rule: F(k) -> U(k, j).
+    for (int k = 0; k < nb; ++k) {
+      auto [b, e] = g.tasks.update_range(k);
+      for (int id = b; id < e; ++id) add_edge(g, g.tasks.factor_id(k), id);
+    }
   } else {
-    add_block_operand_edges(g, nb, team);
+    add_block_operand_edges(g, nb);
   }
 
   if (kind == GraphKind::kSStar || kind == GraphKind::kSStarProgramOrder) {
-    // The S* chain rule threads one hash map through the whole task list in
-    // id order -- inherently sequential, and cheap relative to the rest.
     add_sstar_chains(g, nb);
-    if (kind == GraphKind::kSStarProgramOrder) {
-      add_program_order_chains(g, nb, team);
-    }
+    if (kind == GraphKind::kSStarProgramOrder) add_program_order_chains(g, nb);
   } else if (granularity == Granularity::kColumn) {
-    add_eforest_column_rules(g, bs.beforest, nb, team);
+    add_eforest_column_rules(g, bs.beforest, nb);
   } else {
-    add_eforest_block_rules(g, bs.beforest, team);
+    add_eforest_block_rules(g, bs.beforest);
   }
 
   if (granularity == Granularity::kBlock) {
-    annotate_block_costs(g, bs, team);
+    annotate_block_costs(g, bs);
   } else {
-    annotate_column_costs(g, bs, lblocks, team);
+    annotate_column_costs(g, bs, lblocks);
   }
   return g;
 }

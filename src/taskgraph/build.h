@@ -62,6 +62,7 @@
 //   1-D.
 #pragma once
 
+#include "runtime/parallel_for.h"
 #include "symbolic/blocks.h"
 #include "symbolic/compact_storage.h"
 #include "taskgraph/tasks.h"
@@ -95,15 +96,12 @@ struct TaskGraph {
 TaskGraph build_task_graph(const symbolic::BlockStructure& bs, GraphKind kind,
                            Granularity granularity = Granularity::kColumn);
 
-/// Team-parallel variant.  Per-stage edge lists are built concurrently
-/// (succ vectors are stage-owned so their ordering is preserved; cross-stage
-/// indegree bumps are commutative atomic increments) and the cost
-/// annotation fans out per task with a sequential in-order total, so the
-/// graph -- edges, ordering, indegrees, flops, total -- is bit-identical to
-/// the sequential build.  The S* chain rule itself stays sequential (a hash
-/// map threaded in id order).
-TaskGraph build_task_graph(const symbolic::BlockStructure& bs, GraphKind kind,
-                           Granularity granularity, rt::Team& team);
+/// Forwards to the overload above; kept for perfbench/traced.cpp.
+inline TaskGraph build_task_graph(const symbolic::BlockStructure& bs,
+                                  GraphKind kind, Granularity granularity,
+                                  rt::Team&) {
+  return build_task_graph(bs, kind, granularity);
+}
 
 /// The paper's third future-work item: "use the extended LU eforest for
 /// more effective task dependence representation".  This builds the SAME

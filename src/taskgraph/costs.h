@@ -31,11 +31,11 @@ struct TaskCosts {
 TaskCosts compute_task_costs(const symbolic::BlockStructure& bs,
                              const TaskList& tasks);
 
-/// Team-parallel variant: per-panel and per-task slots are owned; the
-/// total_flops sum stays sequential in id order (fp addition is not
-/// associative), so the costs are bit-identical to the sequential build.
-TaskCosts compute_task_costs(const symbolic::BlockStructure& bs,
-                             const TaskList& tasks, rt::Team& team);
+/// Forwards to the overload above; kept for perfbench/traced.cpp.
+inline TaskCosts compute_task_costs(const symbolic::BlockStructure& bs,
+                                    const TaskList& tasks, rt::Team&) {
+  return compute_task_costs(bs, tasks);
+}
 
 /// Rows of the packed panel of block column k: its own width plus the widths
 /// of its L row blocks.

@@ -4,7 +4,6 @@
 
 #include "matrix/coo.h"
 #include "matrix/csc.h"
-#include "matrix/csr.h"
 #include "test_helpers.h"
 
 namespace plu {
@@ -99,22 +98,6 @@ TEST(Csc, NormsAgainstDense) {
   EXPECT_NEAR(a.norm1(), n1, 1e-12);
   EXPECT_NEAR(a.norm_inf(), ninf, 1e-12);
   EXPECT_NEAR(a.norm_frobenius(), std::sqrt(nf), 1e-12);
-}
-
-TEST(Csr, ConversionRoundTrip) {
-  CscMatrix a = gen::random_sparse(20, 3.0, 0.3, 0.7, 10);
-  CsrMatrix r = CsrMatrix::from_csc(a);
-  EXPECT_EQ(r.nnz(), a.nnz());
-  CscMatrix back = r.to_csc();
-  EXPECT_EQ(back.col_ptr(), a.col_ptr());
-  EXPECT_EQ(back.row_ind(), a.row_ind());
-  EXPECT_EQ(back.values(), a.values());
-  // Row access sees the same entries as the transpose's columns.
-  CscMatrix t = a.transpose();
-  for (int i = 0; i < 20; ++i) {
-    int len = r.row_end(i) - r.row_begin(i);
-    EXPECT_EQ(len, t.col_end(i) - t.col_begin(i));
-  }
 }
 
 TEST(Pattern, SetAlgebra) {

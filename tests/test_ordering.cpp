@@ -23,7 +23,6 @@
 #include "ordering/nested_dissection.h"
 #include "ordering/ordering.h"
 #include "ordering/rcm.h"
-#include "runtime/parallel_for.h"
 #include "symbolic/static_symbolic.h"
 #include "md_reference.h"
 #include "test_helpers.h"
@@ -383,10 +382,10 @@ TEST(MinimumDegree, PowerLawHubColumnsFinishInBudget) {
   EXPECT_LT(secs, 120.0) << "hub guard failed: ordering took " << secs << "s";
 }
 
-// --- Parallel AMD determinism gate (DESIGN.md section 11) -------------------
+// --- Sweep matrices ----------------------------------------------------------
 
-// Same five matrix classes x ten seeds as the parallel-analysis gate, plus
-// power-law hub shapes that exercise the element-compaction fan-out.
+// Five matrix classes x ten seeds (convected 2-D grids, dropped 3-D grids,
+// banded, uniform random, circuit), plus power-law hub shapes.
 std::vector<CscMatrix> amd_sweep_matrices() {
   std::vector<CscMatrix> out;
   gen::StencilOptions g;
@@ -417,32 +416,6 @@ std::vector<CscMatrix> amd_sweep_matrices() {
                        600 + s));
   }
   return out;
-}
-
-TEST(ParallelAmd, BitIdenticalAcrossThreadCounts) {
-  // The determinism contract: the parallel degree/hash refresh only fans out
-  // write-disjoint per-slot work, so the ordering must be BIT-identical at
-  // any lane count.  min_work = 0 forces every refresh through the parallel
-  // path even on the smallest sweep matrices.
-  int checked = 0;
-  for (const CscMatrix& a : amd_sweep_matrices()) {
-    const Pattern g = Pattern::ata(a.pattern());
-    rt::Team team1(1, 0);
-    const Permutation base = approximate_minimum_degree(g, &team1);
-    ASSERT_TRUE(Permutation::is_valid(base.old_positions()));
-    // The no-team path is the same sequential reference.
-    EXPECT_EQ(base.old_positions(),
-              approximate_minimum_degree(g).old_positions())
-        << "n=" << g.cols << " (team vs no team)";
-    for (int threads : {2, 4, 8}) {
-      rt::Team team(threads, 0);
-      EXPECT_EQ(base.old_positions(),
-                approximate_minimum_degree(g, &team).old_positions())
-          << "n=" << g.cols << " threads=" << threads;
-    }
-    ++checked;
-  }
-  EXPECT_GE(checked, 50);
 }
 
 // --- Exact minimum degree vs the rescanning reference (DESIGN.md 15) --------

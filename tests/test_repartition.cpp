@@ -144,18 +144,12 @@ TEST(Repartition, PlanStructuralInvariants) {
   }
 }
 
-// A rebuilt plan (sequential) must equal the analysis plan byte for byte --
-// the analysis builds it on a team, and the team build promises
-// bit-identity with the sequential one.
+// A rebuilt plan must equal the analysis plan byte for byte: the plan is a
+// pure function of Abar and the block structure.
 TEST(Repartition, TeamBuildMatchesSequentialBuild) {
   const std::vector<CscMatrix> pool = sweep_matrices();
   for (std::size_t m = 0; m < pool.size(); m += 7) {
-    Options aopt;
-    aopt.analysis.parallel_analyze = true;
-    aopt.analysis.threads = 4;
-    aopt.analysis.min_parallel_n = 0;  // force the team path on small inputs
-    aopt.analysis.min_step_work = 0;
-    const Analysis an = analyze(pool[m], aopt);
+    const Analysis an = analyze(pool[m]);
     const symbolic::BlockPlan seq =
         symbolic::build_block_plan(an.symbolic.abar, an.blocks);
     const std::string what = "matrix " + std::to_string(m);

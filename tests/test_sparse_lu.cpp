@@ -247,5 +247,48 @@ TEST(SparseLU, AnalysisStatsExposed) {
   EXPECT_EQ(total, an.n);
 }
 
+// ---------------------------------------------------------------------------
+// Analysis-reuse guard regression: factorize() twice on the same pattern
+// must run the symbolic pipeline ONCE; a changed pattern (same dims) must
+// re-run it.
+
+TEST(SparseLUReuse, FactorizeTwiceSamePatternAnalyzesOnce) {
+  gen::StencilOptions g;
+  g.seed = 3;
+  const CscMatrix a = gen::grid2d(7, 7, g);
+  SparseLU lu;
+  lu.factorize(a);
+  EXPECT_EQ(lu.analyze_count(), 1);
+
+  // Same pattern, scaled values: the static analysis is value-independent.
+  CscMatrix a2 = a;
+  for (double& v : a2.values()) v *= 3.0;
+  lu.factorize(a2);
+  EXPECT_EQ(lu.analyze_count(), 1);
+  lu.factorize(a2);
+  EXPECT_EQ(lu.analyze_count(), 1);
+
+  std::vector<double> b = test::random_vector(a.rows(), 5);
+  std::vector<double> x = lu.solve(b);
+  EXPECT_LT(relative_residual(a2, x, b), 1e-10);
+}
+
+TEST(SparseLUReuse, ChangedPatternSameDimsReanalyzes) {
+  const CscMatrix a = gen::banded(40, {-3, -1, 1, 3}, 0.8, 0.7, 11);
+  const CscMatrix c = gen::banded(40, {-5, -1, 1, 5}, 0.8, 0.7, 12);
+  ASSERT_EQ(a.rows(), c.rows());
+  SparseLU lu;
+  lu.factorize(a);
+  EXPECT_EQ(lu.analyze_count(), 1);
+  lu.factorize(c);  // same dims, different structure
+  EXPECT_EQ(lu.analyze_count(), 2);
+  lu.factorize(c);
+  EXPECT_EQ(lu.analyze_count(), 2);
+
+  std::vector<double> b = test::random_vector(c.rows(), 6);
+  std::vector<double> x = lu.solve(b);
+  EXPECT_LT(relative_residual(c, x, b), 1e-10);
+}
+
 }  // namespace
 }  // namespace plu

@@ -22,21 +22,23 @@
 //     --layout L            1d | 2d numeric layout             (default 1d;
 //                           2d = per-block tasks, block-restricted pivoting)
 //     --scale               MC64 max-product permutation + scaling
-//     --pivot-threshold T   threshold pivoting with diagonal preference
-//     --threads N           threaded numeric factorization
-//     --analyze-threads N   parallel symbolic analysis on N threads
-//                           (bit-identical to the sequential analysis;
-//                           0 = hardware concurrency)
+//     --pivot-threshold T   threshold pivoting with diagonal preference,
+//                           0 < T <= 1
+//     --threads N           threaded numeric factorization, N >= 1
 //     --lazy                LazyS+ zero-block elision
 //     --perturb             static pivot perturbation (SuperLU_DIST-style):
 //                           tiny pivots are bumped instead of failing; pair
 //                           with --refine to recover accuracy
 //     --refine              iterative refinement on the solution
-//     --simulate P          also print the simulated makespan on P processors
+//     --simulate P          also print the simulated makespan on P >= 1
+//                           processors
 //     --stats               print extended analysis statistics
 //     --verbose             the ordering decision, per-phase analysis
 //                           timing breakdown, plus the numeric
 //                           factorization and solve wall times
+//
+// A malformed or out-of-range number prints the usage and exits with 2.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -68,11 +70,20 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
                "       [--ordering auto|md|amd|nd|rcm|natural] [--ordering-dry-run]\n"
                "       [--no-postorder] [--taskgraph eforest|sstar|sstar-po]\n"
                "       [--layout 1d|2d] [--scale] [--pivot-threshold T]\n"
-               "       [--threads N] [--analyze-threads N] [--lazy]\n"
+               "       [--threads N] [--lazy]\n"
                "       [--perturb] [--refine] [--simulate P] [--stats]\n"
                "       [--verbose]\n",
                argv0);
   std::exit(2);
+}
+
+/// Parses all of `s` as a T: false on an empty string, trailing characters
+/// or a value outside T's range.
+template <class T>
+bool parse_number(const std::string& s, T* out) {
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 bool ends_with(const std::string& s, const std::string& suffix) {
@@ -181,13 +192,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--scale") {
       opt.scale_and_permute = true;
     } else if (arg == "--pivot-threshold") {
-      nopt.pivot_threshold = std::stod(next());
+      double& t = nopt.pivot_threshold;
+      if (!parse_number(next(), &t) || !(t > 0.0 && t <= 1.0)) usage(argv[0]);
     } else if (arg == "--threads") {
-      nopt.threads = std::stoi(next());
+      if (!parse_number(next(), &nopt.threads) || nopt.threads < 1) {
+        usage(argv[0]);
+      }
       nopt.mode = plu::ExecutionMode::kThreaded;
-    } else if (arg == "--analyze-threads") {
-      opt.analysis.parallel_analyze = true;
-      opt.analysis.threads = std::stoi(next());
     } else if (arg == "--lazy") {
       nopt.lazy_updates = true;
     } else if (arg == "--perturb") {
@@ -195,7 +206,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--refine") {
       refine = true;
     } else if (arg == "--simulate") {
-      simulate_p = std::stoi(next());
+      if (!parse_number(next(), &simulate_p) || simulate_p < 1) usage(argv[0]);
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--verbose") {
