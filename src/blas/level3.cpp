@@ -5,7 +5,6 @@
 #include "blas/tunables.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
@@ -13,8 +12,6 @@
 namespace plu::blas {
 
 namespace {
-
-std::atomic<bool> g_use_blocked{true};
 
 // Microkernel register tile and cache-blocking shape; the constants live in
 // blas/tunables.h with the other routing thresholds so they cannot drift
@@ -329,30 +326,6 @@ void trsm_right_unblocked(UpLo uplo, Trans trans, Diag diag, ConstMatrixView a,
   }
 }
 
-}  // namespace
-
-void gemm_reference(Trans transa, Trans transb, double alpha, ConstMatrixView a,
-                    ConstMatrixView b, double beta, MatrixView c) {
-  const int m = (transa == Trans::No) ? a.rows : a.cols;
-  const int k = (transa == Trans::No) ? a.cols : a.rows;
-  const int n = (transb == Trans::No) ? b.cols : b.rows;
-  assert(((transb == Trans::No) ? b.rows : b.cols) == k);
-  assert(c.rows == m && c.cols == n);
-  scale_c(beta, c);
-  if (alpha == 0.0) return;
-  auto aa = [&](int i, int p) { return (transa == Trans::No) ? a(i, p) : a(p, i); };
-  auto bb = [&](int p, int j) { return (transb == Trans::No) ? b(p, j) : b(j, p); };
-  for (int j = 0; j < n; ++j) {
-    for (int p = 0; p < k; ++p) {
-      double bpj = alpha * bb(p, j);
-      if (bpj == 0.0) continue;
-      for (int i = 0; i < m; ++i) c(i, j) += aa(i, p) * bpj;
-    }
-  }
-}
-
-namespace {
-
 // Packed engine: both operands are copied into contiguous aligned
 // micro-panel buffers (transposes fold into the packing, alpha folds
 // into B), then an kMr x kNr register-tiled microkernel sweeps them.
@@ -535,26 +508,6 @@ void trsm(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
         }
       }
     }
-  }
-}
-
-void set_use_blocked_kernels(bool use) { g_use_blocked.store(use); }
-bool use_blocked_kernels() { return g_use_blocked.load(); }
-
-void gemm_dispatch(Trans transa, Trans transb, double alpha, ConstMatrixView a,
-                   ConstMatrixView b, double beta, MatrixView c) {
-  gemm_dispatch(transa, transb, alpha, a, b, beta, c, GemmEngine::kAuto);
-}
-
-void gemm_dispatch(Trans transa, Trans transb, double alpha, ConstMatrixView a,
-                   ConstMatrixView b, double beta, MatrixView c,
-                   GemmEngine engine) {
-  if (use_blocked_kernels()) {
-    gemm(transa, transb, alpha, a, b, beta, c, engine);
-  } else {
-    // Scalar-kernel ablation arm: engine hints are routing advice for the
-    // blocked tier only; the reference kernel has exactly one engine.
-    gemm_reference(transa, transb, alpha, a, b, beta, c);
   }
 }
 

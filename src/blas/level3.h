@@ -2,10 +2,8 @@
 // factorization (gemm for Schur-complement updates, trsm for computing U
 // panels from factored diagonal blocks).
 //
-// Two gemm engines are provided:
-//   * gemm_reference - textbook triple loop, used as the correctness oracle
-//     and as the "scalar kernels" arm of the A2 ablation bench;
-//   * gemm          - register/cache-blocked version used in production.
+// gemm is register/cache-blocked with two engines (GemmEngine); the
+// textbook triple loop it is tested against lives in tests/gemm_reference.h.
 #pragma once
 
 #include "blas/dense.h"
@@ -62,30 +60,14 @@ void gemm_rows(double alpha, ConstMatrixView a, ConstMatrixView b,
                MatrixView c, const RowSpan* runs, int nruns,
                GemmEngine engine);
 
-/// C := alpha * op(A) * op(B) + beta * C  (naive triple loop).
-void gemm_reference(Trans transa, Trans transb, double alpha, ConstMatrixView a,
-                    ConstMatrixView b, double beta, MatrixView c);
-
 /// Solve op(A) X = alpha B (Side::Left) or X op(A) = alpha B (Side::Right),
 /// X overwrites B; A triangular per uplo/diag.
 void trsm(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
           ConstMatrixView a, MatrixView b);
 
-/// Global switch consulted by gemm-callers in the numeric factorization so
-/// the A2 ablation bench can force the scalar reference kernels.
-/// Not thread-safe to flip while a factorization runs; set it up front.
-void set_use_blocked_kernels(bool use);
-bool use_blocked_kernels();
-
-/// Dispatches to gemm or gemm_reference per set_use_blocked_kernels().
-void gemm_dispatch(Trans transa, Trans transb, double alpha, ConstMatrixView a,
-                   ConstMatrixView b, double beta, MatrixView c);
-
-/// Engine-hinted dispatch: forwards the hint to the blocked gemm; the
-/// scalar-ablation arm ignores it (gemm_reference has one engine).
-void gemm_dispatch(Trans transa, Trans transb, double alpha, ConstMatrixView a,
-                   ConstMatrixView b, double beta, MatrixView c,
-                   GemmEngine engine);
+/// Always true: the blocked kernels are the only kernels.  Kept only for
+/// perfbench/traced.cpp, which still reads it (like the rt::Team shims).
+inline constexpr bool use_blocked_kernels() { return true; }
 
 /// Flop counts for the cost model (multiply-add counted as 2 flops).
 double gemm_flops(int m, int n, int k);

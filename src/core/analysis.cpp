@@ -29,6 +29,16 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 /// The pipeline of analyze_pattern() without the input record.
 Analysis analyze_structure(const Pattern& a, const Options& opt);
 
+/// Throws std::invalid_argument unless the matrix is square and not empty.
+void check_shape(int rows, int cols) {
+  if (rows != cols) {
+    throw std::invalid_argument("analyze: matrix must be square");
+  }
+  if (cols == 0) {
+    throw std::invalid_argument("analyze: matrix is empty (0 x 0)");
+  }
+}
+
 /// Records the input pattern (original ordering) and its scatter slots under
 /// the final permutations; the time counts toward timings.total.
 void attach_input(Analysis& an, Pattern input) {
@@ -68,9 +78,7 @@ Analysis analyze_pattern(const Pattern& a, const Options& opt) {
 namespace {
 
 Analysis analyze_structure(const Pattern& a, const Options& opt) {
-  if (a.rows != a.cols) {
-    throw std::invalid_argument("analyze: matrix must be square");
-  }
+  check_shape(a.rows, a.cols);
   Analysis an;
   an.options = opt;
   an.n = a.cols;
@@ -163,6 +171,8 @@ Analysis analyze(const CscMatrix& a, const Options& opt) {
   }
   // MC64 preprocessing: maximize the diagonal product, scale to an
   // I-matrix, then run the regular pipeline on the preprocessed matrix.
+  // The matching indexes rows by column, so the shape is checked first.
+  check_shape(a.rows(), a.cols());
   auto wm = graph::max_product_transversal(a);
   if (!wm) {
     throw std::invalid_argument("analyze: matrix is structurally singular");

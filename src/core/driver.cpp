@@ -108,17 +108,13 @@ class RunState {
   }
 
   /// Fused row runs dispatched to one engine: `runs` kernel runs, `fused`
-  /// plan runs merged away by fusion.  kAuto means the scalar reference
-  /// arm ran (no engine routing happened).
+  /// plan runs merged away by fusion.
   void count_row_runs(blas::GemmEngine engine, long runs, int fused) {
     if (runs == 0) return;
     tile_runs_.fetch_add(runs, std::memory_order_relaxed);
     if (fused > 0) gemms_fused_.fetch_add(fused, std::memory_order_relaxed);
-    if (engine == blas::GemmEngine::kPacked) {
-      routed_packed_.fetch_add(runs, std::memory_order_relaxed);
-    } else if (engine == blas::GemmEngine::kDirect) {
-      routed_direct_.fetch_add(runs, std::memory_order_relaxed);
-    }
+    (engine == blas::GemmEngine::kPacked ? routed_packed_ : routed_direct_)
+        .fetch_add(runs, std::memory_order_relaxed);
   }
 
   void count_scans_elided(int n) {
@@ -167,7 +163,6 @@ class RunState {
   /// scan result `bdense` is computed by the caller, at most once).
   static blas::GemmEngine engine_for(int m, blas::ConstMatrixView ukj,
                                      bool bdense) {
-    if (!blas::use_blocked_kernels()) return blas::GemmEngine::kAuto;
     return bdense && blas::gemm_pack_worthwhile(m, ukj.cols, ukj.rows)
                ? blas::GemmEngine::kPacked
                : blas::GemmEngine::kDirect;
@@ -283,16 +278,14 @@ class Run1D : public RunState {
     // only when some L block with runs crosses the size threshold.
     int scans_wanted = 0;
     bool bdense = false;
-    if (blas::use_blocked_kernels()) {
-      for (std::size_t t = 0; t + 1 < cp.run_ptr.size(); ++t) {
-        scans_wanted += cp.run_ptr[t] < cp.run_ptr[t + 1] &&
-                        blas::gemm_pack_worthwhile(part.width(cp.l_list[t]),
-                                                   ukj.cols, ukj.rows);
-      }
-      if (scans_wanted > 0) {
-        bdense = blas::gemm_b_dense_enough(blas::Trans::No, ukj, ukj.rows,
-                                           ukj.cols);
-      }
+    for (std::size_t t = 0; t + 1 < cp.run_ptr.size(); ++t) {
+      scans_wanted += cp.run_ptr[t] < cp.run_ptr[t + 1] &&
+                      blas::gemm_pack_worthwhile(part.width(cp.l_list[t]),
+                                                 ukj.cols, ukj.rows);
+    }
+    if (scans_wanted > 0) {
+      bdense = blas::gemm_b_dense_enough(blas::Trans::No, ukj, ukj.rows,
+                                         ukj.cols);
     }
     std::vector<blas::RowSpan>& direct = spans(0);
     std::vector<blas::RowSpan>& packed = spans(1);
@@ -325,8 +318,7 @@ class Run1D : public RunState {
                                static_cast<int>(packed.size()),
                                blas::GemmEngine::kPacked);
     if (scans_wanted > 1) count_scans_elided(scans_wanted - 1);
-    count_row_runs(blas::use_blocked_kernels() ? blas::GemmEngine::kDirect
-                                               : blas::GemmEngine::kAuto,
+    count_row_runs(blas::GemmEngine::kDirect,
                    static_cast<long>(direct.size()), merged);
     count_row_runs(blas::GemmEngine::kPacked,
                    static_cast<long>(packed.size()), 0);
@@ -442,7 +434,6 @@ class Run2D : public RunState {
     }
     if (cp.run_ptr[t] == cp.run_ptr[t + 1]) return;
     const bool bdense =
-        blas::use_blocked_kernels() &&
         blas::gemm_pack_worthwhile(lik.rows, ukj.cols, lik.cols) &&
         blas::gemm_b_dense_enough(blas::Trans::No, ukj, lik.cols, ukj.cols);
     const blas::GemmEngine eng = engine_for(lik.rows, ukj, bdense);

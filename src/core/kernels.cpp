@@ -59,22 +59,14 @@ void solve_with_u(blas::ConstMatrixView ukk, blas::MatrixView lik) {
 
 void schur_update(blas::ConstMatrixView lik, blas::ConstMatrixView ukj,
                   blas::MatrixView bij, blas::GemmEngine engine) {
-  blas::gemm_dispatch(blas::Trans::No, blas::Trans::No, -1.0, lik, ukj, 1.0,
-                      bij, engine);
+  blas::gemm(blas::Trans::No, blas::Trans::No, -1.0, lik, ukj, 1.0, bij,
+             engine);
 }
 
 void schur_update_rows(blas::ConstMatrixView l, blas::ConstMatrixView ukj,
                        blas::MatrixView c, const blas::RowSpan* runs,
                        int nruns, blas::GemmEngine engine) {
-  if (blas::use_blocked_kernels()) {
-    blas::gemm_rows(-1.0, l, ukj, c, runs, nruns, engine);
-    return;
-  }
-  for (int r = 0; r < nruns; ++r) {
-    blas::gemm_reference(blas::Trans::No, blas::Trans::No, -1.0,
-                         l.block(runs[r].a_row, 0, runs[r].rows, l.cols), ukj,
-                         1.0, c.block(runs[r].c_row, 0, runs[r].rows, c.cols));
-  }
+  blas::gemm_rows(-1.0, l, ukj, c, runs, nruns, engine);
 }
 
 }  // namespace plu::kernels

@@ -72,17 +72,16 @@ void solve_with_u(blas::ConstMatrixView ukk, blas::MatrixView lik);
 
 /// Whole-block Schur update B_ij -= L_ik U_kj with the engine given: the
 /// hint must be the decision kAuto would have made (caller replays the
-/// exported predicates, blas/level3.h).  Ignored on the scalar-ablation
-/// arm.  Bitwise equal to schur_update_rows over the structural rows of
-/// L_ik, which is what the drivers run.
+/// exported predicates, blas/level3.h).  Bitwise equal to
+/// schur_update_rows over the structural rows of L_ik, which is what the
+/// drivers run.
 void schur_update(blas::ConstMatrixView lik, blas::ConstMatrixView ukj,
                   blas::MatrixView bij, blas::GemmEngine engine);
 
 /// Row-exact Schur update (Update(k, j) step (c)): C(runs) -= L(runs) *
 /// U_kj through blas::gemm_rows, where L is the L part of panel k and C is
 /// block column j's buffer; rows of C outside the runs are not touched.
-/// `engine` must be the decision kAuto would take for the runs' L blocks;
-/// the scalar-ablation arm runs gemm_reference per run.
+/// `engine` must be the decision kAuto would take for the runs' L blocks.
 void schur_update_rows(blas::ConstMatrixView l, blas::ConstMatrixView ukj,
                        blas::MatrixView c, const blas::RowSpan* runs,
                        int nruns, blas::GemmEngine engine);

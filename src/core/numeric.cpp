@@ -1,7 +1,6 @@
 #include "core/numeric.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -13,6 +12,7 @@
 #include "blas/level2.h"
 #include "blas/level3.h"
 #include "core/driver.h"
+#include "core/solve.h"
 #include "taskgraph/analysis.h"
 
 namespace plu {
@@ -55,6 +55,17 @@ Scan scan(blas::ConstMatrixView a) {
   }
   const double mx = std::max(std::max(m[0], m[1]), std::max(m[2], m[3]));
   return {mx, !nan && std::isfinite(mx)};
+}
+
+/// C -= A B, the update of both triangular passes: gemv at one column,
+/// gemm above, so the kernels depend on the column count only.
+void subtract_product(blas::ConstMatrixView a, blas::ConstMatrixView b,
+                      blas::MatrixView c) {
+  if (c.cols == 1) {
+    blas::gemv(blas::Trans::No, -1.0, a, b.data, 1, 1.0, c.data, 1);
+  } else {
+    blas::gemm(blas::Trans::No, blas::Trans::No, -1.0, a, b, 1.0, c);
+  }
 }
 
 }  // namespace
@@ -211,204 +222,102 @@ long Factorization::pivot_interchanges() const {
 }
 
 std::vector<double> Factorization::solve(const std::vector<double>& b) const {
-  require_usable("solve");
-  if (partial()) {
-    throw std::logic_error("solve: factorization is partial (Schur mode)");
-  }
-
-  const Analysis& an = *analysis_;
-  const int n = an.n;
-  if (static_cast<int>(b.size()) != n) {
-    throw std::invalid_argument("solve: rhs size mismatch");
-  }
-  const symbolic::SupernodePartition& part = an.blocks.part;
-  const int nb = an.blocks.num_blocks();
-
-  // y = Pr * b (rows to the analysis ordering), with the MC64 row scaling
-  // when the analysis carries one.
-  std::vector<double> y(n);
-  for (int i = 0; i < n; ++i) {
-    int old = an.row_perm.old_of(i);
-    y[i] = an.scaled() ? an.row_scale[old] * b[old] : b[old];
-  }
-
-  // Forward pass: replay (swap_k, eliminate_k) in panel order, exactly the
-  // operation sequence the factorization applied to the matrix columns.
-  std::vector<double> seg;
-  for (int k = 0; k < nb; ++k) {
-    const int wk = part.width(k);
-    // Global rows of panel k, in packed order.
-    seg.clear();
-    std::vector<int> grows;  // global rows of panel k, packed order
-    for (int r = part.first(k); r < part.end(k); ++r) grows.push_back(r);
-    for (int t : an.blocks.l_blocks(k)) {
-      for (int r = part.first(t); r < part.end(t); ++r) grows.push_back(r);
-    }
-    seg.resize(grows.size());
-    for (std::size_t p = 0; p < grows.size(); ++p) seg[p] = y[grows[p]];
-    // Pivot swaps.
-    const std::vector<int>& piv = ipiv_[k];
-    for (std::size_t c = 0; c < piv.size(); ++c) {
-      if (piv[c] != static_cast<int>(c)) std::swap(seg[c], seg[piv[c]]);
-    }
-    // Unit-lower solve on the diagonal block, then L updates below.
-    blas::ConstMatrixView panel = blocks_.panel(k);
-    blas::ConstMatrixView lkk = panel.block(0, 0, wk, wk);
-    blas::trsv(blas::UpLo::Lower, blas::Trans::No, blas::Diag::Unit, lkk,
-               seg.data(), 1);
-    const int below = static_cast<int>(grows.size()) - wk;
-    if (below > 0) {
-      blas::ConstMatrixView lbelow = panel.block(wk, 0, below, wk);
-      blas::gemv(blas::Trans::No, -1.0, lbelow, seg.data(), 1, 1.0,
-                 seg.data() + wk, 1);
-    }
-    for (std::size_t p = 0; p < grows.size(); ++p) y[grows[p]] = seg[p];
-  }
-
-  // Backward pass, column-oriented: z_k = U_kk^{-1} y_k, then subtract
-  // U_ik z_k from every U block above the diagonal of block column k.
-  for (int k = nb - 1; k >= 0; --k) {
-    const int wk = part.width(k);
-    double* yk = y.data() + part.first(k);
-    blas::ConstMatrixView panel = blocks_.panel(k);
-    blas::ConstMatrixView ukk = panel.block(0, 0, wk, wk);
-    blas::trsv(blas::UpLo::Upper, blas::Trans::No, blas::Diag::NonUnit, ukk, yk, 1);
-    for (int i : blocks_.column_blocks(k)) {
-      if (i >= k) break;
-      blas::ConstMatrixView uik = blocks_.block(i, k);
-      blas::gemv(blas::Trans::No, -1.0, uik, yk, 1, 1.0,
-                 y.data() + part.first(i), 1);
-    }
-  }
-
-  // x[col_perm.old_of(j)] = y[j], undoing the MC64 column scaling.
-  std::vector<double> x(n);
-  for (int j = 0; j < n; ++j) {
-    int old = an.col_perm.old_of(j);
-    x[old] = an.scaled() ? an.col_scale[old] * y[j] : y[j];
-  }
+  const int n = static_cast<int>(b.size());
+  std::vector<double> x(b.size());
+  solve_matrix({b.data(), n, 1}, {x.data(), n, 1});
   return x;
 }
 
 void Factorization::solve_matrix(blas::ConstMatrixView b, blas::MatrixView x) const {
-  require_usable("solve_matrix");
-  if (partial()) {
-    throw std::logic_error("solve: factorization is partial (Schur mode)");
-  }
-
   const Analysis& an = *analysis_;
-  const int n = an.n;
-  const int nrhs = b.cols;
-  if (b.rows != n || x.rows != n || x.cols != nrhs) {
-    throw std::invalid_argument("solve_matrix: shape mismatch");
-  }
+  // Y = Pr B (rows to the analysis ordering), with the MC64 row scaling
+  // when the analysis carries one.
+  blas::DenseMatrix y = solve_prologue(*this, "solve", b, x,
+                                       an.row_perm.old_positions(),
+                                       an.row_scale);
   const symbolic::SupernodePartition& part = an.blocks.part;
   const int nb = an.blocks.num_blocks();
+  const int nrhs = b.cols;
 
-  // Y = (scaled) Pr B, column-major workspace.
-  blas::DenseMatrix y(n, nrhs);
-  for (int i = 0; i < n; ++i) {
-    int old = an.row_perm.old_of(i);
-    double s = an.scaled() ? an.row_scale[old] : 1.0;
-    for (int r = 0; r < nrhs; ++r) y(i, r) = s * b(old, r);
-  }
-
-  // Forward pass: per panel, gather the packed segment for all right-hand
-  // sides, replay the pivots, unit-lower trsm, one gemm for the L part.
-  blas::DenseMatrix seg_buf(0, 0);
+  // Forward pass: replay (swap_k, eliminate_k) in panel order, exactly the
+  // operation sequence the factorization applied to the matrix columns.
+  // Per panel: gather the packed segment of every right-hand side into one
+  // reused buffer, replay the pivots, unit-lower solve, update the L part.
+  std::vector<int> rows;
+  std::vector<double> buf;
   for (int k = 0; k < nb; ++k) {
     const int wk = part.width(k);
-    std::vector<int> grows;
-    for (int r = part.first(k); r < part.end(k); ++r) grows.push_back(r);
-    for (int t : an.blocks.l_blocks(k)) {
-      for (int r = part.first(t); r < part.end(t); ++r) grows.push_back(r);
+    panel_rows(an, k, rows);
+    const int m = static_cast<int>(rows.size());
+    buf.resize(static_cast<std::size_t>(m) * nrhs);
+    blas::MatrixView seg(buf.data(), m, nrhs);
+    for (int r = 0; r < nrhs; ++r) {
+      for (int p = 0; p < m; ++p) seg(p, r) = y(rows[p], r);
     }
-    const int m = static_cast<int>(grows.size());
-    blas::DenseMatrix seg(m, nrhs);
-    for (int p = 0; p < m; ++p) {
-      for (int r = 0; r < nrhs; ++r) seg(p, r) = y(grows[p], r);
-    }
-    blas::laswp(seg.view(), ipiv_[k], 0, static_cast<int>(ipiv_[k].size()));
+    blas::laswp(seg, ipiv_[k], 0, static_cast<int>(ipiv_[k].size()));
     blas::ConstMatrixView panel = blocks_.panel(k);
     blas::trsm(blas::Side::Left, blas::UpLo::Lower, blas::Trans::No,
                blas::Diag::Unit, 1.0, panel.block(0, 0, wk, wk),
-               seg.view().block(0, 0, wk, nrhs));
+               seg.block(0, 0, wk, nrhs));
     if (m > wk) {
-      blas::gemm_dispatch(blas::Trans::No, blas::Trans::No, -1.0,
-                          panel.block(wk, 0, m - wk, wk),
-                          seg.view().block(0, 0, wk, nrhs), 1.0,
-                          seg.view().block(wk, 0, m - wk, nrhs));
+      subtract_product(panel.block(wk, 0, m - wk, wk),
+                       seg.block(0, 0, wk, nrhs),
+                       seg.block(wk, 0, m - wk, nrhs));
     }
-    for (int p = 0; p < m; ++p) {
-      for (int r = 0; r < nrhs; ++r) y(grows[p], r) = seg(p, r);
+    for (int r = 0; r < nrhs; ++r) {
+      for (int p = 0; p < m; ++p) y(rows[p], r) = seg(p, r);
     }
   }
 
-  // Backward pass: per block column, upper trsm on the diagonal block, then
-  // one gemm per U block above it.
+  // Backward pass, column-oriented: Z_k = U_kk^{-1} Y_k, then subtract
+  // U_ik Z_k for every U block above the diagonal of block column k.
   for (int k = nb - 1; k >= 0; --k) {
     const int wk = part.width(k);
     blas::MatrixView yk = y.view().block(part.first(k), 0, wk, nrhs);
-    blas::ConstMatrixView panel = blocks_.panel(k);
     blas::trsm(blas::Side::Left, blas::UpLo::Upper, blas::Trans::No,
-               blas::Diag::NonUnit, 1.0, panel.block(0, 0, wk, wk), yk);
-    blas::ConstMatrixView yk_c = yk;
+               blas::Diag::NonUnit, 1.0, blocks_.panel(k).block(0, 0, wk, wk),
+               yk);
     for (int i : blocks_.column_blocks(k)) {
       if (i >= k) break;
-      blas::gemm_dispatch(blas::Trans::No, blas::Trans::No, -1.0,
-                          blocks_.block(i, k), yk_c, 1.0,
-                          y.view().block(part.first(i), 0, part.width(i), nrhs));
+      subtract_product(blocks_.block(i, k), yk,
+                       y.view().block(part.first(i), 0, part.width(i), nrhs));
     }
   }
 
-  // X = (scaled) Qc Y.
-  for (int j = 0; j < n; ++j) {
-    int old = an.col_perm.old_of(j);
-    double s = an.scaled() ? an.col_scale[old] : 1.0;
-    for (int r = 0; r < nrhs; ++r) x(old, r) = s * y(j, r);
-  }
+  // X = Qc Y, undoing the MC64 column scaling.
+  solve_epilogue(y.view(), an.col_perm.old_positions(), an.col_scale, x);
 }
 
 std::vector<double> Factorization::solve_transpose(const std::vector<double>& b) const {
-  require_usable("solve_transpose");
-  if (partial()) {
-    throw std::logic_error("solve: factorization is partial (Schur mode)");
-  }
-
   // A = Pr^T Apre Qc^T and Phat Apre = L U, so
   //   A^T x = b  <=>  U^T L^T Phat (Pr x) = Qc^T b.
   const Analysis& an = *analysis_;
-  const int n = an.n;
-  if (static_cast<int>(b.size()) != n) {
-    throw std::invalid_argument("solve_transpose: rhs size mismatch");
-  }
-  const symbolic::SupernodePartition& part = an.blocks.part;
-  const int nb = an.blocks.num_blocks();
-
+  const int n = static_cast<int>(b.size());
+  std::vector<double> x(b.size());
+  const blas::MatrixView xv(x.data(), n, 1);
   // c = Qc^T b (column-scaled when the analysis carries MC64 scalings:
   // A^T = Qc Dc Apre^T Dr Pr up to the permutation frames).
-  std::vector<double> y(n);
-  for (int j = 0; j < n; ++j) {
-    int old = an.col_perm.old_of(j);
-    y[j] = an.scaled() ? an.col_scale[old] * b[old] : b[old];
-  }
+  blas::DenseMatrix yd =
+      solve_prologue(*this, "solve_transpose", {b.data(), n, 1}, xv,
+                     an.col_perm.old_positions(), an.col_scale);
+  double* y = yd.data();
+  const symbolic::SupernodePartition& part = an.blocks.part;
+  const int nb = an.blocks.num_blocks();
 
   // Forward solve U^T z = c (U^T is lower triangular), column-oriented over
   // the stored U blocks: subtract the already-solved pieces, then solve the
   // transposed diagonal block.
   for (int k = 0; k < nb; ++k) {
     const int wk = part.width(k);
-    double* yk = y.data() + part.first(k);
+    double* yk = y + part.first(k);
     for (int i : blocks_.column_blocks(k)) {
       if (i >= k) break;
-      blas::ConstMatrixView uik = blocks_.block(i, k);
       // y_k -= U_ik^T y_i.
-      blas::gemv(blas::Trans::Yes, -1.0, uik, y.data() + part.first(i), 1, 1.0,
-                 yk, 1);
+      blas::gemv(blas::Trans::Yes, -1.0, blocks_.block(i, k), y + part.first(i),
+                 1, 1.0, yk, 1);
     }
-    blas::ConstMatrixView panel = blocks_.panel(k);
-    blas::ConstMatrixView ukk = panel.block(0, 0, wk, wk);
-    blas::trsv(blas::UpLo::Upper, blas::Trans::Yes, blas::Diag::NonUnit, ukk, yk, 1);
+    blas::trsv(blas::UpLo::Upper, blas::Trans::Yes, blas::Diag::NonUnit,
+               blocks_.panel(k).block(0, 0, wk, wk), yk, 1);
   }
 
   // The stored L lives at deferred-pivot positions, so the global identity
@@ -419,44 +328,30 @@ std::vector<double> Factorization::solve_transpose(const std::vector<double>& b)
   // step k -- exactly what the storage holds), and Apre = E^{-1} U.  Hence
   // Apre^T w = c  solves as  v = U^{-T} c  followed by  w = E^T v, i.e. for
   // k = N..1: v := L_k^{-T} v, then v := S_k^T v (reverse the interchanges).
+  std::vector<int> rows;
   std::vector<double> seg;
   for (int k = nb - 1; k >= 0; --k) {
     const int wk = part.width(k);
-    std::vector<int> grows;
-    for (int r = part.first(k); r < part.end(k); ++r) grows.push_back(r);
-    for (int t : an.blocks.l_blocks(k)) {
-      for (int r = part.first(t); r < part.end(t); ++r) grows.push_back(r);
-    }
-    seg.resize(grows.size());
-    for (std::size_t p = 0; p < grows.size(); ++p) seg[p] = y[grows[p]];
+    panel_rows(an, k, rows);
+    seg.resize(rows.size());
+    for (std::size_t p = 0; p < rows.size(); ++p) seg[p] = y[rows[p]];
     // L_k^{-T}: seg_K -= L_below^T seg_below, then unit-upper solve with
     // the transposed diagonal block.
     blas::ConstMatrixView panel = blocks_.panel(k);
-    const int below = static_cast<int>(grows.size()) - wk;
+    const int below = static_cast<int>(rows.size()) - wk;
     if (below > 0) {
-      blas::ConstMatrixView lbelow = panel.block(wk, 0, below, wk);
-      blas::gemv(blas::Trans::Yes, -1.0, lbelow, seg.data() + wk, 1, 1.0,
-                 seg.data(), 1);
+      blas::gemv(blas::Trans::Yes, -1.0, panel.block(wk, 0, below, wk),
+                 seg.data() + wk, 1, 1.0, seg.data(), 1);
     }
-    blas::ConstMatrixView lkk = panel.block(0, 0, wk, wk);
-    blas::trsv(blas::UpLo::Lower, blas::Trans::Yes, blas::Diag::Unit, lkk,
-               seg.data(), 1);
-    // S_k^T: replay panel k's interchanges in reverse.
-    const std::vector<int>& piv = ipiv_[k];
-    for (std::size_t c = piv.size(); c-- > 0;) {
-      if (piv[c] != static_cast<int>(c)) {
-        std::swap(seg[c], seg[piv[c]]);
-      }
-    }
-    for (std::size_t p = 0; p < grows.size(); ++p) y[grows[p]] = seg[p];
+    blas::trsv(blas::UpLo::Lower, blas::Trans::Yes, blas::Diag::Unit,
+               panel.block(0, 0, wk, wk), seg.data(), 1);
+    for (std::size_t p = 0; p < rows.size(); ++p) y[rows[p]] = seg[p];
+    // S_k^T: panel k's interchanges in reverse.
+    undo_interchanges(ipiv_[k], rows, y);
   }
 
   // x = Pr^T w, undoing the row scaling.
-  std::vector<double> x(n);
-  for (int i = 0; i < n; ++i) {
-    int old = an.row_perm.old_of(i);
-    x[old] = an.scaled() ? an.row_scale[old] * y[i] : y[i];
-  }
+  solve_epilogue(yd.view(), an.row_perm.old_positions(), an.row_scale, xv);
   return x;
 }
 

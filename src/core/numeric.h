@@ -208,16 +208,22 @@ class Factorization {
   /// this toward zero.
   long pivot_interchanges() const;
 
-  /// Solves A x = b (original ordering).  b.size() == n.
+  /// Solves A x = b (original ordering).  b.size() == n.  The n x 1 case
+  /// of solve_matrix, so bitwise equal to it at one right-hand side.
   std::vector<double> solve(const std::vector<double>& b) const;
 
   /// Solves A^T x = b (original ordering).
   std::vector<double> solve_transpose(const std::vector<double>& b) const;
 
-  /// Blocked multi-right-hand-side solve: B is n x nrhs column-major; the
-  /// result overwrites X (same shape).  Equivalent to nrhs solve() calls but
-  /// runs the triangular passes with level-3 kernels across all columns.
+  /// Multi-right-hand-side solve: B is n x nrhs column-major; the result
+  /// overwrites X (same shape).  One panel walk for all columns; its
+  /// updates run gemv at nrhs = 1 and gemm above (the left trsm is one
+  /// trsv per column).
   void solve_matrix(blas::ConstMatrixView b, blas::MatrixView x) const;
+
+  /// Throws std::runtime_error unless factor_usable(status()); `what` names
+  /// the caller in the message.
+  void require_usable(const char* what) const;
 
   /// True when NumericOptions::stop_after_block cut the factorization short.
   bool partial() const { return factored_blocks_ < analysis_->blocks.num_blocks(); }
@@ -228,9 +234,6 @@ class Factorization {
   /// columns are the trailing columns of the analysis ordering, with the
   /// leading panels' pivot interchanges already folded in.
   blas::DenseMatrix schur_complement() const;
-
-  /// In-place variant over multiple right-hand sides is deliberately not
-  /// offered; loop solve() instead (problem sizes here make it moot).
 
   /// Row-run routing counters of the run (symbolic/repartition.h).
   const symbolic::BlockingStats& blocking_stats() const {
@@ -243,9 +246,6 @@ class Factorization {
   /// The run body shared by the constructor and refactor(); expects zeroed
   /// storage.
   void run(const CscMatrix& a, const NumericOptions& opt);
-
-  /// Throws std::runtime_error unless factor_usable(status_).
-  void require_usable(const char* what) const;
 
   const Analysis* analysis_;
   BlockMatrix blocks_;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 
 #include "blas/level2.h"
+#include "core/solve.h"
 #include "runtime/dag_executor.h"
 
 namespace plu {
@@ -19,57 +19,27 @@ void add_edge_unique(std::vector<std::vector<int>>& succ, std::vector<int>& inde
   ++indeg[to];
 }
 
-std::vector<int> panel_global_rows(const Analysis& an, int k) {
-  const symbolic::SupernodePartition& part = an.blocks.part;
-  std::vector<int> rows;
-  for (int r = part.first(k); r < part.end(k); ++r) rows.push_back(r);
-  for (int t : an.blocks.l_blocks(k)) {
-    for (int r = part.first(t); r < part.end(t); ++r) rows.push_back(r);
-  }
-  return rows;
-}
-
 }  // namespace
 
 ParallelSolver::ParallelSolver(const Factorization& f) : f_(&f) {
   const Analysis& an = f.analysis();
   const symbolic::SupernodePartition& part = an.blocks.part;
   const int nb = an.blocks.num_blocks();
-  const int n = an.n;
 
-  // Eager positions of every panel's below-diagonal rows: walk panels
-  // backwards accumulating the suffix of interchanges (cf. extract_l_dense).
+  // Eager positions of every panel's below-diagonal rows (the backward
+  // suffix walk, as extract_l_dense uses it).
   eager_rows_.assign(nb, {});
-  std::vector<int> pos(n);
-  std::iota(pos.begin(), pos.end(), 0);
-  for (int k = nb - 1; k >= 0; --k) {
-    std::vector<int> grows = panel_global_rows(an, k);
-    const int wk = part.width(k);
-    eager_rows_[k].reserve(grows.size() - wk);
-    for (std::size_t r = wk; r < grows.size(); ++r) {
-      eager_rows_[k].push_back(pos[grows[r]]);
+  walk_eager_positions(f, [&](int k, const std::vector<int>& rows,
+                              const std::vector<int>& pos) {
+    for (std::size_t r = part.width(k); r < rows.size(); ++r) {
+      eager_rows_[k].push_back(pos[rows[r]]);
     }
-    const std::vector<int>& piv = f.panel_ipiv(k);
-    for (std::size_t c = piv.size(); c-- > 0;) {
-      if (piv[c] != static_cast<int>(c)) {
-        std::swap(pos[grows[c]], pos[grows[piv[c]]]);
-      }
-    }
-  }
+  });
 
-  // pre_perm_[r] = Apre row sitting at eager position r after all pivots:
-  // replay the interchanges forward on an identity map.
-  pre_perm_.resize(n);
-  std::iota(pre_perm_.begin(), pre_perm_.end(), 0);
-  for (int k = 0; k < nb; ++k) {
-    std::vector<int> grows = panel_global_rows(an, k);
-    const std::vector<int>& piv = f.panel_ipiv(k);
-    for (std::size_t c = 0; c < piv.size(); ++c) {
-      if (piv[c] != static_cast<int>(c)) {
-        std::swap(pre_perm_[grows[c]], pre_perm_[grows[piv[c]]]);
-      }
-    }
-  }
+  // gather_[r] = input row that lands at eager position r: the forward
+  // composition of the interchanges, then the analysis row permutation.
+  gather_ = pivot_old_of(f);
+  for (int& r : gather_) r = an.row_perm.old_of(r);
 
   // Forward DAG: consumer edges k -> block(eager position).
   fwd_succ_.assign(nb, {});
@@ -100,29 +70,28 @@ std::vector<double> ParallelSolver::solve(const std::vector<double>& b,
   const Factorization& f = *f_;
   const Analysis& an = f.analysis();
   const symbolic::SupernodePartition& part = an.blocks.part;
-  const int n = an.n;
-  assert(static_cast<int>(b.size()) == n);
-
-  // y = Phat Pr b, both permutations folded into one gather (plus the MC64
+  const int n = static_cast<int>(b.size());
+  std::vector<double> x(b.size());
+  const blas::MatrixView xv(x.data(), n, 1);
+  // y = Phat Pr b, both permutations folded into gather_ (plus the MC64
   // row scaling when present).
-  std::vector<double> y(n);
-  for (int r = 0; r < n; ++r) {
-    int old = an.row_perm.old_of(pre_perm_[r]);
-    y[r] = an.scaled() ? an.row_scale[old] * b[old] : b[old];
-  }
+  blas::DenseMatrix yd = solve_prologue(f, "ParallelSolver::solve",
+                                        {b.data(), n, 1}, xv, gather_,
+                                        an.row_scale);
+  double* y = yd.data();
 
   const BlockMatrix& bm = f.blocks();
   auto forward_step = [&](int k) {
     const int wk = part.width(k);
-    double* yk = y.data() + part.first(k);
+    double* yk = y + part.first(k);
     blas::ConstMatrixView panel = bm.panel(k);
-    blas::ConstMatrixView lkk = panel.block(0, 0, wk, wk);
-    blas::trsv(blas::UpLo::Lower, blas::Trans::No, blas::Diag::Unit, lkk, yk, 1);
+    blas::trsv(blas::UpLo::Lower, blas::Trans::No, blas::Diag::Unit,
+               panel.block(0, 0, wk, wk), yk, 1);
     const int below = static_cast<int>(eager_rows_[k].size());
     if (below == 0) return;
     std::vector<double> contrib(below, 0.0);
-    blas::ConstMatrixView lbelow = panel.block(wk, 0, below, wk);
-    blas::gemv(blas::Trans::No, 1.0, lbelow, yk, 1, 0.0, contrib.data(), 1);
+    blas::gemv(blas::Trans::No, 1.0, panel.block(wk, 0, below, wk), yk, 1, 0.0,
+               contrib.data(), 1);
     // Scatter-subtract under per-block locks, grouping runs by target block
     // to bound lock traffic.
     int r = 0;
@@ -144,16 +113,14 @@ std::vector<double> ParallelSolver::solve(const std::vector<double>& b,
 
   auto backward_step = [&](int k) {
     const int wk = part.width(k);
-    double* yk = y.data() + part.first(k);
-    blas::ConstMatrixView panel = bm.panel(k);
-    blas::ConstMatrixView ukk = panel.block(0, 0, wk, wk);
-    blas::trsv(blas::UpLo::Upper, blas::Trans::No, blas::Diag::NonUnit, ukk, yk, 1);
+    double* yk = y + part.first(k);
+    blas::trsv(blas::UpLo::Upper, blas::Trans::No, blas::Diag::NonUnit,
+               bm.panel(k).block(0, 0, wk, wk), yk, 1);
     for (int i : bm.column_blocks(k)) {
       if (i >= k) break;
-      blas::ConstMatrixView uik = bm.block(i, k);
       std::lock_guard<std::mutex> lock((*row_locks_)[i]);
-      blas::gemv(blas::Trans::No, -1.0, uik, yk, 1, 1.0,
-                 y.data() + part.first(i), 1);
+      blas::gemv(blas::Trans::No, -1.0, bm.block(i, k), yk, 1, 1.0,
+                 y + part.first(i), 1);
     }
   };
   rt::ExecutionReport bwd =
@@ -161,11 +128,7 @@ std::vector<double> ParallelSolver::solve(const std::vector<double>& b,
   assert(bwd.completed);
   (void)bwd;
 
-  std::vector<double> x(n);
-  for (int j = 0; j < n; ++j) {
-    int old = an.col_perm.old_of(j);
-    x[old] = an.scaled() ? an.col_scale[old] * y[j] : y[j];
-  }
+  solve_epilogue(yd.view(), an.col_perm.old_positions(), an.col_scale, xv);
   return x;
 }
 

@@ -38,6 +38,9 @@ class ParallelSolver {
 
   /// Solves A x = b on `threads` threads.  Agrees with f.solve(b) up to
   /// roundoff (contribution order is nondeterministic under threads > 1).
+  /// Throws like f.solve(b): std::runtime_error on unusable factors,
+  /// std::logic_error on a partial factorization, std::invalid_argument
+  /// when b.size() != n.
   std::vector<double> solve(const std::vector<double>& b, int threads) const;
 
   /// DAG accessors for tests and benches (tasks are block-column indices).
@@ -52,9 +55,9 @@ class ParallelSolver {
 
  private:
   const Factorization* f_;
-  /// pre_perm_[r] = index into the (row_perm-gathered) rhs for eager
-  /// position r; folds Phat into the initial gather.
-  std::vector<int> pre_perm_;
+  /// gather_[r] = row of the input rhs at eager position r: Phat and the
+  /// analysis row permutation folded into one gather.
+  std::vector<int> gather_;
   /// Per panel: eager global positions of its below-diagonal packed rows.
   std::vector<std::vector<int>> eager_rows_;
   std::vector<std::vector<int>> fwd_succ_;

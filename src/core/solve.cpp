@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace plu {
 
@@ -27,45 +29,62 @@ int permutation_sign(const std::vector<int>& old_of) {
   return (transpositions % 2 == 0) ? 1 : -1;
 }
 
-/// Global rows of panel k in packed order.
-std::vector<int> panel_global_rows(const Analysis& an, int k) {
-  const symbolic::SupernodePartition& part = an.blocks.part;
-  std::vector<int> rows;
-  for (int r = part.first(k); r < part.end(k); ++r) rows.push_back(r);
-  for (int t : an.blocks.l_blocks(k)) {
-    for (int r = part.first(t); r < part.end(t); ++r) rows.push_back(r);
-  }
-  return rows;
-}
-
 }  // namespace
 
-std::vector<double> solve_many(const Factorization& f,
-                               const std::vector<double>& b_colmajor, int nrhs) {
-  const int n = f.analysis().n;
-  std::vector<double> x(b_colmajor.size());
-  std::vector<double> col(n);
-  for (int r = 0; r < nrhs; ++r) {
-    std::copy(b_colmajor.begin() + static_cast<std::ptrdiff_t>(r) * n,
-              b_colmajor.begin() + static_cast<std::ptrdiff_t>(r + 1) * n,
-              col.begin());
-    std::vector<double> xr = f.solve(col);
-    std::copy(xr.begin(), xr.end(), x.begin() + static_cast<std::ptrdiff_t>(r) * n);
+void panel_rows(const Analysis& an, int k, std::vector<int>& rows) {
+  const symbolic::SupernodePartition& part = an.blocks.part;
+  rows.resize(part.width(k));
+  std::iota(rows.begin(), rows.end(), part.first(k));
+  for (int t : an.block_plan.columns[k].l_list) {
+    for (int r = part.first(t); r < part.end(t); ++r) rows.push_back(r);
   }
-  return x;
+}
+
+blas::DenseMatrix solve_prologue(const Factorization& f, const char* what,
+                                 blas::ConstMatrixView b,
+                                 blas::ConstMatrixView x,
+                                 const std::vector<int>& gather,
+                                 const std::vector<double>& scale) {
+  f.require_usable(what);
+  if (f.partial()) {
+    throw std::logic_error(std::string(what) +
+                           ": factorization is partial (Schur mode)");
+  }
+  const int n = f.analysis().n;
+  if (b.rows != n || x.rows != n || x.cols != b.cols) {
+    throw std::invalid_argument(std::string(what) + ": rhs shape mismatch");
+  }
+  blas::DenseMatrix y(n, b.cols);
+  for (int r = 0; r < b.cols; ++r) {
+    for (int i = 0; i < n; ++i) {
+      const int old = gather[i];
+      y(i, r) = scale.empty() ? b(old, r) : scale[old] * b(old, r);
+    }
+  }
+  return y;
+}
+
+void solve_epilogue(blas::ConstMatrixView y, const std::vector<int>& scatter,
+                    const std::vector<double>& scale, blas::MatrixView x) {
+  for (int r = 0; r < y.cols; ++r) {
+    for (int j = 0; j < y.rows; ++j) {
+      const int old = scatter[j];
+      x(old, r) = scale.empty() ? y(j, r) : scale[old] * y(j, r);
+    }
+  }
 }
 
 std::vector<int> pivot_old_of(const Factorization& f) {
   const Analysis& an = f.analysis();
-  const int n = an.n;
-  std::vector<int> cur(n);
+  std::vector<int> cur(an.n);
   std::iota(cur.begin(), cur.end(), 0);
+  std::vector<int> rows;
   for (int k = 0; k < an.blocks.num_blocks(); ++k) {
-    std::vector<int> grows = panel_global_rows(an, k);
+    panel_rows(an, k, rows);
     const std::vector<int>& piv = f.panel_ipiv(k);
     for (std::size_t c = 0; c < piv.size(); ++c) {
       if (piv[c] != static_cast<int>(c)) {
-        std::swap(cur[grows[c]], cur[grows[piv[c]]]);
+        std::swap(cur[rows[c]], cur[rows[piv[c]]]);
       }
     }
   }
@@ -91,11 +110,8 @@ Determinant determinant(const Factorization& f) {
       if (u < 0.0) sign = -sign;
       d.log_abs += std::log(std::abs(u));
     }
-    const std::vector<int>& piv = f.panel_ipiv(k);
-    for (std::size_t c = 0; c < piv.size(); ++c) {
-      if (piv[c] != static_cast<int>(c)) sign = -sign;
-    }
   }
+  if (f.pivot_interchanges() % 2 != 0) sign = -sign;
   sign *= permutation_sign(an.row_perm.old_positions());
   sign *= permutation_sign(an.col_perm.old_positions());
   // Apre = Pr Dr A Dc Qc-style scaling: divide the scales back out (they
@@ -195,35 +211,24 @@ blas::DenseMatrix extract_l_dense(const Factorization& f) {
   // Deferred pivoting never replays a panel's swaps on columns LEFT of the
   // panel, so the stored L column k sits at the row positions current at
   // panel k's time.  The eager-getrf L (the one satisfying L U = P Apre)
-  // has those rows additionally moved by every later panel's swaps; `pos`
-  // accumulates that suffix composition while we walk panels backwards.
+  // has those rows additionally moved by every later panel's swaps, which
+  // is the suffix composition walk_eager_positions hands to each panel.
   const Analysis& an = f.analysis();
   const int n = an.n;
-  const int nb = an.blocks.num_blocks();
   blas::DenseMatrix l(n, n);
   for (int i = 0; i < n; ++i) l(i, i) = 1.0;
   const symbolic::SupernodePartition& part = an.blocks.part;
-  std::vector<int> pos(n);  // pos[r] = final position of current row r
-  std::iota(pos.begin(), pos.end(), 0);
-  for (int k = nb - 1; k >= 0; --k) {
+  walk_eager_positions(f, [&](int k, const std::vector<int>& rows,
+                              const std::vector<int>& pos) {
     blas::ConstMatrixView panel = f.blocks().panel(k);
-    std::vector<int> grows = panel_global_rows(an, k);
     for (int c = 0; c < part.width(k); ++c) {
       const int col = part.first(k) + c;
-      for (std::size_t r = c + 1; r < grows.size(); ++r) {
+      for (std::size_t r = c + 1; r < rows.size(); ++r) {
         double v = panel(static_cast<int>(r), c);
-        if (v != 0.0) l(pos[grows[r]], col) = v;
+        if (v != 0.0) l(pos[rows[r]], col) = v;
       }
     }
-    // Fold panel k's own swaps into pos (applied in reverse swap order so
-    // that pos ends up as (later swaps) o (panel k swaps)).
-    const std::vector<int>& piv = f.panel_ipiv(k);
-    for (std::size_t c = piv.size(); c-- > 0;) {
-      if (piv[c] != static_cast<int>(c)) {
-        std::swap(pos[grows[c]], pos[grows[piv[c]]]);
-      }
-    }
-  }
+  });
   return l;
 }
 

@@ -1,7 +1,10 @@
-// Post-factorization utilities: multi-RHS solves, determinant, dense factor
-// extraction (test/debug aids for small problems).
+// Post-factorization utilities: the panel walk every triangular solve
+// shares, determinant, pivot permutation, dense factor extraction
+// (test/debug aids for small problems), condition and growth estimates.
 #pragma once
 
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "blas/dense.h"
@@ -9,9 +12,55 @@
 
 namespace plu {
 
-/// Solves A X = B column by column; B is n x nrhs column-major.
-std::vector<double> solve_many(const Factorization& f,
-                               const std::vector<double>& b_colmajor, int nrhs);
+// The panel walk.  Every solve (step 4 of the paper's scheme) uses the
+// factors as the panel tasks left them, each panel's interchanges deferred.
+
+/// Global rows of panel k in packed order: the rows of supernode k, then
+/// those of each L block of block_plan.columns[k].l_list.  Overwrites
+/// `rows`, reusing its capacity.
+void panel_rows(const Analysis& an, int k, std::vector<int>& rows);
+
+/// Panel interchanges `piv` undone on v, indexed by global row: the swaps
+/// of rows[c] and rows[piv[c]], last swap first.
+template <class T>
+void undo_interchanges(const std::vector<int>& piv,
+                       const std::vector<int>& rows, T* v) {
+  for (std::size_t c = piv.size(); c-- > 0;) {
+    if (piv[c] != static_cast<int>(c)) std::swap(v[rows[c]], v[rows[piv[c]]]);
+  }
+}
+
+/// The backward (suffix) composition of the deferred interchanges; the
+/// forward one is pivot_old_of.  For k = nb-1 down to 0 it calls
+/// visit(k, rows, pos), rows = panel k's global rows, pos[r] = the final
+/// (eager-getrf) position of the row at global row r when panel k ran;
+/// then it folds panel k's interchanges into pos.
+template <class Visit>
+void walk_eager_positions(const Factorization& f, Visit&& visit) {
+  const Analysis& an = f.analysis();
+  std::vector<int> pos(an.n);
+  std::iota(pos.begin(), pos.end(), 0);
+  std::vector<int> rows;
+  for (int k = an.blocks.num_blocks() - 1; k >= 0; --k) {
+    panel_rows(an, k, rows);
+    visit(k, rows, pos);
+    undo_interchanges(f.panel_ipiv(k), rows, pos.data());
+  }
+}
+
+/// Solve prologue: throws std::runtime_error unless f's factors are usable,
+/// std::logic_error when f is partial and std::invalid_argument unless b
+/// has n rows and x has b's shape (`what` names the solve).  Then returns
+/// Y(i, :) = s[old] * B(old, :), old = gather[i], s = `scale` (1 if empty).
+blas::DenseMatrix solve_prologue(const Factorization& f, const char* what,
+                                 blas::ConstMatrixView b,
+                                 blas::ConstMatrixView x,
+                                 const std::vector<int>& gather,
+                                 const std::vector<double>& scale);
+
+/// Solve epilogue: X(old, :) = s[old] * Y(j, :), old = scatter[j].
+void solve_epilogue(blas::ConstMatrixView y, const std::vector<int>& scatter,
+                    const std::vector<double>& scale, blas::MatrixView x);
 
 struct Determinant {
   double log_abs = 0.0;  // log |det A|
@@ -30,7 +79,8 @@ blas::DenseMatrix extract_u_dense(const Factorization& f);
 
 /// The accumulated row-pivot permutation of the factorization, as acting on
 /// the analysis-ordered matrix: row `r` of L*U corresponds to row
-/// pivot_old_of[r] of Apre.
+/// pivot_old_of[r] of Apre: the forward composition of the deferred
+/// interchanges (ParallelSolver folds it into its gather).
 std::vector<int> pivot_old_of(const Factorization& f);
 
 /// Lower-bound estimate of ||A^{-1}||_1 by Higham's power method on the

@@ -63,7 +63,6 @@ std::pair<const int*, const int*> l_range(const Pattern& abar, int j) {
 SupernodePartition find_supernodes(const Pattern& abar) {
   const int n = abar.cols;
   std::vector<int> starts;
-  if (n == 0) return SupernodePartition({0}, 0);
   starts.push_back(0);
   for (int j = 0; j + 1 < n; ++j) {
     if (!columns_share_supernode(abar, j)) starts.push_back(j + 1);

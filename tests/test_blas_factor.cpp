@@ -6,6 +6,7 @@
 
 #include "blas/factor.h"
 #include "blas/level3.h"
+#include "gemm_reference.h"
 #include "test_helpers.h"
 
 namespace plu::blas {

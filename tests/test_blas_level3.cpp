@@ -6,6 +6,7 @@
 
 #include "blas/dense.h"
 #include "blas/level3.h"
+#include "gemm_reference.h"
 #include "test_helpers.h"
 
 namespace plu::blas {
@@ -124,20 +125,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 4, 13), ::testing::Values(1, 5, 12),
                        ::testing::Values(0, 1), ::testing::Values(0, 1),
                        ::testing::Values(0, 1), ::testing::Values(0, 1)));
-
-TEST(KernelSwitch, DispatchHonorsFlag) {
-  DenseMatrix a = random_matrix(8, 8, 30);
-  DenseMatrix b = random_matrix(8, 8, 31);
-  DenseMatrix c1(8, 8), c2(8, 8);
-  set_use_blocked_kernels(true);
-  EXPECT_TRUE(use_blocked_kernels());
-  gemm_dispatch(Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.0, c1.view());
-  set_use_blocked_kernels(false);
-  EXPECT_FALSE(use_blocked_kernels());
-  gemm_dispatch(Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.0, c2.view());
-  set_use_blocked_kernels(true);
-  EXPECT_LT(max_abs_diff(c1.view(), c2.view()), 1e-12);
-}
 
 TEST(FlopCounts, MatchFormulas) {
   EXPECT_DOUBLE_EQ(gemm_flops(2, 3, 4), 48.0);

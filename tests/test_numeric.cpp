@@ -76,18 +76,6 @@ TEST(Numeric, GraphKindsProduceSameFactors) {
             1e-10 * (1 + blas::max_abs(u1.view())));
 }
 
-TEST(Numeric, ScalarKernelsGiveSameFactors) {
-  CscMatrix a = test::small_matrices()[3];
-  Analysis an = analyze(a);
-  Factorization blocked(an, a);
-  blas::set_use_blocked_kernels(false);
-  Factorization scalar(an, a);
-  blas::set_use_blocked_kernels(true);
-  EXPECT_LT(blas::max_abs_diff(extract_u_dense(blocked).view(),
-                               extract_u_dense(scalar).view()),
-            1e-9);
-}
-
 TEST(Numeric, SingularMatrixFlagged) {
   // Numerically singular: two identical rows, structure nonsingular.
   CooMatrix coo(4, 4);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/parallel_solve.h"
+#include "core/sparse_lu.h"
 #include "runtime/simulator.h"
 #include "test_helpers.h"
 
@@ -128,6 +129,43 @@ TEST(ParallelSolve, SolvePhaseHasStructuralParallelism) {
   double t4 = rt::simulate_dag(succ, ps.forward_indegree(), flops, bytes, ideal)
                   .makespan;
   EXPECT_GT(t1 / t4, 1.05);
+}
+
+TEST(ParallelSolve, RejectsWrongSizeRhs) {
+  CscMatrix a = test::small_matrices()[0];
+  Analysis an = analyze(a);
+  Factorization f(an, a);
+  ParallelSolver ps(f);
+  std::vector<double> short_b(a.rows() - 1, 1.0);
+  EXPECT_THROW(ps.solve(short_b, 1), std::invalid_argument);
+  EXPECT_THROW(ps.solve(std::vector<double>(a.rows() + 1, 1.0), 4),
+               std::invalid_argument);
+  SparseLU lu;
+  lu.factorize(a);
+  EXPECT_THROW(lu.solve_parallel(short_b, 2), std::invalid_argument);
+}
+
+TEST(ParallelSolve, SingularFactorizationThrows) {
+  // Rows 0 and 1 proportional: structurally fine, numerically singular.
+  CooMatrix coo(4, 4);
+  coo.add(0, 0, 1.0);
+  coo.add(0, 1, 2.0);
+  coo.add(1, 0, 2.0);
+  coo.add(1, 1, 4.0);
+  coo.add(2, 2, 1.0);
+  coo.add(3, 3, 1.0);
+  CscMatrix a = coo.to_csc();
+  const std::vector<double> b(4, 1.0);
+  Analysis an = analyze(a);
+  Factorization f(an, a);
+  ASSERT_EQ(f.status(), FactorStatus::kSingular);
+  ParallelSolver ps(f);
+  EXPECT_THROW(ps.solve(b, 1), std::runtime_error);
+  EXPECT_THROW(ps.solve(b, 4), std::runtime_error);
+  SparseLU lu;
+  lu.factorize(a);
+  ASSERT_EQ(lu.factor_status(), FactorStatus::kSingular);
+  EXPECT_THROW(lu.solve_parallel(b, 4), std::runtime_error);
 }
 
 TEST(ParallelSolve, FlopEstimatesPositive) {

@@ -256,30 +256,6 @@ TEST(Repartition, BlockingAutoBitIdenticalAcrossSweepLayoutsAndThreads) {
   }
 }
 
-// The scalar-kernel ablation arm routes every gemm to the reference triple
-// loop; the row-run fusion must stay bit-identical there too (the
-// reference sums p ascending per element, independent of m-partitioning).
-TEST(Repartition, ScalarKernelArmBitIdentical) {
-  const std::vector<CscMatrix> pool = sweep_matrices();
-  blas::set_use_blocked_kernels(false);
-  for (std::size_t m = 0; m < pool.size(); m += 6) {
-    const CscMatrix& a = pool[m];
-    Options aopt;
-    aopt.layout = m % 2 == 0 ? Layout::k1D : Layout::k2D;
-    const Analysis an = analyze(a, aopt);
-    NumericOptions refopt;
-    refopt.mode = ExecutionMode::kSequential;
-    const Factorization ref(an, a, refopt);
-    NumericOptions nopt;
-    nopt.mode = ExecutionMode::kThreaded;
-    nopt.threads = 4;
-    const Factorization got(an, a, nopt);
-    expect_same_factorization(ref, got,
-                              "matrix " + std::to_string(m) + " scalar arm");
-  }
-  blas::set_use_blocked_kernels(true);
-}
-
 // Row-run updates must also be exact under the schedule-fuzzing executor,
 // which inserts random delays and randomizes ready-queue order.
 TEST(Repartition, FuzzedScheduleBitIdentical) {

@@ -66,7 +66,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s MATRIX [--rhs FILE]\n"
+               "usage: %s MATRIX|--generate KIND[:SIZE] [--rhs FILE]\n"
                "       [--ordering auto|md|amd|nd|rcm|natural] [--ordering-dry-run]\n"
                "       [--no-postorder] [--taskgraph eforest|sstar|sstar-po]\n"
                "       [--layout 1d|2d] [--scale] [--pivot-threshold T]\n"
@@ -112,10 +112,26 @@ plu::CscMatrix load_matrix(const std::string& path) {
   return plu::read_harwell_boeing_file(path);
 }
 
-plu::CscMatrix generate_matrix(const std::string& spec) {
-  std::size_t colon = spec.find(':');
-  std::string kind = spec.substr(0, colon);
-  int size = colon == std::string::npos ? 20 : std::stoi(spec.substr(colon + 1));
+/// Splits --generate KIND[:SIZE] (SIZE defaults to 20).  SIZE must parse in
+/// full, be at least 1 and keep the matrix order within an int: SIZE^2 rows
+/// for the 2-D kinds, (2 SIZE + 1)^2 for fem, SIZE^3 for grid3d and
+/// 4 SIZE^3 for multiphysics3d.
+bool parse_generate(const std::string& spec, std::string* kind, int* size) {
+  const std::size_t colon = spec.find(':');
+  *kind = spec.substr(0, colon);
+  if (colon == std::string::npos) {
+    *size = 20;
+    return true;
+  }
+  const int cap = *kind == "grid3d"           ? 1290
+                  : *kind == "multiphysics3d" ? 812
+                  : *kind == "fem"            ? 23169
+                                              : 46340;
+  return parse_number(spec.substr(colon + 1), size) && *size >= 1 &&
+         *size <= cap;
+}
+
+plu::CscMatrix generate_matrix(const std::string& kind, int size) {
   if (kind == "grid2d") return plu::gen::grid2d(size, size, {0.4, 0.0, 0.7, 1});
   if (kind == "grid3d") return plu::gen::grid3d(size, size, size, {0.4, 0.0, 0.7, 2});
   if (kind == "banded") {
@@ -152,7 +168,8 @@ std::vector<double> load_rhs(const std::string& path, int n) {
 int main(int argc, char** argv) {
   if (argc < 2) usage(argv[0]);
   std::string matrix_path;
-  std::string generate_spec;
+  std::string generate_kind;
+  int generate_size = 0;
   std::string rhs_path;
   plu::Options opt;
   plu::NumericOptions nopt;
@@ -168,7 +185,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--generate") {
-      generate_spec = next();
+      if (!parse_generate(next(), &generate_kind, &generate_size)) {
+        usage(argv[0]);
+      }
     } else if (arg == "--rhs") {
       rhs_path = next();
     } else if (arg == "--ordering") {
@@ -219,11 +238,12 @@ int main(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-  if (matrix_path.empty() && generate_spec.empty()) usage(argv[0]);
+  if (matrix_path.empty() && generate_kind.empty()) usage(argv[0]);
 
   try {
-    plu::CscMatrix a = generate_spec.empty() ? load_matrix(matrix_path)
-                                             : generate_matrix(generate_spec);
+    plu::CscMatrix a = generate_kind.empty()
+                           ? load_matrix(matrix_path)
+                           : generate_matrix(generate_kind, generate_size);
     std::printf("matrix: %s\n", plu::describe(a).c_str());
     std::vector<double> b = rhs_path.empty() ? std::vector<double>(a.rows(), 1.0)
                                              : load_rhs(rhs_path, a.rows());

@@ -5,7 +5,8 @@
 #   cmake -DPLU_SOLVE=<path to plu_solve> -P plu_solve_malformed_numbers.cmake
 #
 # Each case is one flag and its value, separated by '|'.  No case asks for a
-# thread count that would start threads.
+# thread count that would start threads, and no --generate case builds a
+# matrix.
 set(cases
   "--threads|x"
   "--threads|4x"
@@ -24,6 +25,9 @@ set(cases
   "--pivot-threshold|1.5"
   "--pivot-threshold|nan"
   "--pivot-threshold|1e999"
+  "--generate|grid2d:4abc"
+  "--generate|grid2d:-3"
+  "--generate|grid2d:0"
 )
 foreach(case IN LISTS cases)
   string(REPLACE "|" ";" args "${case}")
