@@ -91,64 +91,84 @@ BlockMatrix::BlockMatrix(const symbolic::BlockStructure& bs, StorageMode,
   arena_ = allocate_slab(std::max(total, kAlignDoubles));
   for (int j = 0; j < nb; ++j) col_ptr_[j] = arena_.get() + base[j];
 
-  // First-touch initialization: each worker zeroes one contiguous range of
-  // columns (padding included), so the pages it faults in are the pages its
-  // column range lives on.  Below ~8 MiB the thread spawn costs more than
-  // the placement is worth.
-  const std::size_t min_parallel = std::size_t(1) << 20;
-  int workers = std::min(init_threads, nb);
-  if (workers <= 1 || total < min_parallel) {
+  // First-touch initialization: each thread zeroes one column range
+  // (padding included), so the pages it faults in are the pages its range
+  // lives on.
+  const int workers = std::min(init_threads, nb);
+  if (workers <= 1 || total < kParallelPassDoubles) {
     std::fill(arena_.get(), arena_.get() + total, 0.0);
     return;
   }
+  const std::vector<int> ranges = column_ranges(workers);
   std::vector<std::thread> threads;
-  threads.reserve(workers);
-  const std::size_t chunk = (total + workers - 1) / workers;
-  int begin_col = 0;
-  for (int w = 0; w < workers && begin_col < nb; ++w) {
-    // Advance to the first column past this worker's share of doubles.
-    int end_col = begin_col;
-    const std::size_t limit = std::min(total, (w + 1) * chunk);
-    while (end_col < nb && base[end_col] < limit) ++end_col;
-    if (w == workers - 1) end_col = nb;
-    const std::size_t lo = base[begin_col];
-    const std::size_t hi = end_col < nb ? base[end_col] : total;
-    threads.emplace_back([p = arena_.get(), lo, hi] {
-      std::fill(p + lo, p + hi, 0.0);
+  threads.reserve(ranges.size() - 1);
+  for (std::size_t r = 0; r + 1 < ranges.size(); ++r) {
+    threads.emplace_back([this, lo = ranges[r], hi = ranges[r + 1]] {
+      std::fill(col_ptr_[lo], range_end(hi), 0.0);
     });
-    begin_col = end_col;
   }
   for (std::thread& t : threads) t.join();
+}
+
+double* BlockMatrix::range_end(int end) const {
+  return end < num_block_columns() ? col_ptr_[end]
+                                   : arena_.get() + arena_doubles_;
+}
+
+std::vector<int> BlockMatrix::column_ranges(int parts) const {
+  const int nb = num_block_columns();
+  std::vector<int> ranges{0};
+  if (nb == 0) return ranges;
+  parts = std::max(1, std::min(parts, nb));
+  // Cut before the first column whose buffer starts at or past each
+  // 1/parts share of the slab.
+  int j = 0;
+  for (int r = 1; r < parts; ++r) {
+    const std::size_t limit = arena_doubles_ / parts * r;
+    while (j < nb &&
+           static_cast<std::size_t>(col_ptr_[j] - arena_.get()) < limit) {
+      ++j;
+    }
+    if (j > ranges.back() && j < nb) ranges.push_back(j);
+  }
+  ranges.push_back(nb);
+  return ranges;
 }
 
 void BlockMatrix::load(const CscMatrix& a) {
   const Permutation identity(bs_->part.num_cols());
   const std::vector<std::uint64_t> slots =
       scatter_slots(*bs_, a.col_ptr(), a.row_ind(), identity, identity);
-  set_zero();
-  scatter(a, slots, identity, {}, {});
+  scatter(a, slots, identity, {}, {}, 0, num_block_columns(), /*zero=*/true);
 }
 
 double BlockMatrix::scatter(const CscMatrix& a,
                             const std::vector<std::uint64_t>& slots,
                             const Permutation& col_perm,
                             const std::vector<double>& row_scale,
-                            const std::vector<double>& col_scale) {
+                            const std::vector<double>& col_scale, int begin,
+                            int end, bool zero) {
   if (slots.size() != static_cast<std::size_t>(a.nnz()) ||
       a.cols() != bs_->part.num_cols()) {
     throw std::invalid_argument("BlockMatrix::scatter: slots do not match");
   }
+  if (begin >= end) return 0.0;
+  if (zero) std::fill(col_ptr_[begin], range_end(end), 0.0);
+  const symbolic::SupernodePartition& part = bs_->part;
   const bool scaled = !row_scale.empty();
   const int* row = a.row_ind().data();
   const double* val = a.values().data();
   double scale = 0.0;
-  for (int col = 0; col < a.cols(); ++col) {
-    double* base = col_ptr_[bs_->part.supernode_of(col_perm.new_of(col))];
-    const double cs = scaled ? col_scale[col] : 1.0;
-    for (int k = a.col_begin(col); k < a.col_end(col); ++k) {
-      const double v = scaled ? val[k] * (row_scale[row[k]] * cs) : val[k];
-      base[slots[k]] = v;
-      scale = std::max(scale, std::abs(v));
+  for (int j = begin; j < end; ++j) {
+    double* base = col_ptr_[j];
+    for (int c = part.first(j); c < part.end(j); ++c) {
+      const int col = col_perm.old_of(c);
+      const double cs = scaled ? col_scale[col] : 1.0;
+      for (int k = a.col_begin(col); k < a.col_end(col); ++k) {
+        const double v = scaled ? val[k] * (row_scale[row[k]] * cs) : val[k];
+        base[slots[k]] = v;
+        scale = std::max(scale, std::abs(v));
+      }
     }
   }
   return scale;

@@ -11,11 +11,9 @@
 // the symbolic block structure, with every column buffer starting on a
 // 64-byte boundary inside it.  The slab is its own anonymous mapping with a
 // guard page at each end (BlockMatrix::allocate_slab).  One allocation
-// instead of one per block column, set_zero() as a single contiguous fill
-// (the fill Factorization::refactor runs before reloading the same slab),
-// and pages first-touched by the worker threads that will own each column
-// range (`init_threads`), so on NUMA machines the column data lands near
-// its consumers.
+// instead of one per block column, and every O(storage) pass -- zeroing,
+// loading, scanning -- can work on contiguous column ranges
+// (column_ranges()), which Factorization hands to the run's workers.
 //
 // Explicit zeros inside blocks are stored and computed on, exactly as in
 // S*/S+ ("even if some operations will involve zero elements").
@@ -50,6 +48,12 @@ enum class StorageMode {
 
 const char* to_string(StorageMode m);
 
+/// Slabs of at least this many doubles (8 MiB) have their O(storage) passes
+/// -- the constructor's first-touch fill, a factorization's load and scan,
+/// the triangular solve's tree tasks -- spread over worker threads; below
+/// it a hand-off to the workers costs more than the pass.
+inline constexpr std::size_t kParallelPassDoubles = std::size_t(1) << 20;
+
 /// Scatter slots of the pattern (col_ptr, row_ind) over `bs`: for entry k of
 /// original column j and row i, the offset of (row_perm.new_of(i),
 /// col_perm.new_of(j)) inside the buffer of the block column holding
@@ -64,9 +68,12 @@ std::vector<std::uint64_t> scatter_slots(const symbolic::BlockStructure& bs,
 class BlockMatrix {
  public:
   /// Allocates zeroed storage for the block structure.  `bs` must outlive
-  /// the BlockMatrix.  With `init_threads` > 1 the initial zeroing fans
-  /// out over that many threads, each touching a contiguous range of
-  /// columns first (NUMA first-touch placement).
+  /// the BlockMatrix.  With `init_threads` > 1 and a slab of at least
+  /// kParallelPassDoubles, the initial zeroing fans out over that many
+  /// std::threads, each touching one column_ranges() range first (NUMA
+  /// first-touch placement).  This fill is the only zeroing a fresh slab
+  /// needs; the threads stay only for callers that construct a BlockMatrix
+  /// without a Factorization (and its workers) around it.
   explicit BlockMatrix(const symbolic::BlockStructure& bs,
                        StorageMode mode = StorageMode::kArena,
                        int init_threads = 1);
@@ -90,21 +97,32 @@ class BlockMatrix {
   /// std::invalid_argument if an entry falls outside the block pattern.
   void load(const CscMatrix& a);
 
-  /// Writes the values of `a` (original ordering) to `slots`, which
-  /// scatter_slots() computed for a's pattern with `col_perm`.  With
+  /// Splits the block columns into at most `parts` contiguous ranges of
+  /// about equal slab length: returns the bounds, ranges[r] .. ranges[r+1],
+  /// with front() == 0 and back() == num_block_columns().  Ranges that would
+  /// be empty are dropped.
+  std::vector<int> column_ranges(int parts) const;
+
+  /// Loads block columns [begin, end): zeroes their buffers (padding
+  /// included) when `zero`, then writes the values of the original columns
+  /// col_perm.old_of(c) of `a` for every scalar column c they hold, through
+  /// `slots` (scatter_slots() of a's pattern with `col_perm`).  With
   /// non-empty scale vectors (indexed by original row / column) entry
-  /// (i, j) is stored as a(i, j) * (row_scale[i] * col_scale[j]).  Positions
-  /// outside a's pattern are left as they are, so the storage must be
-  /// zero beforehand (freshly constructed, or set_zero()).  Returns the
-  /// largest |stored value| (NaN never enters the max, as in
-  /// blas::max_abs).
+  /// (i, j) is stored as a(i, j) * (row_scale[i] * col_scale[j]).  Other
+  /// positions are left as they are, so without `zero` they must be zero
+  /// already (a freshly constructed slab).  Returns the largest |stored
+  /// value| of the range (NaN never enters the max, as in blas::max_abs),
+  /// so the maximum over any split of the columns is bitwise the same.
+  /// Distinct ranges touch disjoint memory and may load concurrently.
   double scatter(const CscMatrix& a, const std::vector<std::uint64_t>& slots,
                  const Permutation& col_perm,
                  const std::vector<double>& row_scale,
-                 const std::vector<double>& col_scale);
+                 const std::vector<double>& col_scale, int begin, int end,
+                 bool zero);
 
-  /// Resets all values to zero (for refactorization on the same structure):
-  /// one contiguous fill of the slab.
+  /// Resets all values to zero: one contiguous fill of the slab.  A
+  /// refactorization does not call it -- its load zeroes each column range
+  /// just before scattering into it.
   void set_zero();
 
   /// Dense view of block (i, j); block must be structurally present.
@@ -165,6 +183,10 @@ class BlockMatrix {
   static Slab allocate_slab(std::size_t doubles);
 
   int block_pos(int i, int j) const;  // index of block i in blocks_[j]; -1 absent
+
+  /// End of the slab stretch of block columns [.., end): the next column's
+  /// buffer, or the slab's end (padding included).
+  double* range_end(int end) const;
 
   /// Computes blocks_/offsets_/diag_pos_ for column j from the block
   /// pattern and returns its buffer length in doubles.

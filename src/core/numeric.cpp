@@ -1,10 +1,13 @@
 #include "core/numeric.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -13,6 +16,7 @@
 #include "blas/level3.h"
 #include "core/driver.h"
 #include "core/solve.h"
+#include "runtime/shared_runtime.h"
 #include "taskgraph/analysis.h"
 
 namespace plu {
@@ -57,6 +61,40 @@ Scan scan(blas::ConstMatrixView a) {
   return {mx, !nan && std::isfinite(mx)};
 }
 
+/// A pass spread over workers gets this many column ranges per worker, so
+/// one slow range does not hold up the rest.
+constexpr int kRangesPerWorker = 4;
+
+/// Whether a run or solve with `opt` hands its O(storage) passes to
+/// workers: kThreaded, more than one worker, and a slab of at least
+/// kParallelPassDoubles.  Otherwise the caller runs them.
+bool spread_passes(const NumericOptions& opt, const BlockMatrix& blocks) {
+  const int workers = opt.shared_runtime != nullptr
+                          ? opt.shared_runtime->threads()
+                          : opt.threads;
+  return opt.mode == ExecutionMode::kThreaded && workers > 1 &&
+         blocks.storage_bytes() / sizeof(double) >= kParallelPassDoubles;
+}
+
+/// Runs tasks 0 .. succ.size()-1 of the DAG (succ, indegree) on `pool` and
+/// waits; a task's exception is rethrown here.
+void run_tasks(rt::SharedRuntime& pool, double boost,
+               const std::vector<std::vector<int>>& succ,
+               const std::vector<int>& indegree,
+               std::function<void(int)> body) {
+  rt::SharedRuntime::GraphSpec spec;
+  spec.succ = &succ;
+  spec.indegree = &indegree;
+  spec.run = std::move(body);
+  spec.boost = boost;
+  pool.run_graph(std::move(spec));
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 /// C -= A B, the update of both triangular passes: gemv at one column,
 /// gemm above, so the kernels depend on the column count only.
 void subtract_product(blas::ConstMatrixView a, blas::ConstMatrixView b,
@@ -76,15 +114,15 @@ Factorization::Factorization(const Analysis& analysis, const CscMatrix& a,
       blocks_(analysis.blocks, StorageMode::kArena,
               opt.mode == ExecutionMode::kThreaded ? opt.threads : 1),
       layout_(analysis.options.layout) {
-  run(a, opt);
+  run(a, opt, /*zero=*/false);
 }
 
 void Factorization::refactor(const CscMatrix& a, const NumericOptions& opt) {
-  blocks_.set_zero();
-  run(a, opt);
+  run(a, opt, /*zero=*/true);
 }
 
-void Factorization::run(const CscMatrix& a, const NumericOptions& opt) {
+void Factorization::run(const CscMatrix& a, const NumericOptions& opt,
+                        bool zero) {
   const Analysis& analysis = *analysis_;
   // Every per-run result starts afresh; until the run completes the
   // factors are unusable.
@@ -93,6 +131,7 @@ void Factorization::run(const CscMatrix& a, const NumericOptions& opt) {
   zero_pivots_ = 0;
   lazy_skipped_ = 0;
   perturb_magnitude_ = 0.0;
+  phase_times_ = {};
   races_.clear();
   race_checked_ = false;
   if (a.rows() != analysis.n || a.cols() != analysis.n) {
@@ -105,9 +144,7 @@ void Factorization::run(const CscMatrix& a, const NumericOptions& opt) {
         "Factorization: 2-D layout needs an analysis run with "
         "Options::layout = Layout::k2D (no block graph present)");
   }
-  // Load through the analysis' slots; any other pattern gets its own.  The
-  // scatter also returns the matrix magnitude reference for
-  // min_pivot_ratio (max |entry| of the scaled+permuted matrix).
+  // Load through the analysis' slots; any other pattern gets its own.
   std::vector<std::uint64_t> own_slots;
   const bool analyzed_pattern = a.col_ptr() == analysis.input_pattern.ptr &&
                                 a.row_ind() == analysis.input_pattern.idx;
@@ -115,11 +152,46 @@ void Factorization::run(const CscMatrix& a, const NumericOptions& opt) {
     own_slots = scatter_slots(analysis.blocks, a.col_ptr(), a.row_ind(),
                               analysis.row_perm, analysis.col_perm);
   }
-  double matrix_scale =
-      blocks_.scatter(a, analyzed_pattern ? analysis.input_slots : own_slots,
-                      analysis.col_perm, analysis.row_scale,
-                      analysis.col_scale);
+  const std::vector<std::uint64_t>& slots =
+      analyzed_pattern ? analysis.input_slots : own_slots;
+
+  // One worker set for the three phases: the caller's shared runtime, or
+  // one pool built for this run; the driver runs the task graph on it too.
+  std::optional<rt::SharedRuntime> own_pool;
+  NumericOptions run_opt = opt;
+  if (opt.mode == ExecutionMode::kThreaded && opt.shared_runtime == nullptr) {
+    run_opt.shared_runtime = &own_pool.emplace(opt.threads, 1);
+  }
+  rt::SharedRuntime* const pool =
+      spread_passes(run_opt, blocks_) ? run_opt.shared_runtime : nullptr;
+  const std::vector<int> ranges = blocks_.column_ranges(
+      pool != nullptr ? kRangesPerWorker * pool->threads() : 1);
+  const int nr = static_cast<int>(ranges.size()) - 1;
+  const std::vector<std::vector<int>> no_edges(nr);
+  const std::vector<int> no_preds(nr, 0);
+  const auto for_each_range = [&](std::function<void(int)> body) {
+    if (pool == nullptr) {
+      for (int r = 0; r < nr; ++r) body(r);
+    } else {
+      run_tasks(*pool, opt.request_priority, no_edges, no_preds,
+                std::move(body));
+    }
+  };
+
+  // Load: the matrix magnitude reference for min_pivot_ratio and growth is
+  // the max |entry| of the scaled+permuted matrix, the max over ranges.
+  auto t0 = std::chrono::steady_clock::now();
+  std::vector<double> range_max(nr, 0.0);
+  for_each_range([&](int r) {
+    range_max[r] = blocks_.scatter(a, slots, analysis.col_perm,
+                                   analysis.row_scale, analysis.col_scale,
+                                   ranges[r], ranges[r + 1], zero);
+  });
+  double matrix_scale = 0.0;
+  for (double m : range_max) matrix_scale = std::max(matrix_scale, m);
   if (matrix_scale == 0.0) matrix_scale = 1.0;
+  phase_times_.load = seconds_since(t0);
+
   // Pivot sequences start empty (an unfactored block has none) but with
   // their final capacity, so no factor task allocates.
   ipiv_.resize(nb);
@@ -140,10 +212,11 @@ void Factorization::run(const CscMatrix& a, const NumericOptions& opt) {
     perturb_magnitude_ =
         std::sqrt(std::numeric_limits<double>::epsilon()) * matrix_scale;
   }
+  t0 = std::chrono::steady_clock::now();
   NumericRun run{analysis, blocks_, ipiv_, graph, checker.get(),
                  factored_blocks_};
   run.perturb_magnitude = perturb_magnitude_;
-  NumericDriver::driver_for(layout_).factorize(run, opt);
+  NumericDriver::driver_for(layout_).factorize(run, run_opt);
   zero_pivots_ = run.zero_pivots;
   lazy_skipped_ = run.lazy_skipped;
   min_pivot_ratio_ =
@@ -151,22 +224,37 @@ void Factorization::run(const CscMatrix& a, const NumericOptions& opt) {
   failed_column_ = run.failed_column;
   perturbed_columns_ = std::move(run.perturbed_columns);
   blocking_stats_ = run.blocking;
-  // One scan of the factors: pivot growth, plus overflow the factor tasks
-  // could not see (in the 1-D layout the U blocks above a panel are only
-  // written by Update tasks, which perform no scan of their own).  Only a
-  // flagged column is searched again for the first bad entry.
-  double factor_max = 0.0;
-  for (int j = 0; j < nb; ++j) {
-    blas::ConstMatrixView col = blocks_.column(j);
-    const Scan s = scan(col);
-    factor_max = std::max(factor_max, s.max_abs);
-    int bad = -1;
-    if (!s.finite && factor_usable(run.status) && !blas::all_finite(col, &bad)) {
-      run.status = FactorStatus::kOverflow;
-      failed_column_ = analysis.blocks.part.first(j) + bad;
+  phase_times_.dag = seconds_since(t0);
+
+  // Scan: pivot growth, plus overflow the factor tasks could not see (in
+  // the 1-D layout the U blocks above a panel are only written by Update
+  // tasks, which perform no scan of their own).  Each range reports its
+  // max and its lowest non-finite block column; the lowest over all ranges
+  // is then searched for the first bad entry.
+  t0 = std::chrono::steady_clock::now();
+  std::vector<double> range_factor_max(nr, 0.0);
+  std::vector<int> range_bad(nr, -1);
+  for_each_range([&](int r) {
+    for (int j = ranges[r]; j < ranges[r + 1]; ++j) {
+      const Scan s = scan(blocks_.column(j));
+      range_factor_max[r] = std::max(range_factor_max[r], s.max_abs);
+      if (!s.finite && range_bad[r] < 0) range_bad[r] = j;
     }
+  });
+  double factor_max = 0.0;
+  int bad_column = -1;
+  for (int r = 0; r < nr; ++r) {
+    factor_max = std::max(factor_max, range_factor_max[r]);
+    if (bad_column < 0) bad_column = range_bad[r];
+  }
+  int bad = -1;
+  if (bad_column >= 0 && factor_usable(run.status) &&
+      !blas::all_finite(blocks_.column(bad_column), &bad)) {
+    run.status = FactorStatus::kOverflow;
+    failed_column_ = analysis.blocks.part.first(bad_column) + bad;
   }
   growth_factor_ = factor_max / matrix_scale;
+  phase_times_.scan = seconds_since(t0);
   // Cross-check the recorded footprints against the dependence graph the
   // run executed.
   if (checker) {
@@ -221,14 +309,16 @@ long Factorization::pivot_interchanges() const {
   return count;
 }
 
-std::vector<double> Factorization::solve(const std::vector<double>& b) const {
+std::vector<double> Factorization::solve(const std::vector<double>& b,
+                                         const NumericOptions& opt) const {
   const int n = static_cast<int>(b.size());
   std::vector<double> x(b.size());
-  solve_matrix({b.data(), n, 1}, {x.data(), n, 1});
+  solve_matrix({b.data(), n, 1}, {x.data(), n, 1}, opt);
   return x;
 }
 
-void Factorization::solve_matrix(blas::ConstMatrixView b, blas::MatrixView x) const {
+void Factorization::solve_matrix(blas::ConstMatrixView b, blas::MatrixView x,
+                                 const NumericOptions& opt) const {
   const Analysis& an = *analysis_;
   // Y = Pr B (rows to the analysis ordering), with the MC64 row scaling
   // when the analysis carries one.
@@ -236,52 +326,73 @@ void Factorization::solve_matrix(blas::ConstMatrixView b, blas::MatrixView x) co
                                        an.row_perm.old_positions(),
                                        an.row_scale);
   const symbolic::SupernodePartition& part = an.blocks.part;
-  const int nb = an.blocks.num_blocks();
   const int nrhs = b.cols;
+  const SolveTrees trees = spread_passes(opt, blocks_)
+                               ? solve_trees(an)
+                               : SolveTrees{{0, an.blocks.num_blocks()}, {}, {}};
+  const int nt = trees.count();
 
-  // Forward pass: replay (swap_k, eliminate_k) in panel order, exactly the
-  // operation sequence the factorization applied to the matrix columns.
-  // Per panel: gather the packed segment of every right-hand side into one
-  // reused buffer, replay the pivots, unit-lower solve, update the L part.
-  std::vector<int> rows;
-  std::vector<double> buf;
-  for (int k = 0; k < nb; ++k) {
-    const int wk = part.width(k);
-    panel_rows(an, k, rows);
-    const int m = static_cast<int>(rows.size());
-    buf.resize(static_cast<std::size_t>(m) * nrhs);
-    blas::MatrixView seg(buf.data(), m, nrhs);
-    for (int r = 0; r < nrhs; ++r) {
-      for (int p = 0; p < m; ++p) seg(p, r) = y(rows[p], r);
+  // Forward pass of tree t: replay (swap_k, eliminate_k) in panel order,
+  // exactly the operation sequence the factorization applied to the matrix
+  // columns.  Per panel: gather the packed segment of every right-hand side
+  // into one reused buffer, replay the pivots, unit-lower solve, update the
+  // L part.
+  const auto forward = [&](int t) {
+    std::vector<int> rows;
+    std::vector<double> buf;
+    for (int k = trees.bounds[t]; k < trees.bounds[t + 1]; ++k) {
+      const int wk = part.width(k);
+      panel_rows(an, k, rows);
+      const int m = static_cast<int>(rows.size());
+      buf.resize(static_cast<std::size_t>(m) * nrhs);
+      blas::MatrixView seg(buf.data(), m, nrhs);
+      for (int r = 0; r < nrhs; ++r) {
+        for (int p = 0; p < m; ++p) seg(p, r) = y(rows[p], r);
+      }
+      blas::laswp(seg, ipiv_[k], 0, static_cast<int>(ipiv_[k].size()));
+      blas::ConstMatrixView panel = blocks_.panel(k);
+      blas::trsm(blas::Side::Left, blas::UpLo::Lower, blas::Trans::No,
+                 blas::Diag::Unit, 1.0, panel.block(0, 0, wk, wk),
+                 seg.block(0, 0, wk, nrhs));
+      if (m > wk) {
+        subtract_product(panel.block(wk, 0, m - wk, wk),
+                         seg.block(0, 0, wk, nrhs),
+                         seg.block(wk, 0, m - wk, nrhs));
+      }
+      for (int r = 0; r < nrhs; ++r) {
+        for (int p = 0; p < m; ++p) y(rows[p], r) = seg(p, r);
+      }
     }
-    blas::laswp(seg, ipiv_[k], 0, static_cast<int>(ipiv_[k].size()));
-    blas::ConstMatrixView panel = blocks_.panel(k);
-    blas::trsm(blas::Side::Left, blas::UpLo::Lower, blas::Trans::No,
-               blas::Diag::Unit, 1.0, panel.block(0, 0, wk, wk),
-               seg.block(0, 0, wk, nrhs));
-    if (m > wk) {
-      subtract_product(panel.block(wk, 0, m - wk, wk),
-                       seg.block(0, 0, wk, nrhs),
-                       seg.block(wk, 0, m - wk, nrhs));
-    }
-    for (int r = 0; r < nrhs; ++r) {
-      for (int p = 0; p < m; ++p) y(rows[p], r) = seg(p, r);
-    }
-  }
+  };
 
-  // Backward pass, column-oriented: Z_k = U_kk^{-1} Y_k, then subtract
-  // U_ik Z_k for every U block above the diagonal of block column k.
-  for (int k = nb - 1; k >= 0; --k) {
-    const int wk = part.width(k);
-    blas::MatrixView yk = y.view().block(part.first(k), 0, wk, nrhs);
-    blas::trsm(blas::Side::Left, blas::UpLo::Upper, blas::Trans::No,
-               blas::Diag::NonUnit, 1.0, blocks_.panel(k).block(0, 0, wk, wk),
-               yk);
-    for (int i : blocks_.column_blocks(k)) {
-      if (i >= k) break;
-      subtract_product(blocks_.block(i, k), yk,
-                       y.view().block(part.first(i), 0, part.width(i), nrhs));
+  // Backward pass of tree t, column-oriented: Z_k = U_kk^{-1} Y_k, then
+  // subtract U_ik Z_k for every U block above the diagonal of block column
+  // k (rows of this tree or of earlier ones).
+  const auto backward = [&](int t) {
+    for (int k = trees.bounds[t + 1] - 1; k >= trees.bounds[t]; --k) {
+      const int wk = part.width(k);
+      blas::MatrixView yk = y.view().block(part.first(k), 0, wk, nrhs);
+      blas::trsm(blas::Side::Left, blas::UpLo::Upper, blas::Trans::No,
+                 blas::Diag::NonUnit, 1.0,
+                 blocks_.panel(k).block(0, 0, wk, wk), yk);
+      for (int i : blocks_.column_blocks(k)) {
+        if (i >= k) break;
+        subtract_product(blocks_.block(i, k), yk,
+                         y.view().block(part.first(i), 0, part.width(i), nrhs));
+      }
     }
+  };
+
+  if (nt <= 1) {
+    for (int t = 0; t < nt; ++t) forward(t);
+    for (int t = nt - 1; t >= 0; --t) backward(t);
+  } else {
+    std::optional<rt::SharedRuntime> own_pool;
+    rt::SharedRuntime& pool = opt.shared_runtime != nullptr
+                                  ? *opt.shared_runtime
+                                  : own_pool.emplace(opt.threads, 1);
+    run_tasks(pool, opt.request_priority, trees.succ, trees.indegree,
+              [&](int id) { id < nt ? forward(id) : backward(id - nt); });
   }
 
   // X = Qc Y, undoing the MC64 column scaling.

@@ -63,7 +63,8 @@ enum class ExecutionMode {
 struct NumericOptions {
   ExecutionMode mode = ExecutionMode::kSequential;
   int threads = 4;
-  /// Run the kThreaded task graph on this persistent multi-DAG pool
+  /// Run the kThreaded phases (load, task graph, scan, and the tree tasks
+  /// of a solve given these options) on this persistent multi-DAG pool
   /// (runtime/shared_runtime.h) instead of a private worker team, so
   /// factorizations of DIFFERENT matrices -- distinct Factorization /
   /// SparseLU instances, or solver-service requests -- interleave on one
@@ -121,17 +122,36 @@ struct NumericOptions {
   bool perturb_pivots = false;
 };
 
+/// Wall seconds of the three phases of one factorization run
+/// (Factorization::phase_times()).  Starting and stopping a run's own worker
+/// pool falls outside them.
+struct NumericPhaseTimes {
+  double load = 0.0;  // zero (refactor only) + scatter + scale of A
+  double dag = 0.0;   // the layout's driver: the numeric task graph
+  double scan = 0.0;  // growth and overflow scan of the factors
+};
+
 /// One factorization of an analyzed pattern, owning its block storage.
 ///
-/// Run path: the constructor allocates the storage (its first-touch fill is
-/// the only zeroing a fresh slab gets) and refactor() zeroes the same slab
-/// once; both then run one private body -- scatter the values through the
-/// analysis' slots (Analysis::input_slots; a different pattern gets its own
-/// from scatter_slots()), run the layout's driver, and make one scan of
-/// the factors for pivot growth and overflow.  A refactorization therefore
-/// costs the numeric tasks plus one fill, one scatter and one scan, and its
-/// results are bitwise equal to a fresh Factorization's wherever the run is
-/// deterministic.
+/// Run path: three phases on one worker set.  kThreaded runs them on
+/// NumericOptions::shared_runtime when one is given, else on one
+/// rt::SharedRuntime(threads) built for the run; kSequential and
+/// kGraphSequential run them on the caller.
+///   load: the block columns split into a few ranges per worker, balanced
+///         by slab length (BlockMatrix::column_ranges).  Each range zeroes
+///         its columns (refactor() only -- the constructor's first-touch
+///         fill already zeroed a fresh slab), scatters the values through
+///         the analysis' slots (Analysis::input_slots; a different pattern
+///         gets its own from scatter_slots()), applies the MC64 scales and
+///         returns its max |entry|; the matrix scale is the max over ranges.
+///   dag:  the layout's driver runs the numeric task graph.
+///   scan: the same ranges scan the factors for pivot growth and overflow;
+///         the max over ranges is the growth, and the lowest non-finite
+///         block column is the overflow column.
+/// Below kParallelPassDoubles of storage, load and scan run on the caller
+/// as one range.  max is order-independent and never adopts a NaN, so the
+/// results are bitwise those of one range, and a refactorization's are
+/// bitwise a fresh Factorization's wherever the run is deterministic.
 class Factorization {
  public:
   /// Factorizes `a` (original ordering; permuted internally) over the given
@@ -208,9 +228,13 @@ class Factorization {
   /// this toward zero.
   long pivot_interchanges() const;
 
+  /// Wall seconds of the last run's load, DAG and scan phases.
+  const NumericPhaseTimes& phase_times() const { return phase_times_; }
+
   /// Solves A x = b (original ordering).  b.size() == n.  The n x 1 case
   /// of solve_matrix, so bitwise equal to it at one right-hand side.
-  std::vector<double> solve(const std::vector<double>& b) const;
+  std::vector<double> solve(const std::vector<double>& b,
+                            const NumericOptions& opt = {}) const;
 
   /// Solves A^T x = b (original ordering).
   std::vector<double> solve_transpose(const std::vector<double>& b) const;
@@ -218,8 +242,15 @@ class Factorization {
   /// Multi-right-hand-side solve: B is n x nrhs column-major; the result
   /// overwrites X (same shape).  One panel walk for all columns; its
   /// updates run gemv at nrhs = 1 and gemm above (the left trsm is one
-  /// trsv per column).
-  void solve_matrix(blas::ConstMatrixView b, blas::MatrixView x) const;
+  /// trsv per column).  The walk is split by eforest tree (solve_trees,
+  /// core/solve.h): with kThreaded `opt`, storage of at least
+  /// kParallelPassDoubles and more than one tree, each tree's forward and
+  /// backward panels run as tasks on opt.shared_runtime (or on a pool of
+  /// opt.threads built for the call); otherwise the caller walks them.
+  /// Every row gets its operations in the same order either way, so the
+  /// result is bitwise the same.
+  void solve_matrix(blas::ConstMatrixView b, blas::MatrixView x,
+                    const NumericOptions& opt = {}) const;
 
   /// Throws std::runtime_error unless factor_usable(status()); `what` names
   /// the caller in the message.
@@ -243,9 +274,9 @@ class Factorization {
  private:
   friend class NumericDriver;
 
-  /// The run body shared by the constructor and refactor(); expects zeroed
-  /// storage.
-  void run(const CscMatrix& a, const NumericOptions& opt);
+  /// The run body shared by the constructor and refactor(); `zero` makes
+  /// the load zero each column range first (a reused slab).
+  void run(const CscMatrix& a, const NumericOptions& opt, bool zero);
 
   const Analysis* analysis_;
   BlockMatrix blocks_;
@@ -263,6 +294,7 @@ class Factorization {
   double perturb_magnitude_ = 0.0;
   double growth_factor_ = 0.0;
   symbolic::BlockingStats blocking_stats_;
+  NumericPhaseTimes phase_times_;
 };
 
 /// Relative residual ||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf).

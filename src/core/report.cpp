@@ -59,6 +59,7 @@ FactorizationReport report(const Factorization& f) {
   r.stored_doubles = f.blocks().stored_doubles();
   r.storage_bytes = f.blocks().storage_bytes();
   r.blocking = f.blocking_stats();
+  r.phases = f.phase_times();
   r.analysis_timings = f.analysis().timings;
   r.ordering = f.analysis().ordering_decision;
   return r;
@@ -107,6 +108,7 @@ std::string to_string(const FactorizationReport& r) {
      << r.blocking.gemms_fused << " fused), routed "
      << r.blocking.routed_packed << " packed / " << r.blocking.routed_direct
      << " direct, " << r.blocking.scans_elided << " scan(s) elided";
+  os << "\n" << to_string(r.phases);
   if (!r.perturbed_columns.empty()) {
     os << "\nperturbed:   " << r.perturbed_columns.size()
        << " pivot(s) bumped to " << r.perturbation_magnitude << " at column(s)";
@@ -117,6 +119,13 @@ std::string to_string(const FactorizationReport& r) {
     }
     os << "; pair with refined_solve to recover accuracy";
   }
+  return os.str();
+}
+
+std::string to_string(const NumericPhaseTimes& t) {
+  std::ostringstream os;
+  os << "phases:      load " << t.load * 1e3 << " ms, dag " << t.dag * 1e3
+     << " ms, scan " << t.scan * 1e3 << " ms";
   return os.str();
 }
 

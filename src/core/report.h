@@ -63,6 +63,9 @@ struct FactorizationReport {
   std::size_t storage_bytes = 0;
   /// The run's row-run routing counters (Factorization::blocking_stats()).
   symbolic::BlockingStats blocking;
+  /// Wall seconds of the run's load, DAG and scan phases
+  /// (Factorization::phase_times()).
+  NumericPhaseTimes phases;
   /// Analyze-phase breakdown of the analysis this factorization ran on, so
   /// analyze-vs-factorize cost is visible without a profiler.
   AnalysisTimings analysis_timings;
@@ -77,6 +80,9 @@ FactorizationReport report(const Factorization& f);
 /// Multi-line human-readable rendering.
 std::string to_string(const AnalysisReport& r);
 std::string to_string(const FactorizationReport& r);
+
+/// The `phases:` line: the numeric run's load, DAG and scan wall times.
+std::string to_string(const NumericPhaseTimes& t);
 
 /// One line per analysis phase with percentages of the total -- the
 /// rendering behind plu_solve --verbose.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -38,6 +39,63 @@ void panel_rows(const Analysis& an, int k, std::vector<int>& rows) {
   for (int t : an.block_plan.columns[k].l_list) {
     for (int r = part.first(t); r < part.end(t); ++r) rows.push_back(r);
   }
+}
+
+SolveTrees solve_trees(const Analysis& an) {
+  const symbolic::BlockStructure& bs = an.blocks;
+  const graph::Forest& forest = bs.beforest;
+  const int nb = bs.num_blocks();
+  SolveTrees st;
+  st.bounds = {0, nb};
+  if (nb == 0 || forest.size() != nb || !forest.is_topological()) return st;
+  // Root of each block's tree; a parent comes after its children.
+  std::vector<int> root(nb);
+  for (int k = nb - 1; k >= 0; --k) {
+    root[k] = forest.is_root(k) ? k : root[forest.parent(k)];
+  }
+  std::vector<int> bounds{0};
+  for (int k = 1; k < nb; ++k) {
+    if (root[k] != root[k - 1]) bounds.push_back(k);
+  }
+  bounds.push_back(nb);
+  const int trees = static_cast<int>(bounds.size()) - 1;
+  if (trees == 1) return st;
+  std::vector<int> tree_of(nb);
+  std::vector<std::vector<int>> writers(trees);
+  for (int t = 0; t < trees; ++t) {
+    for (int k = bounds[t]; k < bounds[t + 1]; ++k) {
+      // A contiguous postordered tree ends at its root, and its L blocks
+      // stay inside it.
+      if (root[k] != bounds[t + 1] - 1) return st;
+      tree_of[k] = t;
+      for (const int* i = bs.bpattern.col_begin(k); i != bs.bpattern.col_end(k);
+           ++i) {
+        if (*i >= bounds[t + 1]) return st;
+        if (*i < bounds[t]) writers[tree_of[*i]].push_back(t);
+      }
+    }
+  }
+  st.bounds = std::move(bounds);
+  st.succ.assign(2 * trees, {});
+  for (int t = 0; t < trees; ++t) {
+    st.succ[t].push_back(trees + t);
+    std::vector<int>& w = writers[t];
+    if (w.empty()) continue;
+    std::sort(w.begin(), w.end(), std::greater<>());
+    w.erase(std::unique(w.begin(), w.end()), w.end());
+    st.succ[t].push_back(trees + w.front());
+    for (std::size_t p = 0; p + 1 < w.size(); ++p) {
+      st.succ[trees + w[p]].push_back(trees + w[p + 1]);
+    }
+    st.succ[trees + w.back()].push_back(trees + t);
+  }
+  st.indegree.assign(2 * trees, 0);
+  for (std::vector<int>& s : st.succ) {
+    std::sort(s.begin(), s.end());
+    s.erase(std::unique(s.begin(), s.end()), s.end());
+    for (int v : s) ++st.indegree[v];
+  }
+  return st;
 }
 
 blas::DenseMatrix solve_prologue(const Factorization& f, const char* what,

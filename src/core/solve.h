@@ -48,6 +48,29 @@ void walk_eager_positions(const Factorization& f, Visit&& visit) {
   }
 }
 
+/// The panel walk split by eforest tree.  Theorem 3 makes the postordered
+/// matrix block upper triangular with one diagonal block per tree, so tree
+/// t owns block columns bounds[t] .. bounds[t+1] and its panels' rows and
+/// interchanges stay inside its own rows: the forward walks of different
+/// trees are independent.  A backward walk also subtracts U blocks from the
+/// rows of earlier trees.  `succ` / `indegree` is the DAG over tasks
+/// 0 .. T-1 (forward walk of tree t) and T .. 2T-1 (backward walk of tree
+/// t) that orders them: each forward before its own backward, and for each
+/// tree the backward walks that write its rows chained in descending tree
+/// order -- the first after its forward, the last before its own backward
+/// -- so every row gets its operations in the order of one walk over all
+/// panels.  Trees that are not contiguous block ranges (postorder off)
+/// make one tree; one tree leaves the DAG empty.
+struct SolveTrees {
+  std::vector<int> bounds;
+  std::vector<std::vector<int>> succ;
+  std::vector<int> indegree;
+
+  int count() const { return static_cast<int>(bounds.size()) - 1; }
+};
+
+SolveTrees solve_trees(const Analysis& an);
+
 /// Solve prologue: throws std::runtime_error unless f's factors are usable,
 /// std::logic_error when f is partial and std::invalid_argument unless b
 /// has n rows and x has b's shape (`what` names the solve).  Then returns

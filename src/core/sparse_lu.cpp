@@ -79,7 +79,7 @@ const Factorization& SparseLU::factorization() const {
 }
 
 std::vector<double> SparseLU::solve(const std::vector<double>& b) const {
-  return factorization().solve(b);
+  return factorization().solve(b, numeric_options_);
 }
 
 std::vector<double> SparseLU::solve_transpose(const std::vector<double>& b) const {

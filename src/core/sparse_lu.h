@@ -79,7 +79,8 @@ class SparseLU {
   const Analysis& analysis() const;
   const Factorization& factorization() const;
 
-  /// Solves A x = b; requires factorized().
+  /// Solves A x = b; requires factorized().  Runs on the workers
+  /// numeric_options() names (Factorization::solve_matrix).
   std::vector<double> solve(const std::vector<double>& b) const;
 
   /// Solves A^T x = b; requires factorized().

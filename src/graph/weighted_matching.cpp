@@ -1,10 +1,10 @@
 #include "graph/weighted_matching.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <stdexcept>
 
 namespace plu::graph {
 
@@ -24,7 +24,10 @@ struct HeapEntry {
 }  // namespace
 
 std::optional<WeightedMatching> max_product_transversal(const CscMatrix& a) {
-  assert(a.rows() == a.cols());
+  if (a.rows() != a.cols()) {
+    throw std::invalid_argument(
+        "max_product_transversal: matrix must be square");
+  }
   const int n = a.cols();
 
   // Costs: c(i,j) = log(colmax_j) - log|a_ij| >= 0, zeros excluded.

@@ -34,7 +34,8 @@ struct WeightedMatching {
 };
 
 /// Computes the matching; nullopt when the matrix is structurally singular
-/// (entries with value exactly 0 are treated as absent).
+/// (entries with value exactly 0 are treated as absent).  Throws
+/// std::invalid_argument unless the matrix is square.
 std::optional<WeightedMatching> max_product_transversal(const CscMatrix& a);
 
 }  // namespace plu::graph

@@ -273,7 +273,7 @@ void SolverService::process(const std::shared_ptr<Request>& req) {
     }
     if (req->opt_.want_solve) {
       t0 = Clock::now();
-      r.x = f.solve(req->b_);
+      r.x = f.solve(req->b_, nopt);
       r.solve_seconds = seconds_between(t0, Clock::now());
     }
     finalize(req, RequestState::kDone, std::move(r));

@@ -1,8 +1,11 @@
 // Dense-block storage: allocation, scatter/gather, views, row swaps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <utility>
+#include <vector>
 
 #include "core/analysis.h"
 #include "core/block_storage.h"
@@ -185,6 +188,43 @@ TEST(ArenaStorage, ThreadedFirstTouchInitMatchesSequential) {
   par.load(f.permuted);
   EXPECT_LT(blas::max_abs_diff(seq.to_dense().view(), par.to_dense().view()),
             1e-300);
+}
+
+TEST(ArenaStorage, RangeLoadsMatchOneLoad) {
+  // Any split of the columns loads the same bits and the same max as one
+  // range, and a zeroing range load clears what an earlier load left.
+  for (const CscMatrix& a : test::small_matrices()) {
+    Fixture f(a);
+    const std::vector<std::uint64_t>& slots = f.an.input_slots;
+    BlockMatrix whole(f.an.blocks);
+    const double whole_max =
+        whole.scatter(a, slots, f.an.col_perm, f.an.row_scale,
+                      f.an.col_scale, 0, whole.num_block_columns(), false);
+    for (int parts : {1, 2, 3, 7, 1000}) {
+      BlockMatrix split(f.an.blocks);
+      split.load(f.permuted);  // stale values the zeroing load must clear
+      const std::vector<int> ranges = split.column_ranges(parts);
+      ASSERT_EQ(ranges.front(), 0);
+      ASSERT_EQ(ranges.back(), split.num_block_columns());
+      EXPECT_LE(static_cast<int>(ranges.size()) - 1, parts);
+      double split_max = 0.0;
+      for (std::size_t r = 0; r + 1 < ranges.size(); ++r) {
+        ASSERT_LT(ranges[r], ranges[r + 1]) << "parts " << parts;
+        split_max = std::max(
+            split_max, split.scatter(a, slots, f.an.col_perm, f.an.row_scale,
+                                     f.an.col_scale, ranges[r], ranges[r + 1],
+                                     true));
+      }
+      EXPECT_EQ(split_max, whole_max) << "parts " << parts;
+      for (int j = 0; j < whole.num_block_columns(); ++j) {
+        blas::ConstMatrixView x = whole.column(j);
+        blas::ConstMatrixView y = split.column(j);
+        ASSERT_EQ(0, std::memcmp(x.data, y.data,
+                                 8 * std::size_t(x.rows) * x.cols))
+            << "parts " << parts << " column " << j;
+      }
+    }
+  }
 }
 
 TEST(ArenaStorage, MoveTransfersOwnership) {

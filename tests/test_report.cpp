@@ -47,6 +47,12 @@ TEST(Report, CollectsConsistentNumbers) {
   EXPECT_FALSE(fr.singular);
   EXPECT_EQ(fr.pivot_interchanges, f.pivot_interchanges());
   EXPECT_GT(fr.stored_doubles, 0u);
+  EXPECT_EQ(fr.phases.load, f.phase_times().load);
+  EXPECT_EQ(fr.phases.dag, f.phase_times().dag);
+  EXPECT_EQ(fr.phases.scan, f.phase_times().scan);
+  EXPECT_GT(fr.phases.dag, 0.0);
+  EXPECT_GE(fr.phases.load, 0.0);
+  EXPECT_GE(fr.phases.scan, 0.0);
 }
 
 TEST(Report, RendersAllSections) {
@@ -57,7 +63,8 @@ TEST(Report, RendersAllSections) {
   os << report(an) << "\n" << report(f);
   std::string s = os.str();
   for (const char* needle : {"matrix:", "symbolic:", "supernodes:", "beforest:",
-                             "task graph:", "numeric:", "blocking:"}) {
+                             "task graph:", "numeric:", "blocking:",
+                             "phases:"}) {
     EXPECT_NE(s.find(needle), std::string::npos) << needle;
   }
 }

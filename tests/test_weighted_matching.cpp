@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "core/solve.h"
 #include "core/sparse_lu.h"
@@ -94,6 +95,21 @@ TEST(WeightedMatching, DetectsStructuralSingularity) {
   auto wm = max_product_transversal(z.to_csc());
   ASSERT_TRUE(wm.has_value());
   EXPECT_EQ(wm->row_perm.old_of(0), 1);
+}
+
+TEST(WeightedMatching, RejectsNonSquareInput) {
+  // A 4 x 3 matrix with a full column rank pattern: the row arrays are
+  // sized by the column count, so it must be refused before any of them is
+  // indexed by a row.
+  CooMatrix tall(4, 3);
+  for (int j = 0; j < 3; ++j) {
+    tall.add(j, j, 2.0);
+    tall.add(3, j, 5.0);
+  }
+  EXPECT_THROW(max_product_transversal(tall.to_csc()), std::invalid_argument);
+  CooMatrix wide(3, 4);
+  for (int i = 0; i < 3; ++i) wide.add(i, i + 1, 1.0);
+  EXPECT_THROW(max_product_transversal(wide.to_csc()), std::invalid_argument);
 }
 
 TEST(WeightedMatching, PicksLargeEntriesOverSmallDiagonal) {

@@ -35,7 +35,8 @@
 //     --stats               print extended analysis statistics
 //     --verbose             the ordering decision, per-phase analysis
 //                           timing breakdown, plus the numeric
-//                           factorization and solve wall times
+//                           factorization wall time, its load / dag / scan
+//                           phases and the solve wall time
 //
 // A malformed or out-of-range number prints the usage and exits with 2.
 #include <charconv>
@@ -312,6 +313,7 @@ int main(int argc, char** argv) {
       x = lu.solve(b);
     }
     if (verbose) {
+      std::printf("%s\n", plu::to_string(f.phase_times()).c_str());
       std::printf("solve:       %g ms wall%s\n", seconds_since(solve_t0) * 1e3,
                   refine ? " (with refinement)" : "");
     }
