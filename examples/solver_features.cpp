@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/parallel_solve.h"
 #include "core/solve.h"
 #include "core/sparse_lu.h"
 #include "matrix/generators.h"
@@ -20,7 +19,8 @@ int main() {
   plu::SparseLU lu;
   lu.factorize(a);
 
-  // Plain, transpose, and parallel solves.
+  // Plain, transpose, and threaded solves (the threaded one splits the
+  // walk by eforest tree on storage above kParallelPassDoubles).
   std::vector<double> x = lu.solve(b);
   std::printf("solve           residual %.2e\n", plu::relative_residual(a, x, b));
   std::vector<double> xt = lu.solve_transpose(b);
@@ -32,8 +32,11 @@ int main() {
       err = std::max(err, std::abs(r[i] - b[i]));
     std::printf("solve_transpose residual %.2e\n", err);
   }
-  std::vector<double> xp = lu.solve_parallel(b, 4);
-  std::printf("solve_parallel  residual %.2e (4 threads)\n",
+  plu::NumericOptions threaded;
+  threaded.mode = plu::ExecutionMode::kThreaded;
+  threaded.threads = 4;
+  std::vector<double> xp = lu.factorization().solve(b, threaded);
+  std::printf("threaded solve  residual %.2e (4 threads)\n",
               plu::relative_residual(a, xp, b));
 
   // Condition estimate from the factored inverse.

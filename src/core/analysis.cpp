@@ -142,9 +142,10 @@ Analysis analyze_structure(const Pattern& a, const Options& opt) {
   an.timings.supernodes = lap(last);
 
   // (5) Block structure with block-level closure, block eforest; then the
-  // structure-aware blocking plan over the finished blocks (one density
-  // sweep of Abar, folded into this phase's timing -- it is block
-  // bookkeeping, not a new analysis stage).
+  // block plan over the finished blocks (L-block lists and offsets, the
+  // structural row runs from one sweep of Abar, and the row-writer chain
+  // check), folded into this phase's timing: it is block bookkeeping, not
+  // a new analysis stage.
   an.blocks = symbolic::build_block_structure(an.symbolic.abar, an.partition);
   an.block_plan = symbolic::build_block_plan(an.symbolic.abar, an.blocks);
   an.timings.blocks = lap(last);

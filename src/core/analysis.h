@@ -109,9 +109,10 @@ struct Analysis {
   symbolic::SupernodePartition exact_partition;  // before amalgamation
   symbolic::SupernodePartition partition;        // final
   symbolic::BlockStructure blocks;
-  /// Structure-aware blocking plan over `blocks` (symbolic/repartition.h):
-  /// per-block densities, tile classes and cached L lists.  Predictions and
-  /// cached structure only -- consuming it never changes factor bits.
+  /// Block plan over `blocks` (symbolic/repartition.h): per block column
+  /// the L-block list and row offsets and the structural row runs, built
+  /// after the row-writer chain check passed.  Cached structure only --
+  /// consuming it never changes factor bits.
   symbolic::BlockPlan block_plan;
 
   taskgraph::TaskGraph graph;

@@ -30,6 +30,24 @@ int permutation_sign(const std::vector<int>& old_of) {
   return (transpositions % 2 == 0) ? 1 : -1;
 }
 
+/// The backward (suffix) composition of the deferred interchanges; the
+/// forward one is pivot_old_of.  For k = nb-1 down to 0 it calls
+/// visit(k, rows, pos), rows = panel k's global rows, pos[r] = the final
+/// (eager-getrf) position of the row at global row r when panel k ran;
+/// then it folds panel k's interchanges into pos.
+template <class Visit>
+void walk_eager_positions(const Factorization& f, Visit&& visit) {
+  const Analysis& an = f.analysis();
+  std::vector<int> pos(an.n);
+  std::iota(pos.begin(), pos.end(), 0);
+  std::vector<int> rows;
+  for (int k = an.blocks.num_blocks() - 1; k >= 0; --k) {
+    panel_rows(an, k, rows);
+    visit(k, rows, pos);
+    undo_interchanges(f.panel_ipiv(k), rows, pos.data());
+  }
+}
+
 }  // namespace
 
 void panel_rows(const Analysis& an, int k, std::vector<int>& rows) {

@@ -3,7 +3,6 @@
 // (test/debug aids for small problems), condition and growth estimates.
 #pragma once
 
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -27,24 +26,6 @@ void undo_interchanges(const std::vector<int>& piv,
                        const std::vector<int>& rows, T* v) {
   for (std::size_t c = piv.size(); c-- > 0;) {
     if (piv[c] != static_cast<int>(c)) std::swap(v[rows[c]], v[rows[piv[c]]]);
-  }
-}
-
-/// The backward (suffix) composition of the deferred interchanges; the
-/// forward one is pivot_old_of.  For k = nb-1 down to 0 it calls
-/// visit(k, rows, pos), rows = panel k's global rows, pos[r] = the final
-/// (eager-getrf) position of the row at global row r when panel k ran;
-/// then it folds panel k's interchanges into pos.
-template <class Visit>
-void walk_eager_positions(const Factorization& f, Visit&& visit) {
-  const Analysis& an = f.analysis();
-  std::vector<int> pos(an.n);
-  std::iota(pos.begin(), pos.end(), 0);
-  std::vector<int> rows;
-  for (int k = an.blocks.num_blocks() - 1; k >= 0; --k) {
-    panel_rows(an, k, rows);
-    visit(k, rows, pos);
-    undo_interchanges(f.panel_ipiv(k), rows, pos.data());
   }
 }
 
@@ -103,7 +84,7 @@ blas::DenseMatrix extract_u_dense(const Factorization& f);
 /// The accumulated row-pivot permutation of the factorization, as acting on
 /// the analysis-ordered matrix: row `r` of L*U corresponds to row
 /// pivot_old_of[r] of Apre: the forward composition of the deferred
-/// interchanges (ParallelSolver folds it into its gather).
+/// interchanges (extract_l_dense walks the backward one).
 std::vector<int> pivot_old_of(const Factorization& f);
 
 /// Lower-bound estimate of ||A^{-1}||_1 by Higham's power method on the

@@ -2,15 +2,10 @@
 
 #include <stdexcept>
 
-#include "core/parallel_solve.h"
-
 namespace plu {
 
 SparseLU::SparseLU() = default;
 SparseLU::SparseLU(const Options& opt) : options_(opt) {}
-SparseLU::~SparseLU() = default;
-SparseLU::SparseLU(SparseLU&&) noexcept = default;
-SparseLU& SparseLU::operator=(SparseLU&&) noexcept = default;
 
 void SparseLU::analyze(const CscMatrix& a) {
   analysis_ = std::make_unique<Analysis>(plu::analyze(a, options_));
@@ -18,7 +13,6 @@ void SparseLU::analyze(const CscMatrix& a) {
                                                 a.col_ptr(), a.row_ind());
   ++analyze_count_;
   factorization_.reset();
-  parallel_solver_.reset();
   last_matrix_.reset();
 }
 
@@ -45,7 +39,6 @@ bool SparseLU::pattern_matches(const CscMatrix& a) const {
 
 void SparseLU::factorize(const CscMatrix& a) {
   if (!pattern_matches(a)) analyze(a);
-  parallel_solver_.reset();  // bound to the factorization it was built from
   if (factorization_) {
     // Same pattern: new values into the same slab.
     try {
@@ -84,15 +77,6 @@ std::vector<double> SparseLU::solve(const std::vector<double>& b) const {
 
 std::vector<double> SparseLU::solve_transpose(const std::vector<double>& b) const {
   return factorization().solve_transpose(b);
-}
-
-std::vector<double> SparseLU::solve_parallel(const std::vector<double>& b,
-                                             int threads) const {
-  const Factorization& f = factorization();
-  if (!parallel_solver_) {
-    parallel_solver_ = std::make_unique<ParallelSolver>(f);
-  }
-  return parallel_solver_->solve(b, threads);
 }
 
 RefineResult SparseLU::solve_refined(const std::vector<double>& b,

@@ -16,8 +16,7 @@
 // solver-service path, service/solver_service.h).  Per-instance state such
 // as the analysis-reuse guard and analyze_count() stays exact under pool
 // sharing.  const methods (the solve family) are safe to call concurrently
-// on one instance once factorize() returned, except the first
-// solve_parallel call, which lazily builds the solve DAGs.
+// on one instance once factorize() returned.
 #pragma once
 
 #include <memory>
@@ -34,9 +33,6 @@ class SparseLU {
  public:
   SparseLU();
   explicit SparseLU(const Options& opt);
-  ~SparseLU();  // out of line: ParallelSolver is incomplete here
-  SparseLU(SparseLU&&) noexcept;
-  SparseLU& operator=(SparseLU&&) noexcept;
 
   const Options& options() const { return options_; }
   Options& options() { return options_; }
@@ -86,11 +82,6 @@ class SparseLU {
   /// Solves A^T x = b; requires factorized().
   std::vector<double> solve_transpose(const std::vector<double>& b) const;
 
-  /// Parallel triangular solves on `threads` threads (agrees with solve()
-  /// up to roundoff).  Builds the solve DAGs on first use.
-  std::vector<double> solve_parallel(const std::vector<double>& b,
-                                     int threads) const;
-
   /// Solve with iterative refinement against the matrix last factorized.
   RefineResult solve_refined(const std::vector<double>& b,
                              const RefineOptions& opt = {}) const;
@@ -115,7 +106,6 @@ class SparseLU {
   long analyze_count_ = 0;
   std::unique_ptr<Analysis> analysis_;
   std::unique_ptr<Factorization> factorization_;
-  mutable std::unique_ptr<class ParallelSolver> parallel_solver_;
   std::optional<CscMatrix> last_matrix_;  // kept for refinement
 };
 

@@ -113,7 +113,7 @@ ExecutionReport execute_task_graph(const taskgraph::TaskGraph& g, int num_thread
                                    const ExecOptions& opt = {});
 
 /// Graph-shape-agnostic variant: any DAG as successor lists + indegrees
-/// (used by the parallel triangular solves and the 2-D experiments).  A
+/// (execute_task_graph runs its graphs through it).  A
 /// cyclic graph runs the acyclic prefix exactly once and reports
 /// completed == false.
 ExecutionReport execute_dag(const std::vector<std::vector<int>>& succ,

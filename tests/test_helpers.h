@@ -85,4 +85,17 @@ inline std::vector<std::pair<std::string, CscMatrix>> production_matrices() {
   return out;
 }
 
+/// The `refactor` workload's shape: 16 uncoupled multiphysics3d(8,8,4,4)
+/// domains (n = 16384, 16 eforest trees, storage above
+/// kParallelPassDoubles), domain d drawn with seed first_seed + d.
+inline CscMatrix forest16(std::uint64_t first_seed) {
+  std::vector<CscMatrix> domains;
+  for (int d = 0; d < 16; ++d) {
+    gen::StencilOptions g;
+    g.seed = first_seed + static_cast<std::uint64_t>(d);
+    domains.push_back(gen::multiphysics3d(8, 8, 4, 4, g));
+  }
+  return gen::block_diag(domains);
+}
+
 }  // namespace plu::test

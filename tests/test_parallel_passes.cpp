@@ -10,13 +10,16 @@
 // forest (uncoupled trees: independent backward walks) and power_law(1500)
 // (coupled trees: backward walks chained through cross-tree U blocks).
 // Two Infs in block columns of different ranges check that the lowest
-// non-finite column wins the overflow report.  In the `sanitize` label.
+// non-finite column wins the overflow report, and concurrent const solves on
+// one SparseLU must each give the bits of a solve called alone.  In the
+// `sanitize` label.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/solve.h"
@@ -39,13 +42,7 @@ struct Shape {
 const std::vector<Shape>& shapes() {
   static const std::vector<Shape> out = [] {
     std::vector<Shape> s;
-    std::vector<CscMatrix> domains;
-    for (int d = 0; d < 16; ++d) {
-      gen::StencilOptions g;
-      g.seed = 31 + d;
-      domains.push_back(gen::multiphysics3d(8, 8, 4, 4, g));
-    }
-    s.push_back({"forest16", gen::block_diag(domains), false, {}});
+    s.push_back({"forest16", test::forest16(31), false, {}});
     s.push_back({"powerlaw1500",
                  gen::power_law(1500, 4.0, 2.0, 0.6, 0.8, 11), true, {}});
     for (Shape& shape : s) {
@@ -219,6 +216,44 @@ TEST(ParallelPasses, LowestNonFiniteColumnWinsAcrossRanges) {
       f.refactor(a, opt);
       EXPECT_EQ(f.status(), FactorStatus::kOverflow) << base << "/" << arm;
       EXPECT_EQ(f.failed_column(), ref.failed_column()) << base << "/" << arm;
+    }
+  }
+}
+
+TEST(ParallelPasses, ConcurrentConstSolvesBitwiseEqualOneSolve) {
+  // SparseLU's const solves may run concurrently on one instance: three
+  // client threads solve at once on a 4-thread kThreaded SparseLU, each
+  // solve splitting by tree on its own pool, and every result must be the
+  // bits of the same solve called alone.
+  const Shape& s = shapes()[0];
+  SparseLU lu;
+  lu.numeric_options().mode = ExecutionMode::kThreaded;
+  lu.numeric_options().threads = 4;
+  lu.factorize(s.a);
+  ASSERT_TRUE(factor_usable(lu.factor_status()));
+  ASSERT_GT(solve_trees(lu.analysis()).count(), 1);
+  constexpr int kClients = 3;
+  std::vector<std::vector<double>> b(kClients), alone(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    b[c] = test::random_vector(s.a.rows(), 40 + c);
+    alone[c] = lu.solve(b[c]);
+  }
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::vector<double>> x(kClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        try {
+          x[c] = lu.solve(b[c]);
+        } catch (...) {
+          x[c].clear();  // fails the comparison below
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    for (int c = 0; c < kClients; ++c) {
+      EXPECT_TRUE(same_bits(alone[c], x[c]))
+          << "round " << round << " client " << c;
     }
   }
 }

@@ -20,9 +20,11 @@
 #include <string>
 #include <vector>
 
+#include "core/parallel_solve.h"
 #include "core/sparse_lu.h"
 #include "matrix/coo.h"
 #include "matrix/generators.h"
+#include "matrix/named_matrices.h"
 #include "test_helpers.h"
 
 namespace plu {
@@ -382,6 +384,77 @@ TEST(RefactorInPlace, OptionDependentResultsDoNotCarryOver) {
   EXPECT_EQ(f.perturbation_magnitude(), 0.0);
   Factorization fresh(an, a2);
   expect_bitwise(fresh, f, "plain after audited");
+}
+
+bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), sizeof(double) * x.size()) == 0;
+}
+
+TEST(RefactorInPlace, ParallelSolverFollowsRefactor) {
+  // A ParallelSolver built before a refactor that changes the pivots must
+  // solve with the new factors: it caches nothing of the old ones.
+  gen::StencilOptions g;
+  g.convection = 0.9;
+  g.seed = 3;
+  const CscMatrix a = gen::grid3d(8, 8, 8, g);
+  const Analysis an = analyze(a);
+  Factorization f(an, a);
+  const ParallelSolver ps(f);
+  std::vector<std::vector<int>> old_pivots;
+  for (int k = 0; k < an.blocks.num_blocks(); ++k) {
+    old_pivots.push_back(f.panel_ipiv(k));
+  }
+  const CscMatrix a2 = gen::perturb_values(a, 2.0, 77);
+  f.refactor(a2);
+  ASSERT_TRUE(factor_usable(f.status()));
+  bool pivots_changed = false;
+  for (int k = 0; k < an.blocks.num_blocks(); ++k) {
+    pivots_changed |= f.panel_ipiv(k) != old_pivots[k];
+  }
+  ASSERT_TRUE(pivots_changed);
+  const std::vector<double> b = test::random_vector(a.rows(), 13);
+  const std::vector<double> x = f.solve(b);
+  EXPECT_LT(relative_residual(a2, x, b), 1e-12);
+  for (int threads : {1, 4}) {
+    EXPECT_TRUE(same_bits(x, ps.solve(b, threads))) << "threads " << threads;
+  }
+}
+
+TEST(RefactorInPlace, ParallelSolverBitwiseFreshAndRefactored) {
+  // ParallelSolver::solve at 1 and 4 threads is bitwise f.solve(b) on the
+  // sweep, Table 1 and the 16-domain forest (above kParallelPassDoubles, so
+  // the 4-thread solve splits by tree), for a fresh factorization and after
+  // an in-place refactor of other values.
+  std::vector<std::pair<std::string, CscMatrix>> shapes;
+  const std::vector<CscMatrix> sweep = sweep_matrices();
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    shapes.emplace_back("sweep" + std::to_string(i), sweep[i]);
+  }
+  for (NamedMatrix& nm : make_benchmark_suite()) {
+    shapes.emplace_back(nm.name, std::move(nm.a));
+  }
+  shapes.emplace_back("forest16", test::forest16(31));
+  NumericOptions opt;
+  opt.mode = ExecutionMode::kThreaded;
+  opt.threads = 4;
+  for (const auto& [name, a] : shapes) {
+    const Analysis an = analyze(a);
+    Factorization f(an, a, opt);
+    const ParallelSolver ps(f);
+    const std::vector<double> b = test::random_vector(a.rows(), 17);
+    const auto check = [&](const char* stage) {
+      ASSERT_TRUE(factor_usable(f.status())) << name << " " << stage;
+      const std::vector<double> x = f.solve(b);
+      for (int threads : {1, 4}) {
+        EXPECT_TRUE(same_bits(x, ps.solve(b, threads)))
+            << name << " " << stage << " threads " << threads;
+      }
+    };
+    check("fresh");
+    f.refactor(gen::perturb_values(a, 0.1, 5), opt);
+    check("refactored");
+  }
 }
 
 TEST(RefactorInPlace, NewPatternReanalyzesWithOneSlab) {

@@ -177,15 +177,7 @@ TEST(RowRuns, ThreadedBitsEqualSequentialWithoutLocks) {
     g.seed = 14;
     shapes.emplace_back("grid3d-14", gen::grid3d(14, 14, 14, g));
   }
-  {
-    std::vector<CscMatrix> domains;
-    for (int d = 0; d < 16; ++d) {
-      gen::StencilOptions g;
-      g.seed = 1600 + d;
-      domains.push_back(gen::multiphysics3d(8, 8, 4, 4, g));
-    }
-    shapes.emplace_back("forest16", gen::block_diag(domains));
-  }
+  shapes.emplace_back("forest16", test::forest16(1600));
   for (const auto& [name, a] : shapes) {
     const Analysis an = analyze(a);
     if (name == "grid3d-14") {

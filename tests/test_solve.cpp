@@ -8,7 +8,6 @@
 #include <tuple>
 
 #include "blas/factor.h"
-#include "core/parallel_solve.h"
 #include "core/refine.h"
 #include "core/solve.h"
 #include "core/sparse_lu.h"
@@ -127,7 +126,8 @@ using SolveParam = std::tuple<int, Layout, bool>;  // matrix, layout, MC64
 class EverySolve : public ::testing::TestWithParam<SolveParam> {};
 
 // solve, solve_transpose, solve_matrix at 1 and 4 right-hand sides and
-// ParallelSolver at 1 and 4 threads, each against the dense reference.
+// solve with kThreaded options at 1 and 4 threads, each against the dense
+// reference.
 TEST_P(EverySolve, MatchesDenseReference) {
   const auto [which, layout, mc64] = GetParam();
   const CscMatrix a = sweep_matrix(which);
@@ -168,9 +168,11 @@ TEST_P(EverySolve, MatchesDenseReference) {
       expect_close(xr, dense_reference(a, br, false), "solve_matrix");
     }
   }
-  const ParallelSolver ps(f);
   for (int threads : {1, 4}) {
-    expect_close(ps.solve(b, threads), ref, "ParallelSolver");
+    NumericOptions threaded;
+    threaded.mode = ExecutionMode::kThreaded;
+    threaded.threads = threads;
+    expect_close(f.solve(b, threaded), ref, "threaded solve");
   }
 }
 
